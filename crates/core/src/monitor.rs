@@ -13,7 +13,7 @@ use crate::policy::{FrameKind, FrameTable, PK_DEFAULT, PK_IDT, PK_MONITOR, RESER
 use crate::rng::DetRng;
 use crate::sandbox::{CommonRegion, ExitDecision, Sandbox, SandboxId, SandboxState, SandboxTable};
 use crate::scan;
-use crate::stats::{LookupStats, MonitorStats};
+use crate::stats::MonitorStats;
 use erebor_hw::cpu::Machine;
 use erebor_hw::fault::{Fault, VeReason};
 use erebor_hw::idt;
@@ -86,7 +86,9 @@ pub struct Monitor {
     /// Run the post-teardown isolation fence in [`Monitor::kill_sandbox`]
     /// (alias retag-back, domain revocation, MMU-epoch bump, cpuid-MRU
     /// drop). Always on in production; the stale-decision regression
-    /// test ablates it to reproduce the bug class.
+    /// test ablates it to reproduce the bug class. Host-side: it never
+    /// travels in the migration stream, and an imported monitor starts
+    /// with the fence on.
     pub kill_fence: bool,
     /// EMC gate state.
     pub gate: EmcGate,
@@ -104,20 +106,12 @@ pub struct Monitor {
     pub sandboxes: SandboxTable,
     /// All common regions.
     pub common_regions: BTreeMap<u32, CommonRegion>,
-    /// Use the O(1) indexes (root→sandbox, address-space mirror, cpuid
-    /// MRU) on the gate hot path. Off = the seed's linear scans and
-    /// ordered-map lookups, with identical results; the fleet bench
-    /// ablation and the equivalence suite flip this.
-    pub fast_lookup: bool,
     /// Coalesce the teardown/seal/reclaim shootdown traffic into one
     /// IPI per (core, mm) maintenance window instead of per-page
-    /// round trips. Off by default: unlike `fast_lookup`, this changes
-    /// the *modeled* IPI cost (fewer interrupt deliveries), so it is an
-    /// explicit fleet-mode optimization, not a transparent fast path.
+    /// round trips. Off by default: this changes the *modeled* IPI cost
+    /// (fewer interrupt deliveries), so it is an explicit fleet-mode
+    /// modelling choice and travels with the migrated monitor.
     pub coalesce_shootdowns: bool,
-    /// Lookup fast-path counters — deliberately outside
-    /// [`MonitorStats`]/snapshots (see [`LookupStats`]).
-    pub lookup_stats: LookupStats,
     kernel_text: Option<(VirtAddr, Vec<Frame>)>,
     kernel_syscall_entry: Option<VirtAddr>,
     vec_handlers: Vec<Option<VirtAddr>>,
@@ -131,6 +125,8 @@ pub struct Monitor {
     cma: Region,
     device: Region,
     cpuid_cache: BTreeMap<u32, [u32; 4]>,
+    /// One-entry slot in front of `cpuid_cache`. Derived state: dropped
+    /// by the kill fence and never migrated.
     cpuid_mru: Option<(u32, [u32; 4])>,
     kernel_return: VirtAddr,
     next_sandbox: u32,
@@ -166,9 +162,7 @@ impl Monitor {
             idt_base,
             sandboxes: SandboxTable::new(),
             common_regions: BTreeMap::new(),
-            fast_lookup: true,
             coalesce_shootdowns: false,
-            lookup_stats: LookupStats::default(),
             kernel_text: None,
             kernel_syscall_entry: None,
             vec_handlers: vec![None; 256],
@@ -200,14 +194,7 @@ impl Monitor {
     /// Whether `root` is a monitor-registered address space.
     #[must_use]
     pub fn address_space_registered(&self, root: Frame) -> bool {
-        if root == self.kernel_root {
-            return true;
-        }
-        if self.fast_lookup {
-            self.lookup_stats.bump_as_index();
-            return self.as_index.contains_key(&root.0);
-        }
-        self.address_spaces.contains_key(&root.0)
+        root == self.kernel_root || self.as_index.contains_key(&root.0)
     }
 
     /// Every address-space root the monitor knows about: the kernel root
@@ -230,9 +217,9 @@ impl Monitor {
     /// position, interposer layout, every sandbox (including sealed
     /// channels mid-stream), and every common region.
     ///
-    /// [`LookupStats`] is deliberately *not* exported: it counts host-side
-    /// fast-path hits, which are non-architectural — a migrated monitor
-    /// starts those at zero.
+    /// Host-side state stays home: the kill-fence switch, the cpuid MRU
+    /// slot and the lookup indexes are rebuilt by
+    /// [`Monitor::import_state`], never trusted from the wire.
     #[must_use]
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = erebor_wire::WireWriter::new();
@@ -240,7 +227,6 @@ impl Monitor {
         w.bytes(&self.stats.export_state());
         w.bytes(&self.frames.export_state());
         w.bytes(&self.backend.export_state());
-        w.bool(self.kill_fence);
         w.bytes(&self.gate.export_state());
         let (rng_key, rng_ctr) = self.rng.to_parts();
         w.raw(&rng_key);
@@ -257,7 +243,6 @@ impl Monitor {
         for region in self.common_regions.values() {
             w.bytes(&region.export_state());
         }
-        w.bool(self.fast_lookup);
         w.bool(self.coalesce_shootdowns);
         match &self.kernel_text {
             None => w.bool(false),
@@ -303,16 +288,6 @@ impl Monitor {
                 w.u32(v);
             }
         }
-        match &self.cpuid_mru {
-            None => w.bool(false),
-            Some((leaf, regs)) => {
-                w.bool(true);
-                w.u32(*leaf);
-                for &v in regs {
-                    w.u32(v);
-                }
-            }
-        }
         w.u64(self.kernel_return.0);
         w.u32(self.next_sandbox);
         w.u32(self.next_region);
@@ -325,7 +300,8 @@ impl Monitor {
     /// assembled, so a torn or hostile stream never yields a
     /// half-imported monitor. The O(1) indexes (`as_index`,
     /// `root_index`) are derived from the authoritative maps rather
-    /// than transferred, and [`LookupStats`] starts fresh.
+    /// than transferred, the cpuid MRU starts empty and the kill fence
+    /// starts on.
     ///
     /// # Errors
     /// [`erebor_wire::WireError`] on truncation, unknown tags, sparse
@@ -338,7 +314,6 @@ impl Monitor {
         let stats = MonitorStats::import_state(r.bytes()?)?;
         let frames = FrameTable::import_state(r.bytes()?)?;
         let backend_bytes = r.bytes()?.to_vec();
-        let kill_fence = r.bool()?;
         let gate = EmcGate::import_state(r.bytes()?)?;
         let rng_key = r.array::<32>()?;
         let rng_ctr = r.u32()?;
@@ -372,7 +347,6 @@ impl Monitor {
                 });
             }
         }
-        let fast_lookup = r.bool()?;
         let coalesce_shootdowns = r.bool()?;
         let kernel_text = if r.bool()? {
             let va = VirtAddr(r.u64()?);
@@ -433,16 +407,6 @@ impl Monitor {
             }
             cpuid_cache.insert(leaf, regs);
         }
-        let cpuid_mru = if r.bool()? {
-            let leaf = r.u32()?;
-            let mut regs = [0u32; 4];
-            for v in &mut regs {
-                *v = r.u32()?;
-            }
-            Some((leaf, regs))
-        } else {
-            None
-        };
         let kernel_return = VirtAddr(r.u64()?);
         let next_sandbox = r.u32()?;
         let next_region = r.u32()?;
@@ -468,7 +432,7 @@ impl Monitor {
             stats,
             frames,
             backend,
-            kill_fence,
+            kill_fence: true,
             gate,
             rng: DetRng::from_parts(rng_key, rng_ctr),
             kernel_root,
@@ -477,9 +441,7 @@ impl Monitor {
             idt_base,
             sandboxes,
             common_regions,
-            fast_lookup,
             coalesce_shootdowns,
-            lookup_stats: LookupStats::default(),
             kernel_text,
             kernel_syscall_entry,
             vec_handlers,
@@ -489,7 +451,7 @@ impl Monitor {
             cma,
             device,
             cpuid_cache,
-            cpuid_mru,
+            cpuid_mru: None,
             kernel_return,
             next_sandbox,
             next_region,
@@ -865,24 +827,15 @@ impl Monitor {
     /// cpuid cache probe shared by the EMC and `#VE` emulation paths.
     /// The one-entry MRU slot in front of the ordered map catches the
     /// common repeated-leaf pattern; `stats.cpuid_cached` counts every
-    /// cache hit identically in both modes, so snapshots stay
-    /// byte-identical across the `fast_lookup` toggle.
+    /// cache hit, whichever level served it.
     fn cpuid_cache_get(&mut self, leaf: u32) -> Option<[u32; 4]> {
-        if self.fast_lookup {
-            if let Some((l, v)) = self.cpuid_mru {
-                if l == leaf {
-                    self.lookup_stats.bump_cpuid_mru();
-                    self.stats.cpuid_cached = self.stats.cpuid_cached.saturating_add(1);
-                    return Some(v);
-                }
-            }
-        }
-        let v = self.cpuid_cache.get(&leaf).copied();
+        let v = match self.cpuid_mru {
+            Some((l, v)) if l == leaf => Some(v),
+            _ => self.cpuid_cache.get(&leaf).copied(),
+        };
         if let Some(v) = v {
             self.stats.cpuid_cached = self.stats.cpuid_cached.saturating_add(1);
-            if self.fast_lookup {
-                self.cpuid_mru = Some((leaf, v));
-            }
+            self.cpuid_mru = Some((leaf, v));
         }
         v
     }
@@ -891,9 +844,7 @@ impl Monitor {
     /// a faulted or module-declined round trip must not pin zeros).
     fn cpuid_cache_put(&mut self, leaf: u32, value: [u32; 4]) {
         self.cpuid_cache.insert(leaf, value);
-        if self.fast_lookup {
-            self.cpuid_mru = Some((leaf, value));
-        }
+        self.cpuid_mru = Some((leaf, value));
     }
 
     fn create_address_space(
@@ -944,12 +895,7 @@ impl Monitor {
         if writable && executable {
             return Err(EmcError::Denied("W^X: writable+executable refused"));
         }
-        let asid = if self.fast_lookup {
-            self.lookup_stats.bump_as_index();
-            self.as_index.get(&root.0).copied().unwrap_or(0)
-        } else {
-            self.address_spaces.get(&root.0).copied().unwrap_or(0)
-        };
+        let asid = self.as_index.get(&root.0).copied().unwrap_or(0);
         let f = match frame {
             None => {
                 let f = machine.mem.alloc_frame().map_err(|_| EmcError::NoMemory)?;
@@ -1315,24 +1261,16 @@ impl Monitor {
     }
 
     /// The sandbox owning `root`, if any (the CR3→sandbox lookup of the
-    /// gate path: every kernel-requested mapping consults it). With
-    /// `fast_lookup` this is one hash probe validated against the slab
-    /// entry — roots are unique and dead sandboxes leave the index, so
-    /// the validation can only confirm, never miscorrect; without it,
-    /// the seed's linear scan over every sandbox ever created.
+    /// gate path: every kernel-requested mapping consults it). One hash
+    /// probe validated against the slab entry — roots are unique and
+    /// dead sandboxes leave the index, so the validation can only
+    /// confirm, never miscorrect.
     #[must_use]
     pub fn sandbox_by_root(&self, root: Frame) -> Option<SandboxId> {
-        if self.fast_lookup {
-            self.lookup_stats.bump_root_index();
-            return self.root_index.get(&root.0).and_then(|id| {
-                let s = self.sandboxes.get(id)?;
-                (s.root == root && s.state != SandboxState::Dead).then_some(s.id)
-            });
-        }
-        self.sandboxes
-            .values()
-            .find(|s| s.root == root && s.state != SandboxState::Dead)
-            .map(|s| s.id)
+        self.root_index.get(&root.0).and_then(|id| {
+            let s = self.sandboxes.get(id)?;
+            (s.root == root && s.state != SandboxState::Dead).then_some(s.id)
+        })
     }
 
     fn declare_confined(
@@ -2485,16 +2423,26 @@ mod migration_tests {
     }
 
     #[test]
-    fn lookup_stats_start_fresh_on_import() -> Result<(), erebor_wire::WireError> {
-        let m = busy_monitor();
-        // Burn some fast-path counters on the source.
-        assert!(m.address_space_registered(Frame(11)));
-        assert!(m.address_space_registered(Frame(12)));
-        assert!(m.lookup_stats.as_index_lookups() > 0);
+    fn kill_fence_does_not_travel() -> Result<(), erebor_wire::WireError> {
+        let mut m = busy_monitor();
+        m.kill_fence = false;
         let imported = Monitor::import_state(&m.export_state())?;
-        assert_eq!(imported.lookup_stats.as_index_lookups(), 0);
-        assert_eq!(imported.lookup_stats.root_index_lookups(), 0);
-        assert_eq!(imported.lookup_stats.cpuid_mru_hits(), 0);
+        assert!(imported.kill_fence, "an imported monitor starts fenced");
+        Ok(())
+    }
+
+    #[test]
+    fn cpuid_mru_does_not_travel() -> Result<(), erebor_wire::WireError> {
+        let mut m = busy_monitor();
+        let (stale, current) = ([0xa, 0xb, 0xc, 0xd], [0x1, 0x2, 0x3, 0x4]);
+        m.cpuid_mru = Some((1, stale));
+        m.cpuid_cache.insert(1, current);
+        let mut imported = Monitor::import_state(&m.export_state())?;
+        assert_eq!(
+            imported.cpuid_cache_get(1),
+            Some(current),
+            "leaf 1 must be answered from the migrated cache, not a source MRU slot"
+        );
         Ok(())
     }
 

@@ -125,65 +125,6 @@ impl MonitorStats {
     }
 }
 
-/// Observability counters for the monitor's O(1) lookup fast paths
-/// (fleet mode). Deliberately *not* part of [`MonitorStats`] or any
-/// snapshot: the counters differ between fleet-mode-on and ablated runs
-/// that are otherwise byte-identical, and the equivalence suite asserts
-/// snapshot equality across the toggle.
-///
-/// Interior mutability (`Cell`) lets `&self` lookup helpers such as
-/// [`crate::monitor::Monitor::sandbox_by_root`] count without widening
-/// their receivers to `&mut self`.
-#[derive(Debug, Default)]
-pub struct LookupStats {
-    root_index_lookups: core::cell::Cell<u64>,
-    as_index_lookups: core::cell::Cell<u64>,
-    cpuid_mru_hits: core::cell::Cell<u64>,
-}
-
-impl LookupStats {
-    /// `sandbox_by_root` queries answered from the root index.
-    #[must_use]
-    pub fn root_index_lookups(&self) -> u64 {
-        self.root_index_lookups.get()
-    }
-
-    /// Address-space registration/asid queries answered from the mirror.
-    #[must_use]
-    pub fn as_index_lookups(&self) -> u64 {
-        self.as_index_lookups.get()
-    }
-
-    /// cpuid emulations served from the one-entry MRU slot.
-    #[must_use]
-    pub fn cpuid_mru_hits(&self) -> u64 {
-        self.cpuid_mru_hits.get()
-    }
-
-    /// Zero all counters — scopes a measurement to the work that
-    /// follows (e.g. excluding boot-time lookups from a campaign).
-    pub fn reset(&self) {
-        self.root_index_lookups.set(0);
-        self.as_index_lookups.set(0);
-        self.cpuid_mru_hits.set(0);
-    }
-
-    pub(crate) fn bump_root_index(&self) {
-        self.root_index_lookups
-            .set(self.root_index_lookups.get().saturating_add(1));
-    }
-
-    pub(crate) fn bump_as_index(&self) {
-        self.as_index_lookups
-            .set(self.as_index_lookups.get().saturating_add(1));
-    }
-
-    pub(crate) fn bump_cpuid_mru(&self) {
-        self.cpuid_mru_hits
-            .set(self.cpuid_mru_hits.get().saturating_add(1));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

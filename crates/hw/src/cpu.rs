@@ -175,7 +175,8 @@ pub struct Machine {
     /// execute every op through the ordinary slow path (ablation and the
     /// differential equivalence suite). The decision cache is consulted
     /// only when both this and [`Machine::tlb_enabled`] are set; either
-    /// way the observable machine state evolves identically.
+    /// way the observable machine state evolves identically. Host-side:
+    /// not migrated, a destination machine starts with it on.
     pub fastpath_enabled: bool,
     /// Fast-path observability counters. Kept outside [`HwStats`] so
     /// fastpath-on and fastpath-off runs produce byte-identical snapshots.

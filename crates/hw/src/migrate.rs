@@ -12,11 +12,11 @@
 //! staged page set, validating every length, tag and cross-field
 //! invariant so a truncated, reordered or bit-flipped blob lands as a
 //! typed [`WireError`] — never a half-imported machine. Host-side
-//! observability state that is *not* architectural (the permission
-//! decision caches, fast-path counters, allocator scan stats, the chaos
-//! injector) is reset to fresh values on import: a migrated machine's
-//! counters start at zero while its architectural state is
-//! byte-identical.
+//! state that is *not* architectural (the permission decision caches
+//! and the `fastpath_enabled` switch that selects them, fast-path
+//! counters, allocator scan stats, the chaos injector) never enters the
+//! blob: the destination starts it fresh, so its counters read zero
+//! while its architectural state is byte-identical.
 
 use crate::cet::{EndbrRegistry, ShadowStack};
 use crate::cycles::{Bucket, CycleCounter};
@@ -35,8 +35,9 @@ use crate::idt::Idtr;
 
 /// Format version stamped at the head of every export; import refuses
 /// anything else (a silent cross-version decode would be state confusion
-/// by construction).
-pub const MACHINE_STATE_VERSION: u32 = 1;
+/// by construction). Version 2 dropped the host-side `fastpath_enabled`
+/// and allocator scan-mode flags from the blob.
+pub const MACHINE_STATE_VERSION: u32 = 2;
 
 fn put_event(w: &mut WireWriter, e: &TraceEvent) {
     match e {
@@ -306,7 +307,6 @@ impl Machine {
         }
 
         w.bool(self.tlb_enabled);
-        w.bool(self.fastpath_enabled);
         w.bool(self.mmu_trace);
 
         w.seq(self.sensitive_domains().len());
@@ -334,8 +334,9 @@ impl Machine {
     }
 
     /// Rebuild a machine from [`Machine::export_state`] bytes plus the
-    /// staged page set. Non-architectural state (decision caches,
-    /// fast-path counters, allocator scan stats, injector) starts fresh.
+    /// staged page set. Non-architectural state (decision caches and
+    /// their switch, fast-path counters, allocator scan stats, injector)
+    /// starts fresh.
     ///
     /// # Errors
     /// [`WireError`] on any truncation, unknown tag, version mismatch,
@@ -493,7 +494,6 @@ impl Machine {
         let trace = TraceBuffer::from_parts(capacity, seq, dropped, rings);
 
         let tlb_enabled = r.bool()?;
-        let fastpath_enabled = r.bool()?;
         let mmu_trace = r.bool()?;
 
         let nsens = r.seq(1)?;
@@ -542,7 +542,6 @@ impl Machine {
         m.stats = stats;
         m.trace = trace;
         m.tlb_enabled = tlb_enabled;
-        m.fastpath_enabled = fastpath_enabled;
         m.mmu_trace = mmu_trace;
         crate::cpu::machine_set_private(
             &mut m,
@@ -653,16 +652,64 @@ mod tests {
         assert!(Machine::import_state(&long, &pages).is_err());
     }
 
-    /// A corrupted TLB slot placement (entry in the wrong direct-mapped
-    /// slot) is refused — import never accepts a TLB the hardware could
-    /// not have built.
+    /// A blob from another format generation — including the previous
+    /// one, which still carried host-side switches — and a corrupted TLB
+    /// slot placement (entry in the wrong direct-mapped slot) are both
+    /// refused: import never accepts a TLB the hardware could not have
+    /// built.
     #[test]
     fn version_and_tag_corruption_rejected() {
         let src = busy_machine();
         let blob = src.export_state();
+        let pages: Vec<(u64, Vec<u8>)> = src
+            .mem
+            .resident_pages()
+            .map(|(f, p)| (f, p.to_vec()))
+            .collect();
         let mut wrong_ver = blob.clone();
         wrong_ver[0] ^= 0xff;
-        assert!(Machine::import_state(&wrong_ver, &[]).is_err());
+        assert!(Machine::import_state(&wrong_ver, &pages).is_err());
+        let mut v1 = blob.clone();
+        v1[..4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Machine::import_state(&v1, &pages).err(),
+            Some(WireError::BadValue {
+                what: "machine state version"
+            })
+        );
+
+        // Re-home one live TLB entry onto a page that indexes a
+        // different slot, in place in the blob.
+        let (instr, data) = src.tlbs[1].to_parts();
+        let entry = instr
+            .iter()
+            .chain(data.iter())
+            .flatten()
+            .next()
+            .copied()
+            .expect("busy machine has a cached translation");
+        let encode = |e: TlbEntry| {
+            let mut w = WireWriter::new();
+            put_tlb_slot(&mut w, &Some(e));
+            w.finish()
+        };
+        let needle = encode(entry);
+        let at = blob
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .expect("slot bytes present in the blob");
+        let mut misplaced = blob.clone();
+        let moved = TlbEntry {
+            page: entry.page + 1,
+            ..entry
+        };
+        misplaced[at..at + needle.len()].copy_from_slice(&encode(moved));
+        assert_eq!(
+            Machine::import_state(&misplaced, &pages).err(),
+            Some(WireError::BadValue {
+                what: "tlb slot placement"
+            })
+        );
     }
 
     /// Quiesce drains both staleness ledgers; on a machine with empty

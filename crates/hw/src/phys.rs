@@ -7,10 +7,11 @@
 //!
 //! The allocator keeps a two-level free bitmap (one bit per frame, one
 //! summary bit per 64-frame word) so first-fit allocation is amortized
-//! O(1) at fleet scale, while producing *exactly* the frame order of the
-//! original linear scan. `fast_scan = false` ablates back to the literal
-//! per-frame probe loop (same results, seed-shaped cost) so the fleet
-//! bench can measure what the bitmap buys.
+//! O(1) at fleet scale. Its policy is plain first-fit: `alloc_frame`
+//! takes the first free, unreserved frame at or after a next-fit hint
+//! (wrapping around), `alloc_frame_in` the first free frame of a region.
+//! `crates/hw/tests/alloc_model.rs` checks the bitmap against a
+//! set-based reference model of exactly that policy.
 
 use crate::inject::InjectorHandle;
 use erebor_wire::{WireError, WireReader, WireWriter};
@@ -129,19 +130,13 @@ impl Region {
 /// Host-side scan-work counters for the frame allocator.
 ///
 /// These describe the *simulator's own* search effort — not simulated
-/// cycles — so they live outside every snapshot/trace structure and may
-/// differ between a bitmap-scan and an ablated linear-scan run without
-/// breaking determinism suites. The fleet bench asserts the bitmap path
-/// keeps `words_scanned` within a fixed budget where the linear path's
-/// `frames_scanned` explodes quadratically.
+/// cycles — so they live outside every snapshot/trace structure and
+/// start at zero on a migration destination.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
-    /// Successful frame allocations (either path).
+    /// Successful frame allocations.
     pub allocs: u64,
-    /// Per-frame probes performed by the ablated linear scan.
-    pub frames_scanned: u64,
-    /// Bitmap words (frame words + summary words) examined by the fast
-    /// scan.
+    /// Bitmap words (frame words + summary words) examined by the scan.
     pub words_scanned: u64,
 }
 
@@ -161,8 +156,7 @@ pub struct PhysMemory {
     /// Summary: bit `w % 64` of word `w / 64` set ⇔ `free[w] != 0`.
     free_summary: Vec<u64>,
     /// Reserved bitmap: bit set ⇔ frame is inside a reserved region
-    /// (mirrors `reserved`, which stays authoritative for membership
-    /// semantics).
+    /// (derived from `reserved`, the list that travels on migration).
     reserved_mask: Vec<u64>,
     /// Summary over `free & !reserved_mask` (the generic-alloc view).
     avail_summary: Vec<u64>,
@@ -174,9 +168,6 @@ pub struct PhysMemory {
     /// Sparse — absent means key-ID 0 (untagged). A mapping whose PTE
     /// key-ID disagrees with this table faults on the walk.
     frame_keys: BTreeMap<u64, u16>,
-    /// When false, allocation falls back to the original per-frame
-    /// linear probe loop (identical results, pre-bitmap cost shape).
-    pub fast_scan: bool,
     /// Host-side scan-work counters (not part of any snapshot).
     pub alloc_stats: AllocStats,
     /// Frames whose contents changed since the last
@@ -216,7 +207,6 @@ impl PhysMemory {
             next_hint: 0,
             injector: None,
             frame_keys: BTreeMap::new(),
-            fast_scan: true,
             alloc_stats: AllocStats::default(),
             dirty: BTreeSet::new(),
             dirty_tracking: false,
@@ -265,10 +255,6 @@ impl PhysMemory {
             self.refresh_summaries(w);
             f += span;
         }
-    }
-
-    fn is_reserved(&self, frame: Frame) -> bool {
-        self.reserved.iter().any(|r| r.contains(frame))
     }
 
     /// Total number of frames.
@@ -399,31 +385,15 @@ impl PhysMemory {
             return Err(PhysError::OutOfMemory);
         }
         let n = self.total_frames;
-        if self.fast_scan {
-            // First-fit from the hint with wraparound, exactly the
-            // linear scan's circular visit order.
-            let found = self
-                .scan_range(self.next_hint, n, true)
-                .or_else(|| self.scan_range(0, self.next_hint, true));
-            if let Some(idx) = found {
-                self.mark_allocated(idx);
-                self.next_hint = (idx + 1) % n;
-                self.alloc_stats.allocs = self.alloc_stats.allocs.saturating_add(1);
-                return Ok(Frame(idx));
-            }
-            return Err(PhysError::OutOfMemory);
-        }
-        for i in 0..n {
-            let idx = (self.next_hint + i) % n;
-            self.alloc_stats.frames_scanned = self.alloc_stats.frames_scanned.saturating_add(1);
-            if self.frame_free(idx) && !self.is_reserved(Frame(idx)) {
-                self.mark_allocated(idx);
-                self.next_hint = (idx + 1) % n;
-                self.alloc_stats.allocs = self.alloc_stats.allocs.saturating_add(1);
-                return Ok(Frame(idx));
-            }
-        }
-        Err(PhysError::OutOfMemory)
+        // First-fit from the hint with wraparound.
+        let idx = self
+            .scan_range(self.next_hint, n, true)
+            .or_else(|| self.scan_range(0, self.next_hint, true))
+            .ok_or(PhysError::OutOfMemory)?;
+        self.mark_allocated(idx);
+        self.next_hint = (idx + 1) % n;
+        self.alloc_stats.allocs = self.alloc_stats.allocs.saturating_add(1);
+        Ok(Frame(idx))
     }
 
     /// Allocate one free frame inside `region`.
@@ -432,23 +402,12 @@ impl PhysMemory {
             return Err(PhysError::OutOfMemory);
         }
         let end = region.end.0.min(self.total_frames);
-        if self.fast_scan {
-            if let Some(idx) = self.scan_range(region.start.0, end, false) {
-                self.mark_allocated(idx);
-                self.alloc_stats.allocs = self.alloc_stats.allocs.saturating_add(1);
-                return Ok(Frame(idx));
-            }
-            return Err(PhysError::OutOfMemory);
-        }
-        for f in region.start.0..end {
-            self.alloc_stats.frames_scanned = self.alloc_stats.frames_scanned.saturating_add(1);
-            if self.frame_free(f) {
-                self.mark_allocated(f);
-                self.alloc_stats.allocs = self.alloc_stats.allocs.saturating_add(1);
-                return Ok(Frame(f));
-            }
-        }
-        Err(PhysError::OutOfMemory)
+        let idx = self
+            .scan_range(region.start.0, end, false)
+            .ok_or(PhysError::OutOfMemory)?;
+        self.mark_allocated(idx);
+        self.alloc_stats.allocs = self.alloc_stats.allocs.saturating_add(1);
+        Ok(Frame(idx))
     }
 
     /// Arena path for sandbox boot: allocate `count` frames inside
@@ -470,12 +429,6 @@ impl PhysMemory {
         count: u64,
         out: &mut Vec<Frame>,
     ) -> Result<(), PhysError> {
-        if !self.fast_scan {
-            for _ in 0..count {
-                out.push(self.alloc_frame_in(region)?);
-            }
-            return Ok(());
-        }
         let end = region.end.0.min(self.total_frames);
         let mut cursor = region.start.0;
         for _ in 0..count {
@@ -658,14 +611,13 @@ impl PhysMemory {
     }
 
     /// Serialize everything **except** page contents: DRAM geometry,
-    /// allocator bitmap + hint, reserved regions, TME-MK frame keys and
-    /// the scan-mode flag. Page contents travel separately as per-frame
+    /// allocator bitmap + hint, reserved regions and TME-MK frame keys.
+    /// Page contents travel separately as per-frame
     /// migration records so the pre-copy loop can resend only dirty ones.
     #[must_use]
     pub fn export_meta(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u64(self.total_frames);
-        w.bool(self.fast_scan);
         w.u64(self.next_hint);
         w.seq(self.free.len());
         for word in &self.free {
@@ -700,13 +652,11 @@ impl PhysMemory {
                 what: "total_frames",
             });
         }
-        let fast_scan = r.bool()?;
         let next_hint = r.u64()?;
         if next_hint >= total_frames {
             return Err(WireError::BadValue { what: "next_hint" });
         }
         let mut mem = PhysMemory::new(total_frames << PAGE_SHIFT);
-        mem.fast_scan = fast_scan;
         mem.next_hint = next_hint;
         let nwords = r.seq(8)?;
         if nwords != mem.free.len() {
@@ -881,78 +831,6 @@ mod tests {
         );
     }
 
-    /// Deterministic xorshift for the equivalence drills below.
-    fn xorshift(s: &mut u64) -> u64 {
-        *s ^= *s << 13;
-        *s ^= *s >> 7;
-        *s ^= *s << 17;
-        *s
-    }
-
-    /// The bitmap scan and the ablated linear scan must hand out the
-    /// exact same frames in the exact same order across a randomized
-    /// alloc/free/claim/reserve workout — the fast path is pure
-    /// acceleration, never a policy change.
-    #[test]
-    fn fast_and_linear_scans_are_frame_identical() {
-        for seed in [3u64, 0x5eed, 0xdead_beef] {
-            let mut fast = PhysMemory::new(4096 * PAGE_SIZE as u64);
-            let mut slow = PhysMemory::new(4096 * PAGE_SIZE as u64);
-            slow.fast_scan = false;
-            fast.reserve_region(Region::new(100, 300));
-            slow.reserve_region(Region::new(100, 300));
-            let cma = Region::new(1000, 2000);
-            let mut live: Vec<Frame> = Vec::new();
-            let mut s = seed;
-            for _ in 0..4000 {
-                match xorshift(&mut s) % 5 {
-                    0 | 1 => {
-                        let a = fast.alloc_frame();
-                        let b = slow.alloc_frame();
-                        assert_eq!(a, b);
-                        if let Ok(f) = a {
-                            live.push(f);
-                        }
-                    }
-                    2 => {
-                        let a = fast.alloc_frame_in(cma);
-                        let b = slow.alloc_frame_in(cma);
-                        assert_eq!(a, b);
-                        if let Ok(f) = a {
-                            live.push(f);
-                        }
-                    }
-                    3 => {
-                        let n = xorshift(&mut s) % 8;
-                        let mut av = Vec::new();
-                        let mut bv = Vec::new();
-                        let a = fast.alloc_frames_in(cma, n, &mut av);
-                        let b = slow.alloc_frames_in(cma, n, &mut bv);
-                        assert_eq!(a, b);
-                        assert_eq!(av, bv);
-                        live.extend(av);
-                    }
-                    _ => {
-                        if !live.is_empty() {
-                            let i = (xorshift(&mut s) as usize) % live.len();
-                            let f = live.swap_remove(i);
-                            assert_eq!(fast.free_frame(f), slow.free_frame(f));
-                        }
-                    }
-                }
-                assert_eq!(fast.allocated_frames(), slow.allocated_frames());
-            }
-            // Exhaustive agreement at the end: every frame's state matches.
-            for f in 0..fast.total_frames() {
-                assert_eq!(
-                    fast.is_allocated(Frame(f)),
-                    slow.is_allocated(Frame(f)),
-                    "frame {f} diverged (seed {seed:#x})"
-                );
-            }
-        }
-    }
-
     /// The arena path must equal a loop of single allocations, including
     /// the partial-batch state left behind by region exhaustion.
     #[test]
@@ -989,9 +867,7 @@ mod tests {
     }
 
     /// O(1) claim: allocating 100k frames must stay within a fixed
-    /// scan-work budget on the bitmap path (a handful of words per
-    /// alloc), while the ablated path's per-frame probes blow through it
-    /// — the deterministic core of the fleet bench's perf-meta assert.
+    /// scan-work budget (a handful of bitmap words per alloc).
     #[test]
     fn bitmap_alloc_100k_stays_in_scan_budget() {
         let mut mem = PhysMemory::new(200_000 * PAGE_SIZE as u64);
@@ -1003,22 +879,6 @@ mod tests {
             mem.alloc_stats.words_scanned <= budget,
             "bitmap path scanned {} words for 100k allocs (budget {budget})",
             mem.alloc_stats.words_scanned
-        );
-        assert_eq!(mem.alloc_stats.frames_scanned, 0, "fast path must not probe per frame");
-
-        // Red counterpart: the ablated region scan pays a quadratic
-        // number of per-frame probes for a small fraction of the work.
-        let mut abl = PhysMemory::new(200_000 * PAGE_SIZE as u64);
-        abl.fast_scan = false;
-        let region = Region::new(0, 200_000);
-        for _ in 0..2_000 {
-            abl.alloc_frame_in(region).unwrap();
-        }
-        assert!(
-            abl.alloc_stats.frames_scanned > budget as u64,
-            "ablated scan did only {} probes for 2k region allocs — the \
-             ablation toggle is not biting",
-            abl.alloc_stats.frames_scanned
         );
     }
 
@@ -1056,7 +916,7 @@ mod tests {
         assert_eq!(dirty, vec![5, 7, 8]);
         assert_eq!(mem.dirty_count(), 0, "take_dirty drains the ledger");
         mem.set_frame_key(Frame(3), 42);
-        mem.zero_frame(Frame(5));
+        mem.zero_frame(Frame(5)).unwrap();
         let dirty = mem.take_dirty();
         assert_eq!(dirty, vec![3, 5], "key changes and zeroing count as dirt");
     }
@@ -1072,8 +932,8 @@ mod tests {
             held.push(src.alloc_frame().unwrap());
         }
         // Free a few out of order to put structure in the bitmap/hint.
-        src.free_frame(held[7]);
-        src.free_frame(held[3]);
+        src.free_frame(held[7]).unwrap();
+        src.free_frame(held[3]).unwrap();
         src.write(PhysAddr(held[0].0 * PAGE_SIZE as u64), b"migrate-me").unwrap();
         src.set_frame_key(held[1], 7);
 

@@ -38,8 +38,11 @@ use erebor_wire::{WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Version stamped into the `Begin` record; the destination refuses a
-/// stream from a different protocol generation.
-pub const MIGRATION_VERSION: u32 = 1;
+/// stream from a different protocol generation. Version 2 streams carry
+/// only architectural state: host-side switches (allocator scan mode,
+/// monitor lookup mode, fast-path switch, kill fence, cpuid MRU slot)
+/// left the `MACHINE`, `PHYS_META` and `MONITOR` sections.
+pub const MIGRATION_VERSION: u32 = 2;
 
 /// Record type tags (the cleartext frame-type byte).
 pub mod record {
@@ -588,6 +591,20 @@ mod tests {
                 .err(),
             Some(MigrationError::BindingMismatch)
         );
+    }
+
+    #[test]
+    fn begin_from_previous_version_is_refused() -> Result<(), MigrationError> {
+        let (mut src, mut dst) = attested_pair();
+        let mut w = WireWriter::new();
+        w.u32(1);
+        let begin_v1 = src.tx.seal(record::BEGIN, &w.finish())?;
+        assert_eq!(
+            dst.feed(&begin_v1),
+            Err(MigrationError::Protocol("begin: version mismatch"))
+        );
+        assert!(!dst.is_finished());
+        Ok(())
     }
 
     #[test]

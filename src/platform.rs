@@ -308,32 +308,12 @@ impl Platform {
         self.cvm.machine.fastpath
     }
 
-    /// Toggle every fleet-mode fast path together: the bitmap frame
-    /// allocator scan (`PhysMemory::fast_scan`), the monitor's O(1)
-    /// lookup indexes (`Monitor::fast_lookup`), and coalesced
-    /// maintenance-window shootdowns (`Monitor::coalesce_shootdowns`).
-    /// `false` is the ablated baseline the fleet bench measures against:
-    /// the seed's linear frame scans, linear sandbox lookups, and
-    /// per-page shootdown traffic.
-    pub fn set_fleet_mode(&mut self, enabled: bool) {
-        self.cvm.machine.mem.fast_scan = enabled;
-        self.cvm.monitor.fast_lookup = enabled;
-        self.cvm.monitor.coalesce_shootdowns = enabled;
-    }
-
     /// Frame-allocator scan counters (host-side work, outside
-    /// [`Snapshot`]: the fast and ablated scans do different amounts of
-    /// host work for identical simulated results).
+    /// [`Snapshot`]: they describe the simulator's search effort, not
+    /// simulated cycles, and start at zero on a migration destination).
     #[must_use]
     pub fn alloc_stats(&self) -> erebor_hw::phys::AllocStats {
         self.cvm.machine.mem.alloc_stats
-    }
-
-    /// Monitor lookup fast-path counters (outside [`Snapshot`] for the
-    /// same reason).
-    #[must_use]
-    pub fn lookup_stats(&self) -> &erebor_core::stats::LookupStats {
-        &self.cvm.monitor.lookup_stats
     }
 
     /// Execute a straight-line access batch on the active vCPU through

@@ -755,8 +755,7 @@ fn run_fleet_chaos_campaign(backend: erebor::ehw::isolation::BackendKind, slots:
     };
     cfg.config.backend = backend;
     let mut p = Platform::boot_with(cfg).unwrap();
-    p.set_fleet_mode(true);
-    assert!(p.cvm.monitor.coalesce_shootdowns);
+    p.cvm.monitor.coalesce_shootdowns = true;
     p.install_injector(inject_handle(FleetIpiChaos::new(0xf1ee_7caf)));
 
     // 40 confined pages per server: past the full-flush ceiling (32),

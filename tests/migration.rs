@@ -9,8 +9,8 @@
 //! * **Equivalence** — a same-seed run that migrates mid-stream produces
 //!   byte-identical trace JSON to one that never migrates.
 //! * **Fresh counters** — non-architectural stats (allocator scans,
-//!   lookup hits, decision caches, fast-path counters) start at zero on
-//!   the destination while architectural state is byte-identical.
+//!   decision caches, fast-path counters) start at zero on the
+//!   destination while architectural state is byte-identical.
 //! * **Domain pool** — the live set and LIFO recycle list round-trip
 //!   exactly under both isolation backends: a domain freed on the source
 //!   is the next one handed out on the destination.
@@ -155,17 +155,14 @@ fn precopy_rounds_capture_pages_dirtied_in_flight() {
 fn migrated_counters_start_fresh_while_architecture_is_identical() {
     let seed = 0xC0DE;
     let mut src = boot(seed, BackendKind::Pks);
-    src.set_fleet_mode(true);
     let (mut svc, mut client) = deploy(&mut src, 3);
     serve(&mut src, &mut svc, &mut client, b"count me");
     assert!(
         src.alloc_stats().allocs > 0,
         "workload must exercise the allocator"
     );
-    assert!(src.lookup_stats().as_index_lookups() > 0);
 
     let mut dest = boot(seed, BackendKind::Pks);
-    dest.set_fleet_mode(true);
     let src_key = MigrationKey::from_seed([0x33; 32]);
     let dest_key = MigrationKey::from_seed([0x44; 32]);
     let offer = dest.migration_offer(&dest_key, &src_key.public());
@@ -175,9 +172,6 @@ fn migrated_counters_start_fresh_while_architecture_is_identical() {
 
     // Non-architectural: zeroed on the destination.
     assert_eq!(dest.alloc_stats(), Default::default());
-    assert_eq!(dest.lookup_stats().as_index_lookups(), 0);
-    assert_eq!(dest.lookup_stats().root_index_lookups(), 0);
-    assert_eq!(dest.lookup_stats().cpuid_mru_hits(), 0);
     assert_eq!(dest.fastpath_stats(), Default::default());
 
     // Architectural: identical (all counters, cycles and attribution).
@@ -431,7 +425,7 @@ fn migrated_64_sandbox_fleet_audits_clean() {
         .expect("boot")
     };
     let mut src = fleet_boot();
-    src.set_fleet_mode(true);
+    src.cvm.monitor.coalesce_shootdowns = true;
     let mut fleet = Vec::new();
     for i in 0..64u8 {
         let svc = src
@@ -450,7 +444,7 @@ fn migrated_64_sandbox_fleet_audits_clean() {
     assert!(src.audit().is_clean());
 
     let mut dest = fleet_boot();
-    dest.set_fleet_mode(true);
+    dest.cvm.monitor.coalesce_shootdowns = true;
     let src_key = MigrationKey::from_seed([0x99; 32]);
     let dest_key = MigrationKey::from_seed([0xAA; 32]);
     let offer = dest.migration_offer(&dest_key, &src_key.public());
