@@ -22,6 +22,14 @@ pub enum Mode {
     Full,
 }
 
+erebor_wire::wire_enum!(Mode {
+    Native = 0,
+    LibOsOnly = 1,
+    LibOsMmu = 2,
+    LibOsExit = 3,
+    Full = 4
+});
+
 impl Mode {
     /// All modes in evaluation order.
     pub const ALL: [Mode; 5] = [
@@ -70,6 +78,18 @@ pub struct ExecConfig {
     pub backend: BackendKind,
 }
 
+// A TD migrates *with* its ablation switches: the destination must run
+// the same protection layers or the trace would diverge immediately.
+erebor_wire::wire_struct!(ExecConfig {
+    mode,
+    shadow_stacks,
+    timer_quantum_cycles,
+    output_pad_quantum,
+    output_interval_cycles,
+    batched_mmu,
+    backend
+});
+
 impl ExecConfig {
     /// Configuration for a given mode with paper-matched defaults.
     #[must_use]
@@ -110,84 +130,6 @@ impl ExecConfig {
     #[must_use]
     pub fn emc_delegation(self) -> bool {
         self.monitor_present()
-    }
-
-    /// Serialise the configuration for migration. A TD migrates *with*
-    /// its ablation switches: the destination must run the same
-    /// protection layers or the trace would diverge immediately.
-    #[must_use]
-    pub fn export_state(self) -> Vec<u8> {
-        let mut w = erebor_wire::WireWriter::new();
-        w.u8(match self.mode {
-            Mode::Native => 0,
-            Mode::LibOsOnly => 1,
-            Mode::LibOsMmu => 2,
-            Mode::LibOsExit => 3,
-            Mode::Full => 4,
-        });
-        w.bool(self.shadow_stacks);
-        w.u64(self.timer_quantum_cycles);
-        w.usize(self.output_pad_quantum);
-        match self.output_interval_cycles {
-            None => w.bool(false),
-            Some(c) => {
-                w.bool(true);
-                w.u64(c);
-            }
-        }
-        w.bool(self.batched_mmu);
-        w.u8(match self.backend {
-            BackendKind::Pks => 0,
-            BackendKind::TmeMk => 1,
-        });
-        w.finish()
-    }
-
-    /// Rebuild a configuration from [`ExecConfig::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`erebor_wire::WireError`] on truncation, unknown tags, or
-    /// trailing bytes.
-    pub fn import_state(bytes: &[u8]) -> Result<ExecConfig, erebor_wire::WireError> {
-        let mut r = erebor_wire::WireReader::new(bytes);
-        let mode = match r.u8()? {
-            0 => Mode::Native,
-            1 => Mode::LibOsOnly,
-            2 => Mode::LibOsMmu,
-            3 => Mode::LibOsExit,
-            4 => Mode::Full,
-            t => {
-                return Err(erebor_wire::WireError::BadTag {
-                    what: "Mode",
-                    tag: u64::from(t),
-                })
-            }
-        };
-        let shadow_stacks = r.bool()?;
-        let timer_quantum_cycles = r.u64()?;
-        let output_pad_quantum = r.usize()?;
-        let output_interval_cycles = if r.bool()? { Some(r.u64()?) } else { None };
-        let batched_mmu = r.bool()?;
-        let backend = match r.u8()? {
-            0 => BackendKind::Pks,
-            1 => BackendKind::TmeMk,
-            t => {
-                return Err(erebor_wire::WireError::BadTag {
-                    what: "BackendKind",
-                    tag: u64::from(t),
-                })
-            }
-        };
-        r.finish()?;
-        Ok(ExecConfig {
-            mode,
-            shadow_stacks,
-            timer_quantum_cycles,
-            output_pad_quantum,
-            output_interval_cycles,
-            batched_mmu,
-            backend,
-        })
     }
 }
 

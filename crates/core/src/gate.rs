@@ -17,6 +17,7 @@ use erebor_hw::inject::InjectionPoint;
 use erebor_hw::regs::Msr;
 use erebor_hw::VirtAddr;
 use erebor_trace::{Bucket, TraceEvent};
+use erebor_wire::{Wire, WireError, WireReader, WireWriter};
 
 /// Per-core gate state plus the gate addresses inside the monitor image.
 #[derive(Debug)]
@@ -32,6 +33,39 @@ pub struct EmcGate {
     /// and only the matching return restores it.
     saved_pkrs: Vec<Option<(u64, u32)>>,
     int_depth: Vec<u32>,
+}
+
+/// One core's gate ledger on the wire: in-EMC flag, saved PKRS slot,
+/// interrupt depth.
+type CoreLedger = (bool, Option<(u64, u32)>, u32);
+
+/// Migration: the full gate ledger — per-core secure stacks, then each
+/// core's in-EMC flag, saved-PKRS slot with its nesting depth, and
+/// interrupt depth. This *is* architectural state: a core migrated
+/// mid-EMC must resume with the same grant/revoke bookkeeping or the
+/// first interrupt return on the destination would restore the wrong
+/// PKRS.
+impl Wire for EmcGate {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put(&self.entry);
+        w.put(&self.secure_stacks);
+        for cpu in 0..self.secure_stacks.len() {
+            w.put(&(self.in_emc[cpu], self.saved_pkrs[cpu], self.int_depth[cpu]));
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let entry = r.get()?;
+        let secure_stacks: Vec<VirtAddr> = r.get()?;
+        let cores: Vec<CoreLedger> = r.items(secure_stacks.len())?;
+        Ok(EmcGate {
+            entry,
+            secure_stacks,
+            in_emc: cores.iter().map(|c| c.0).collect(),
+            saved_pkrs: cores.iter().map(|c| c.1).collect(),
+            int_depth: cores.iter().map(|c| c.2).collect(),
+        })
+    }
 }
 
 impl EmcGate {
@@ -66,70 +100,6 @@ impl EmcGate {
     #[must_use]
     pub fn int_depth(&self, cpu: usize) -> u32 {
         self.int_depth[cpu]
-    }
-
-    /// Serialise the full gate ledger for migration: per-core in-EMC
-    /// flags, saved-PKRS slots with their nesting depths, and interrupt
-    /// depths. This *is* architectural state — a core migrated mid-EMC
-    /// must resume with the same grant/revoke bookkeeping or the first
-    /// interrupt return on the destination would restore the wrong PKRS.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = erebor_wire::WireWriter::new();
-        w.u64(self.entry.0);
-        w.seq(self.secure_stacks.len());
-        for s in &self.secure_stacks {
-            w.u64(s.0);
-        }
-        for cpu in 0..self.secure_stacks.len() {
-            w.bool(self.in_emc[cpu]);
-            match self.saved_pkrs[cpu] {
-                None => w.bool(false),
-                Some((pkrs, depth)) => {
-                    w.bool(true);
-                    w.u64(pkrs);
-                    w.u32(depth);
-                }
-            }
-            w.u32(self.int_depth[cpu]);
-        }
-        w.finish()
-    }
-
-    /// Rebuild gate state from [`EmcGate::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`erebor_wire::WireError`] on truncation or trailing bytes.
-    pub fn import_state(bytes: &[u8]) -> Result<EmcGate, erebor_wire::WireError> {
-        let mut r = erebor_wire::WireReader::new(bytes);
-        let entry = VirtAddr(r.u64()?);
-        let cores = r.seq(8)?;
-        let mut secure_stacks = Vec::with_capacity(cores);
-        for _ in 0..cores {
-            secure_stacks.push(VirtAddr(r.u64()?));
-        }
-        let mut in_emc = Vec::with_capacity(cores);
-        let mut saved_pkrs = Vec::with_capacity(cores);
-        let mut int_depth = Vec::with_capacity(cores);
-        for _ in 0..cores {
-            in_emc.push(r.bool()?);
-            saved_pkrs.push(if r.bool()? {
-                let pkrs = r.u64()?;
-                let depth = r.u32()?;
-                Some((pkrs, depth))
-            } else {
-                None
-            });
-            int_depth.push(r.u32()?);
-        }
-        r.finish()?;
-        Ok(EmcGate {
-            entry,
-            secure_stacks,
-            in_emc,
-            saved_pkrs,
-            int_depth,
-        })
     }
 
     /// The entry gate (Fig. 5a): indirect branch (IBT-checked), scratch

@@ -27,6 +27,7 @@ use erebor_hw::{Frame, VirtAddr, PAGE_SIZE};
 use erebor_tdx::tdcall::{tdcall, TdcallLeaf, TdcallResult, VmcallOp};
 use erebor_tdx::TdxModule;
 use erebor_trace::{Bucket, TraceEvent};
+use erebor_wire::{index_by, Wire, WireError, WireReader, WireWriter};
 use std::collections::{BTreeMap, HashMap};
 
 /// The reserved file descriptor of the monitor I/O channel (§6.3).
@@ -206,256 +207,6 @@ impl Monitor {
         let mut roots = vec![self.kernel_root];
         roots.extend(self.address_spaces.keys().map(|&r| Frame(r)));
         roots
-    }
-
-    // ==================================================================
-    // Live migration: full-monitor state transfer (§13)
-    // ==================================================================
-
-    /// Serialise the complete monitor for migration: configuration,
-    /// audit counters, frame policy, backend domains, EMC ledger, DRBG
-    /// position, interposer layout, every sandbox (including sealed
-    /// channels mid-stream), and every common region.
-    ///
-    /// Host-side state stays home: the kill-fence switch, the cpuid MRU
-    /// slot and the lookup indexes are rebuilt by
-    /// [`Monitor::import_state`], never trusted from the wire.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = erebor_wire::WireWriter::new();
-        w.bytes(&self.cfg.export_state());
-        w.bytes(&self.stats.export_state());
-        w.bytes(&self.frames.export_state());
-        w.bytes(&self.backend.export_state());
-        w.bytes(&self.gate.export_state());
-        let (rng_key, rng_ctr) = self.rng.to_parts();
-        w.raw(&rng_key);
-        w.u32(rng_ctr);
-        w.u64(self.kernel_root.0);
-        w.u64(self.syscall_interposer.0);
-        w.u64(self.interrupt_interposer.0);
-        w.u64(self.idt_base.0);
-        w.seq(self.sandboxes.len());
-        for sb in self.sandboxes.values() {
-            w.bytes(&sb.export_state());
-        }
-        w.seq(self.common_regions.len());
-        for region in self.common_regions.values() {
-            w.bytes(&region.export_state());
-        }
-        w.bool(self.coalesce_shootdowns);
-        match &self.kernel_text {
-            None => w.bool(false),
-            Some((va, frames)) => {
-                w.bool(true);
-                w.u64(va.0);
-                w.seq(frames.len());
-                for f in frames {
-                    w.u64(f.0);
-                }
-            }
-        }
-        match self.kernel_syscall_entry {
-            None => w.bool(false),
-            Some(va) => {
-                w.bool(true);
-                w.u64(va.0);
-            }
-        }
-        w.seq(self.vec_handlers.len());
-        for h in &self.vec_handlers {
-            match h {
-                None => w.bool(false),
-                Some(va) => {
-                    w.bool(true);
-                    w.u64(va.0);
-                }
-            }
-        }
-        w.seq(self.address_spaces.len());
-        for (&root, &owner) in &self.address_spaces {
-            w.u64(root);
-            w.u32(owner);
-        }
-        w.u64(self.cma.start.0);
-        w.u64(self.cma.end.0);
-        w.u64(self.device.start.0);
-        w.u64(self.device.end.0);
-        w.seq(self.cpuid_cache.len());
-        for (&leaf, regs) in &self.cpuid_cache {
-            w.u32(leaf);
-            for &v in regs {
-                w.u32(v);
-            }
-        }
-        w.u64(self.kernel_return.0);
-        w.u32(self.next_sandbox);
-        w.u32(self.next_region);
-        w.finish()
-    }
-
-    /// Rebuild a monitor from [`Monitor::export_state`] bytes.
-    ///
-    /// Everything is parsed and validated before the monitor is
-    /// assembled, so a torn or hostile stream never yields a
-    /// half-imported monitor. The O(1) indexes (`as_index`,
-    /// `root_index`) are derived from the authoritative maps rather
-    /// than transferred, the cpuid MRU starts empty and the kill fence
-    /// starts on.
-    ///
-    /// # Errors
-    /// [`erebor_wire::WireError`] on truncation, unknown tags, sparse
-    /// or out-of-order sandbox ids, duplicate region ids, or trailing
-    /// bytes.
-    pub fn import_state(bytes: &[u8]) -> Result<Monitor, erebor_wire::WireError> {
-        use erebor_wire::WireError;
-        let mut r = erebor_wire::WireReader::new(bytes);
-        let cfg = ExecConfig::import_state(r.bytes()?)?;
-        let stats = MonitorStats::import_state(r.bytes()?)?;
-        let frames = FrameTable::import_state(r.bytes()?)?;
-        let backend_bytes = r.bytes()?.to_vec();
-        let gate = EmcGate::import_state(r.bytes()?)?;
-        let rng_key = r.array::<32>()?;
-        let rng_ctr = r.u32()?;
-        let kernel_root = Frame(r.u64()?);
-        let syscall_interposer = VirtAddr(r.u64()?);
-        let interrupt_interposer = VirtAddr(r.u64()?);
-        let idt_base = VirtAddr(r.u64()?);
-        let n = r.seq(4)?;
-        let mut parsed_sandboxes = Vec::with_capacity(n);
-        for i in 0..n {
-            let sb = Sandbox::import_state(r.bytes()?)?;
-            // The table is a dense slab keyed by id; ids must arrive as
-            // exactly 1..=n or insertion invariants would not hold.
-            let expect = u32::try_from(i + 1).map_err(|_| WireError::BadValue {
-                what: "sandbox count",
-            })?;
-            if sb.id.0 != expect {
-                return Err(WireError::BadValue {
-                    what: "sandbox id sequence",
-                });
-            }
-            parsed_sandboxes.push(sb);
-        }
-        let n = r.seq(4)?;
-        let mut common_regions = BTreeMap::new();
-        for _ in 0..n {
-            let region = CommonRegion::import_state(r.bytes()?)?;
-            if common_regions.insert(region.id, region).is_some() {
-                return Err(WireError::BadValue {
-                    what: "duplicate common region id",
-                });
-            }
-        }
-        let coalesce_shootdowns = r.bool()?;
-        let kernel_text = if r.bool()? {
-            let va = VirtAddr(r.u64()?);
-            let n = r.seq(8)?;
-            let mut tf = Vec::with_capacity(n);
-            for _ in 0..n {
-                tf.push(Frame(r.u64()?));
-            }
-            Some((va, tf))
-        } else {
-            None
-        };
-        let kernel_syscall_entry = if r.bool()? {
-            Some(VirtAddr(r.u64()?))
-        } else {
-            None
-        };
-        let n = r.seq(1)?;
-        if n != 256 {
-            return Err(WireError::BadValue {
-                what: "vector handler table length",
-            });
-        }
-        let mut vec_handlers = Vec::with_capacity(256);
-        for _ in 0..256 {
-            vec_handlers.push(if r.bool()? {
-                Some(VirtAddr(r.u64()?))
-            } else {
-                None
-            });
-        }
-        let n = r.seq(12)?;
-        let mut address_spaces = BTreeMap::new();
-        for _ in 0..n {
-            let root = r.u64()?;
-            let owner = r.u32()?;
-            if address_spaces.insert(root, owner).is_some() {
-                return Err(WireError::BadValue {
-                    what: "duplicate address-space root",
-                });
-            }
-        }
-        let cma = Region {
-            start: Frame(r.u64()?),
-            end: Frame(r.u64()?),
-        };
-        let device = Region {
-            start: Frame(r.u64()?),
-            end: Frame(r.u64()?),
-        };
-        let n = r.seq(20)?;
-        let mut cpuid_cache = BTreeMap::new();
-        for _ in 0..n {
-            let leaf = r.u32()?;
-            let mut regs = [0u32; 4];
-            for v in &mut regs {
-                *v = r.u32()?;
-            }
-            cpuid_cache.insert(leaf, regs);
-        }
-        let kernel_return = VirtAddr(r.u64()?);
-        let next_sandbox = r.u32()?;
-        let next_region = r.u32()?;
-        r.finish()?;
-        if next_sandbox as usize != parsed_sandboxes.len() + 1 {
-            return Err(WireError::BadValue {
-                what: "next sandbox id",
-            });
-        }
-        let mut backend = Backend::new(cfg.backend, RESERVED_PKEYS, PK_MONITOR);
-        backend.import_state(&backend_bytes)?;
-        let mut sandboxes = SandboxTable::new();
-        let mut root_index = HashMap::new();
-        for sb in parsed_sandboxes {
-            if sb.state != SandboxState::Dead {
-                root_index.insert(sb.root.0, sb.id.0);
-            }
-            sandboxes.insert(sb.id.0, sb);
-        }
-        let as_index = address_spaces.iter().map(|(&k, &v)| (k, v)).collect();
-        Ok(Monitor {
-            cfg,
-            stats,
-            frames,
-            backend,
-            kill_fence: true,
-            gate,
-            rng: DetRng::from_parts(rng_key, rng_ctr),
-            kernel_root,
-            syscall_interposer,
-            interrupt_interposer,
-            idt_base,
-            sandboxes,
-            common_regions,
-            coalesce_shootdowns,
-            kernel_text,
-            kernel_syscall_entry,
-            vec_handlers,
-            address_spaces,
-            as_index,
-            root_index,
-            cma,
-            device,
-            cpuid_cache,
-            cpuid_mru: None,
-            kernel_return,
-            next_sandbox,
-            next_region,
-        })
     }
 
     // ==================================================================
@@ -2313,6 +2064,131 @@ impl core::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
+/// Live migration: full-monitor state transfer (§13) — configuration,
+/// audit counters, frame policy, backend domains, EMC ledger, DRBG
+/// position, interposer layout, every sandbox (including sealed channels
+/// mid-stream), and every common region.
+///
+/// Host-side state stays home: the kill-fence switch, the cpuid MRU slot
+/// and the lookup indexes are rebuilt on import, never trusted from the
+/// wire. Everything is parsed and validated before the monitor is
+/// assembled, so a torn or hostile stream never yields a half-imported
+/// monitor.
+impl Wire for Monitor {
+    fn encode(&self, w: &mut WireWriter) {
+        w.nested(&self.cfg);
+        w.nested(&self.stats);
+        w.nested(&self.frames);
+        w.bytes(&self.backend.export_state());
+        w.nested(&self.gate);
+        w.put(&self.rng.to_parts());
+        w.put(&self.kernel_root);
+        w.put(&self.syscall_interposer);
+        w.put(&self.interrupt_interposer);
+        w.put(&self.idt_base);
+        w.nested_seq(self.sandboxes.values());
+        w.nested_seq(self.common_regions.values());
+        w.put(&self.coalesce_shootdowns);
+        w.put(&self.kernel_text);
+        w.put(&self.kernel_syscall_entry);
+        w.put(&self.vec_handlers);
+        w.put(&self.address_spaces);
+        w.put(&self.cma);
+        w.put(&self.device);
+        w.put(&self.cpuid_cache);
+        w.put(&self.kernel_return);
+        w.put(&self.next_sandbox);
+        w.put(&self.next_region);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let cfg: ExecConfig = r.nested()?;
+        let stats = r.nested()?;
+        let frames = r.nested()?;
+        let backend_bytes = r.bytes()?;
+        let gate = r.nested()?;
+        let (rng_key, rng_ctr) = r.get()?;
+        let kernel_root = r.get()?;
+        let syscall_interposer = r.get()?;
+        let interrupt_interposer = r.get()?;
+        let idt_base = r.get()?;
+        let parsed_sandboxes: Vec<Sandbox> = r.nested_seq()?;
+        // The table is a dense slab keyed by id; ids must arrive as
+        // exactly 1..=n or insertion invariants would not hold.
+        if parsed_sandboxes
+            .iter()
+            .enumerate()
+            .any(|(i, sb)| sb.id.0 as usize != i + 1)
+        {
+            return Err(WireError::BadValue {
+                what: "sandbox id sequence",
+            });
+        }
+        let common_regions = index_by(r.nested_seq()?, |region: &CommonRegion| region.id)?;
+        let coalesce_shootdowns = r.get()?;
+        let kernel_text = r.get()?;
+        let kernel_syscall_entry = r.get()?;
+        let vec_handlers: Vec<Option<VirtAddr>> = r.get()?;
+        if vec_handlers.len() != 256 {
+            return Err(WireError::BadValue {
+                what: "vector handler table length",
+            });
+        }
+        let address_spaces: BTreeMap<u64, u32> = r.get()?;
+        let cma = r.get()?;
+        let device = r.get()?;
+        let cpuid_cache = r.get()?;
+        let kernel_return = r.get()?;
+        let next_sandbox: u32 = r.get()?;
+        let next_region = r.get()?;
+        if next_sandbox as usize != parsed_sandboxes.len() + 1 {
+            return Err(WireError::BadValue {
+                what: "next sandbox id",
+            });
+        }
+        let mut backend = Backend::new(cfg.backend, RESERVED_PKEYS, PK_MONITOR);
+        backend.import_state(backend_bytes)?;
+        let mut sandboxes = SandboxTable::new();
+        let mut root_index = HashMap::new();
+        for sb in parsed_sandboxes {
+            if sb.state != SandboxState::Dead {
+                root_index.insert(sb.root.0, sb.id.0);
+            }
+            sandboxes.insert(sb.id.0, sb);
+        }
+        let as_index = address_spaces.iter().map(|(&k, &v)| (k, v)).collect();
+        Ok(Monitor {
+            cfg,
+            stats,
+            frames,
+            backend,
+            kill_fence: true,
+            gate,
+            rng: DetRng::from_parts(rng_key, rng_ctr),
+            kernel_root,
+            syscall_interposer,
+            interrupt_interposer,
+            idt_base,
+            sandboxes,
+            common_regions,
+            coalesce_shootdowns,
+            kernel_text,
+            kernel_syscall_entry,
+            vec_handlers,
+            address_spaces,
+            as_index,
+            root_index,
+            cma,
+            device,
+            cpuid_cache,
+            cpuid_mru: None,
+            kernel_return,
+            next_sandbox,
+            next_region,
+        })
+    }
+}
+
 #[cfg(test)]
 mod migration_tests {
     use super::*;
@@ -2404,10 +2280,10 @@ mod migration_tests {
     #[test]
     fn monitor_state_roundtrips_byte_exact() -> Result<(), erebor_wire::WireError> {
         let m = busy_monitor();
-        let bytes = m.export_state();
-        let imported = Monitor::import_state(&bytes)?;
+        let bytes = m.to_wire();
+        let imported = Monitor::from_wire(&bytes)?;
         // Fixed point first: re-export must be byte-identical.
-        assert_eq!(imported.export_state(), bytes);
+        assert_eq!(imported.to_wire(), bytes);
         // Derived indexes are rebuilt, not trusted from the wire.
         assert!(imported.address_space_registered(Frame(11)));
         assert!(imported.address_space_registered(Frame(12)));
@@ -2426,7 +2302,7 @@ mod migration_tests {
     fn kill_fence_does_not_travel() -> Result<(), erebor_wire::WireError> {
         let mut m = busy_monitor();
         m.kill_fence = false;
-        let imported = Monitor::import_state(&m.export_state())?;
+        let imported = Monitor::from_wire(&m.to_wire())?;
         assert!(imported.kill_fence, "an imported monitor starts fenced");
         Ok(())
     }
@@ -2437,7 +2313,7 @@ mod migration_tests {
         let (stale, current) = ([0xa, 0xb, 0xc, 0xd], [0x1, 0x2, 0x3, 0x4]);
         m.cpuid_mru = Some((1, stale));
         m.cpuid_cache.insert(1, current);
-        let mut imported = Monitor::import_state(&m.export_state())?;
+        let mut imported = Monitor::from_wire(&m.to_wire())?;
         assert_eq!(
             imported.cpuid_cache_get(1),
             Some(current),
@@ -2449,18 +2325,42 @@ mod migration_tests {
     #[test]
     fn truncated_monitor_state_is_rejected_everywhere() {
         let m = busy_monitor();
-        let bytes = m.export_state();
+        let bytes = m.to_wire();
         // Every strict prefix must fail cleanly — no panic, no partial
         // monitor. Step to keep the sweep fast over a multi-KiB blob.
         for cut in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
             assert!(
-                Monitor::import_state(&bytes[..cut]).is_err(),
+                Monitor::from_wire(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes must not import"
             );
         }
         let mut extra = bytes.clone();
         extra.push(0);
-        assert!(Monitor::import_state(&extra).is_err(), "trailing byte");
+        assert!(Monitor::from_wire(&extra).is_err(), "trailing byte");
+    }
+
+    /// A cpuid cache naming one leaf twice used to merge silently; the
+    /// map rule now refuses it (a map encodes as a `Vec` of its pairs,
+    /// which is how the duplicate is planted).
+    #[test]
+    fn duplicate_cpuid_leaf_is_refused() {
+        let mut m = busy_monitor();
+        m.cpuid_cache.insert(7, [1, 2, 3, 4]);
+        let good = m.to_wire();
+        assert!(Monitor::from_wire(&good).is_ok());
+        let needle = m.cpuid_cache.to_wire();
+        let dup = vec![(7u32, [1u32, 2, 3, 4]), (7, [5, 6, 7, 8])].to_wire();
+        let at = good
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .expect("cache bytes present in the blob");
+        let bad = [&good[..at], &dup, &good[at + needle.len()..]].concat();
+        assert_eq!(
+            Monitor::from_wire(&bad).err(),
+            Some(WireError::BadValue {
+                what: "map key order"
+            })
+        );
     }
 
     #[test]
@@ -2470,9 +2370,9 @@ mod migration_tests {
         // slab invariant must be enforced by validation, not by the
         // insert assertion.
         m.sandboxes.get_mut(&2).expect("exists").id = SandboxId(5);
-        let bytes = m.export_state();
+        let bytes = m.to_wire();
         assert!(matches!(
-            Monitor::import_state(&bytes),
+            Monitor::from_wire(&bytes),
             Err(erebor_wire::WireError::BadValue { .. })
         ));
     }

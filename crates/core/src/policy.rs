@@ -6,6 +6,7 @@
 
 use erebor_hw::regs::PkrsPerms;
 use erebor_hw::Frame;
+use erebor_wire::{Wire, WireError, WireReader, WireWriter};
 
 /// Protection key for ordinary kernel data (kernel-writable).
 pub const PK_DEFAULT: u8 = 0;
@@ -118,31 +119,78 @@ impl core::fmt::Display for FrameTableError {
 
 impl std::error::Error for FrameTableError {}
 
+/// Migration: a one-byte tag in declaration order, then the owner id
+/// (always present; 0 for kinds without one).
+impl Wire for FrameKind {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put(&match *self {
+            FrameKind::Unused => (0u8, 0u32),
+            FrameKind::Firmware => (1, 0),
+            FrameKind::Monitor => (2, 0),
+            FrameKind::ShadowStack => (3, 0),
+            FrameKind::Ptp => (4, 0),
+            FrameKind::Idt => (5, 0),
+            FrameKind::KernelCode => (6, 0),
+            FrameKind::KernelData => (7, 0),
+            FrameKind::UserAnon { asid } => (8, asid),
+            FrameKind::Confined { sandbox } => (9, sandbox),
+            FrameKind::Common { region } => (10, region),
+            FrameKind::SharedDevice => (11, 0),
+        });
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (tag, arg): (u8, u32) = r.get()?;
+        Ok(match tag {
+            0 => FrameKind::Unused,
+            1 => FrameKind::Firmware,
+            2 => FrameKind::Monitor,
+            3 => FrameKind::ShadowStack,
+            4 => FrameKind::Ptp,
+            5 => FrameKind::Idt,
+            6 => FrameKind::KernelCode,
+            7 => FrameKind::KernelData,
+            8 => FrameKind::UserAnon { asid: arg },
+            9 => FrameKind::Confined { sandbox: arg },
+            10 => FrameKind::Common { region: arg },
+            11 => FrameKind::SharedDevice,
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "FrameKind",
+                    tag: u64::from(tag),
+                })
+            }
+        })
+    }
+}
+
 /// The monitor's per-frame metadata: kind plus mapping count (for the
 /// single-mapping policy on confined frames, §6.1).
 #[derive(Debug)]
 pub struct FrameTable {
-    kinds: Vec<FrameKind>,
-    mapcount: Vec<u32>,
+    /// `(kind, mapping count)` per frame number.
+    frames: Vec<(FrameKind, u32)>,
 }
+
+// Migration: every frame's kind and mapping count. The table is the
+// monitor's mapping-policy ground truth, so it crosses byte-for-byte.
+erebor_wire::wire_struct!(FrameTable { frames });
 
 impl FrameTable {
     /// A table covering `total_frames` frames, all [`FrameKind::Unused`].
     #[must_use]
     pub fn new(total_frames: u64) -> FrameTable {
         FrameTable {
-            kinds: vec![FrameKind::Unused; total_frames as usize],
-            mapcount: vec![0; total_frames as usize],
+            frames: vec![(FrameKind::Unused, 0); total_frames as usize],
         }
     }
 
     /// Current kind of `frame`.
     #[must_use]
     pub fn kind(&self, frame: Frame) -> FrameKind {
-        self.kinds
+        self.frames
             .get(frame.0 as usize)
-            .copied()
-            .unwrap_or(FrameKind::Unused)
+            .map_or(FrameKind::Unused, |&(kind, _)| kind)
     }
 
     /// Set the kind of `frame`. Trusted-kind frames (monitor, PTP, shadow
@@ -152,10 +200,9 @@ impl FrameTable {
     /// # Errors
     /// [`FrameTableError`] on range or kind conflicts.
     pub fn set_kind(&mut self, frame: Frame, kind: FrameKind) -> Result<(), FrameTableError> {
-        let idx = frame.0 as usize;
-        let slot = self
-            .kinds
-            .get_mut(idx)
+        let (slot, _) = self
+            .frames
+            .get_mut(frame.0 as usize)
             .ok_or(FrameTableError::OutOfRange(frame))?;
         match *slot {
             FrameKind::Unused | FrameKind::KernelData | FrameKind::UserAnon { .. } => {
@@ -173,32 +220,30 @@ impl FrameTable {
     /// # Errors
     /// [`FrameTableError::OutOfRange`].
     pub fn release(&mut self, frame: Frame) -> Result<(), FrameTableError> {
-        let idx = frame.0 as usize;
         let slot = self
-            .kinds
-            .get_mut(idx)
+            .frames
+            .get_mut(frame.0 as usize)
             .ok_or(FrameTableError::OutOfRange(frame))?;
-        *slot = FrameKind::Unused;
-        self.mapcount[idx] = 0;
+        *slot = (FrameKind::Unused, 0);
         Ok(())
     }
 
     /// Number of live mappings of `frame`.
     #[must_use]
     pub fn mapcount(&self, frame: Frame) -> u32 {
-        self.mapcount.get(frame.0 as usize).copied().unwrap_or(0)
+        self.frames.get(frame.0 as usize).map_or(0, |&(_, c)| c)
     }
 
     /// Record a new mapping.
     pub fn inc_map(&mut self, frame: Frame) {
-        if let Some(c) = self.mapcount.get_mut(frame.0 as usize) {
+        if let Some((_, c)) = self.frames.get_mut(frame.0 as usize) {
             *c = c.saturating_add(1);
         }
     }
 
     /// Record an unmapping.
     pub fn dec_map(&mut self, frame: Frame) {
-        if let Some(c) = self.mapcount.get_mut(frame.0 as usize) {
+        if let Some((_, c)) = self.frames.get_mut(frame.0 as usize) {
             *c = c.saturating_sub(1);
         }
     }
@@ -206,75 +251,7 @@ impl FrameTable {
     /// Count frames of a given kind (memory accounting for Table 6).
     #[must_use]
     pub fn count_kind(&self, pred: impl Fn(FrameKind) -> bool) -> u64 {
-        self.kinds.iter().filter(|k| pred(**k)).count() as u64
-    }
-
-    /// Serialise the table for migration: every frame's kind and mapping
-    /// count. The table is the monitor's mapping-policy ground truth, so
-    /// it must cross byte-for-byte.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = erebor_wire::WireWriter::new();
-        w.seq(self.kinds.len());
-        for (kind, count) in self.kinds.iter().zip(&self.mapcount) {
-            let (tag, arg): (u8, u32) = match kind {
-                FrameKind::Unused => (0, 0),
-                FrameKind::Firmware => (1, 0),
-                FrameKind::Monitor => (2, 0),
-                FrameKind::ShadowStack => (3, 0),
-                FrameKind::Ptp => (4, 0),
-                FrameKind::Idt => (5, 0),
-                FrameKind::KernelCode => (6, 0),
-                FrameKind::KernelData => (7, 0),
-                FrameKind::UserAnon { asid } => (8, *asid),
-                FrameKind::Confined { sandbox } => (9, *sandbox),
-                FrameKind::Common { region } => (10, *region),
-                FrameKind::SharedDevice => (11, 0),
-            };
-            w.u8(tag);
-            w.u32(arg);
-            w.u32(*count);
-        }
-        w.finish()
-    }
-
-    /// Rebuild a table from [`FrameTable::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`erebor_wire::WireError`] on truncation, an unknown kind tag, or
-    /// trailing bytes.
-    pub fn import_state(bytes: &[u8]) -> Result<FrameTable, erebor_wire::WireError> {
-        let mut r = erebor_wire::WireReader::new(bytes);
-        let n = r.seq(9)?;
-        let mut kinds = Vec::with_capacity(n);
-        let mut mapcount = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = r.u8()?;
-            let arg = r.u32()?;
-            kinds.push(match tag {
-                0 => FrameKind::Unused,
-                1 => FrameKind::Firmware,
-                2 => FrameKind::Monitor,
-                3 => FrameKind::ShadowStack,
-                4 => FrameKind::Ptp,
-                5 => FrameKind::Idt,
-                6 => FrameKind::KernelCode,
-                7 => FrameKind::KernelData,
-                8 => FrameKind::UserAnon { asid: arg },
-                9 => FrameKind::Confined { sandbox: arg },
-                10 => FrameKind::Common { region: arg },
-                11 => FrameKind::SharedDevice,
-                t => {
-                    return Err(erebor_wire::WireError::BadTag {
-                        what: "FrameKind",
-                        tag: u64::from(t),
-                    })
-                }
-            });
-            mapcount.push(r.u32()?);
-        }
-        r.finish()?;
-        Ok(FrameTable { kinds, mapcount })
+        self.frames.iter().filter(|&&(k, _)| pred(k)).count() as u64
     }
 }
 

@@ -12,12 +12,14 @@ use erebor_hw::fault::VeReason;
 use erebor_hw::isolation::DomainId;
 use erebor_hw::regs::GprContext;
 use erebor_hw::{Frame, VirtAddr};
-use erebor_wire::{WireError, WireReader, WireWriter};
+use erebor_wire::{Wire, WireError, WireReader, WireWriter};
 use std::collections::VecDeque;
 
 /// Identifier of a sandbox container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SandboxId(pub u32);
+
+erebor_wire::wire_newtype!(SandboxId);
 
 /// Lifecycle state of a sandbox (Fig. 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +33,12 @@ pub enum SandboxState {
     /// Killed or torn down; memory scrubbed.
     Dead,
 }
+
+erebor_wire::wire_enum!(SandboxState {
+    Setup = 0,
+    DataLoaded = 1,
+    Dead = 2
+});
 
 /// A shared common region (model weights, databases, shared libraries).
 #[derive(Debug)]
@@ -48,57 +56,13 @@ pub struct CommonRegion {
     pub attached: Vec<(SandboxId, VirtAddr)>,
 }
 
-impl CommonRegion {
-    /// Serialise the region for migration.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(self.id);
-        w.seq(self.frames.len());
-        for f in &self.frames {
-            w.u64(f.0);
-        }
-        w.bool(self.sealed);
-        w.u64(self.logical_bytes);
-        w.seq(self.attached.len());
-        for (sb, va) in &self.attached {
-            w.u32(sb.0);
-            w.u64(va.0);
-        }
-        w.finish()
-    }
-
-    /// Rebuild a region from [`CommonRegion::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`WireError`] on any malformed field.
-    pub fn import_state(bytes: &[u8]) -> Result<CommonRegion, WireError> {
-        let mut r = WireReader::new(bytes);
-        let id = r.u32()?;
-        let n = r.seq(8)?;
-        let mut frames = Vec::with_capacity(n);
-        for _ in 0..n {
-            frames.push(Frame(r.u64()?));
-        }
-        let sealed = r.bool()?;
-        let logical_bytes = r.u64()?;
-        let n = r.seq(12)?;
-        let mut attached = Vec::with_capacity(n);
-        for _ in 0..n {
-            let sb = SandboxId(r.u32()?);
-            let va = VirtAddr(r.u64()?);
-            attached.push((sb, va));
-        }
-        r.finish()?;
-        Ok(CommonRegion {
-            id,
-            frames,
-            sealed,
-            logical_bytes,
-            attached,
-        })
-    }
-}
+erebor_wire::wire_struct!(CommonRegion {
+    id,
+    frames,
+    sealed,
+    logical_bytes,
+    attached
+});
 
 /// Monitor-side bookkeeping for one sandbox.
 pub struct Sandbox {
@@ -168,195 +132,72 @@ impl Sandbox {
         let page = va.page_base();
         self.confined.iter().any(|(base, _)| *base == page)
     }
+}
 
-    /// Serialise the sandbox for migration — lifecycle, confined map,
-    /// staged client I/O, and the live secure-channel counters.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(self.id.0);
-        w.u64(self.root.0);
-        w.u16(self.domain.0);
-        w.u8(match self.state {
-            SandboxState::Setup => 0,
-            SandboxState::DataLoaded => 1,
-            SandboxState::Dead => 2,
-        });
-        w.seq(self.confined.len());
-        for (va, frame) in &self.confined {
-            w.u64(va.0);
-            w.u64(frame.0);
-        }
-        w.u64(self.budget_pages);
-        w.u64(self.logical_confined_bytes);
-        w.seq(self.attached_common.len());
-        for (region, va) in &self.attached_common {
-            w.u32(*region);
-            w.u64(va.0);
-        }
-        w.seq(self.common_mapped.len());
-        for (region, va) in &self.common_mapped {
-            w.u32(*region);
-            w.u64(va.0);
-        }
-        match &self.saved_ctx {
-            None => w.bool(false),
-            Some(ctx) => {
-                w.bool(true);
-                for g in ctx.gpr {
-                    w.u64(g);
-                }
-                w.u64(ctx.rip);
-                w.u64(ctx.rflags);
-            }
-        }
-        match self.kill_reason {
-            None => w.bool(false),
-            Some(reason) => {
-                w.bool(true);
-                w.str(reason);
-            }
-        }
-        w.seq(self.pending_input.len());
-        for b in &self.pending_input {
-            w.bytes(b);
-        }
-        match &self.session {
-            None => w.bool(false),
-            Some(chan) => {
-                let (keys, role, send_ctr, recv_ctr) = chan.to_parts();
-                w.bool(true);
-                w.raw(&keys.c2s);
-                w.raw(&keys.s2c);
-                w.u8(match role {
-                    Role::Client => 0,
-                    Role::Monitor => 1,
-                });
-                w.u64(send_ctr);
-                w.u64(recv_ctr);
-            }
-        }
-        w.seq(self.outbox.len());
-        for b in &self.outbox {
-            w.bytes(b);
-        }
-        w.finish()
+/// Migration: lifecycle, confined map, staged client I/O, and the live
+/// secure-channel keys and counters (`Role` as a one-byte tag).
+impl Wire for Sandbox {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put(&(self.id, self.root, self.domain, self.state));
+        w.put(&self.confined);
+        w.put(&(self.budget_pages, self.logical_confined_bytes));
+        w.put(&self.attached_common);
+        w.put(&self.common_mapped);
+        w.put(&(self.saved_ctx, self.kill_reason));
+        w.put(&self.pending_input);
+        w.put(&self.session.as_ref().map(|chan| {
+            let (keys, role, send_ctr, recv_ctr) = chan.to_parts();
+            let role = match role {
+                Role::Client => 0u8,
+                Role::Monitor => 1,
+            };
+            (keys.c2s, keys.s2c, role, send_ctr, recv_ctr)
+        }));
+        w.put(&self.outbox);
     }
 
-    /// Rebuild a sandbox from [`Sandbox::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`WireError`] on any malformed field.
-    pub fn import_state(bytes: &[u8]) -> Result<Sandbox, WireError> {
-        let mut r = WireReader::new(bytes);
-        let id = SandboxId(r.u32()?);
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let id: SandboxId = r.get()?;
         if id.0 == 0 {
             return Err(WireError::BadValue {
                 what: "sandbox id zero",
             });
         }
-        let root = Frame(r.u64()?);
-        let domain = DomainId(r.u16()?);
-        let state = match r.u8()? {
-            0 => SandboxState::Setup,
-            1 => SandboxState::DataLoaded,
-            2 => SandboxState::Dead,
-            t => {
-                return Err(WireError::BadTag {
-                    what: "SandboxState",
-                    tag: u64::from(t),
-                })
-            }
-        };
-        let n = r.seq(16)?;
-        let mut confined = Vec::with_capacity(n);
-        for _ in 0..n {
-            let va = VirtAddr(r.u64()?);
-            let frame = Frame(r.u64()?);
-            confined.push((va, frame));
-        }
-        let budget_pages = r.u64()?;
-        let logical_confined_bytes = r.u64()?;
-        let n = r.seq(12)?;
-        let mut attached_common = Vec::with_capacity(n);
-        for _ in 0..n {
-            let region = r.u32()?;
-            let va = VirtAddr(r.u64()?);
-            attached_common.push((region, va));
-        }
-        let n = r.seq(12)?;
-        let mut common_mapped = Vec::with_capacity(n);
-        for _ in 0..n {
-            let region = r.u32()?;
-            let va = VirtAddr(r.u64()?);
-            common_mapped.push((region, va));
-        }
-        let saved_ctx = if r.bool()? {
-            let mut gpr = [0u64; 16];
-            for g in &mut gpr {
-                *g = r.u64()?;
-            }
-            let rip = r.u64()?;
-            let rflags = r.u64()?;
-            Some(GprContext { gpr, rip, rflags })
-        } else {
-            None
-        };
-        let kill_reason = if r.bool()? {
-            Some(erebor_trace::intern(r.str()?))
-        } else {
-            None
-        };
-        let n = r.seq(8)?;
-        let mut pending_input = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            pending_input.push_back(r.bytes()?.to_vec());
-        }
-        let session = if r.bool()? {
-            let c2s: [u8; 32] = r.array()?;
-            let s2c: [u8; 32] = r.array()?;
-            let role = match r.u8()? {
-                0 => Role::Client,
-                1 => Role::Monitor,
-                t => {
-                    return Err(WireError::BadTag {
-                        what: "Role",
-                        tag: u64::from(t),
-                    })
-                }
-            };
-            let send_ctr = r.u64()?;
-            let recv_ctr = r.u64()?;
-            Some(SecureChannel::from_parts(
-                SessionKeys { c2s, s2c },
-                role,
-                send_ctr,
-                recv_ctr,
-            ))
-        } else {
-            None
-        };
-        let n = r.seq(8)?;
-        let mut outbox = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            outbox.push_back(r.bytes()?.to_vec());
-        }
-        r.finish()?;
         Ok(Sandbox {
             id,
-            root,
-            domain,
-            state,
-            confined,
-            budget_pages,
-            logical_confined_bytes,
-            attached_common,
-            common_mapped,
-            saved_ctx,
-            kill_reason,
-            pending_input,
-            session,
-            outbox,
+            root: r.get()?,
+            domain: r.get()?,
+            state: r.get()?,
+            confined: r.get()?,
+            budget_pages: r.get()?,
+            logical_confined_bytes: r.get()?,
+            attached_common: r.get()?,
+            common_mapped: r.get()?,
+            saved_ctx: r.get()?,
+            kill_reason: r.get()?,
+            pending_input: r.get()?,
+            session: r
+                .get::<Option<([u8; 32], [u8; 32], u8, u64, u64)>>()?
+                .map(|(c2s, s2c, role, send_ctr, recv_ctr)| {
+                    let role = match role {
+                        0 => Role::Client,
+                        1 => Role::Monitor,
+                        tag => {
+                            return Err(WireError::BadTag {
+                                what: "Role",
+                                tag: u64::from(tag),
+                            })
+                        }
+                    };
+                    Ok(SecureChannel::from_parts(
+                        SessionKeys { c2s, s2c },
+                        role,
+                        send_ctr,
+                        recv_ctr,
+                    ))
+                })
+                .transpose()?,
+            outbox: r.get()?,
         })
     }
 }
@@ -425,7 +266,7 @@ impl SandboxTable {
     }
 
     /// All sandboxes in id order.
-    pub fn values(&self) -> impl Iterator<Item = &Sandbox> {
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Sandbox> {
         self.slots.iter()
     }
 

@@ -57,12 +57,9 @@ impl EndbrRegistry {
     pub fn is_empty(&self) -> bool {
         self.targets.is_empty()
     }
-
-    /// All registered landing pads, ascending (migration export).
-    pub fn targets(&self) -> impl Iterator<Item = u64> + '_ {
-        self.targets.iter().copied()
-    }
 }
+
+erebor_wire::wire_struct!(EndbrRegistry { targets });
 
 /// A hardware shadow stack with a busy token.
 ///
@@ -131,23 +128,18 @@ impl ShadowStack {
         self.frames.len()
     }
 
-    /// Raw migration parts: base, recorded return addresses (bottom
-    /// first), and the core holding the busy token, if any.
+    /// The core holding the busy token, if any.
     #[must_use]
-    pub fn to_parts(&self) -> (VirtAddr, &[u64], Option<usize>) {
-        (self.base, &self.frames, self.active_on)
-    }
-
-    /// Rebuild from [`ShadowStack::to_parts`] output.
-    #[must_use]
-    pub fn from_parts(base: VirtAddr, frames: Vec<u64>, active_on: Option<usize>) -> ShadowStack {
-        ShadowStack {
-            base,
-            frames,
-            active_on,
-        }
+    pub(crate) fn active_on(&self) -> Option<usize> {
+        self.active_on
     }
 }
+
+erebor_wire::wire_struct!(ShadowStack {
+    base,
+    frames,
+    active_on
+});
 
 #[cfg(test)]
 mod tests {

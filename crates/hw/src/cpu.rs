@@ -48,6 +48,11 @@ pub enum CpuMode {
     Supervisor,
 }
 
+erebor_wire::wire_enum!(CpuMode {
+    User = 0,
+    Supervisor = 1
+});
+
 /// Code-provenance domain of the currently executing region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Domain {
@@ -60,6 +65,13 @@ pub enum Domain {
     /// Userspace (native processes and sandboxes).
     User,
 }
+
+erebor_wire::wire_enum!(Domain {
+    Firmware = 0,
+    Monitor = 1,
+    Kernel = 2,
+    User = 3
+});
 
 /// Derive the domain that owns a code address, from the fixed layout.
 #[must_use]
@@ -92,7 +104,7 @@ pub struct Cpu {
     pub cr4: Cr4,
     /// IDTR, once `lidt` has executed.
     pub idtr: Option<Idtr>,
-    msrs: BTreeMap<Msr, u64>,
+    pub(crate) msrs: BTreeMap<Msr, u64>,
 }
 
 impl Cpu {
@@ -188,27 +200,27 @@ pub struct Machine {
     /// consumes. Off by default so ordinary traces (and the byte-stable
     /// `--trace` CI export) are unchanged.
     pub mmu_trace: bool,
-    sensitive_domains: BTreeSet<Domain>,
-    injector: Option<InjectorHandle>,
+    pub(crate) sensitive_domains: BTreeSet<Domain>,
+    pub(crate) injector: Option<InjectorHandle>,
     /// `(cpu, page-number)` pairs whose invalidation IPI was dropped by an
     /// injector: the core may hold a stale entry for the page until its
     /// next flush. Together with `pending_asid_shootdowns` this is the
     /// tolerated stale set for the TLB-coherence checks.
-    pending_shootdowns: BTreeSet<(usize, u64)>,
+    pub(crate) pending_shootdowns: BTreeSet<(usize, u64)>,
     /// `(cpu, root-frame-number)` pairs whose *coalesced* (full-ASID)
     /// invalidation IPI was dropped: the core may hold stale entries for
     /// any page of that address space until its next full flush. Root
     /// `0` records a dropped broadcast flush (all roots). One entry
     /// stands in for what would otherwise be hundreds of per-page
     /// ledger rows from a batched teardown.
-    pending_asid_shootdowns: BTreeSet<(usize, u64)>,
-    interrupt_depth: Vec<u32>,
+    pub(crate) pending_asid_shootdowns: BTreeSet<(usize, u64)>,
+    pub(crate) interrupt_depth: Vec<u32>,
     /// Per-core permission-decision caches for the batch fast path.
-    decisions: Vec<DecisionCache>,
+    pub(crate) decisions: Vec<DecisionCache>,
     /// Machine-global MMU epoch: bumped by every TLB-maintenance action
     /// and every `pending_shootdowns` ledger change, so a decision cache
     /// keyed under an older epoch can never serve a stale verdict.
-    mmu_epoch: u64,
+    pub(crate) mmu_epoch: u64,
 }
 
 impl Machine {
@@ -1592,54 +1604,6 @@ impl Machine {
             }
         }
     }
-}
-
-/// Crate-internal constructor for the migration importer: `Cpu` keeps
-/// its MSR map private, so rebuilding one lives here.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cpu_from_parts(
-    id: usize,
-    mode: CpuMode,
-    domain: Domain,
-    ctx: GprContext,
-    cr0: Cr0,
-    cr3: Frame,
-    cr4: Cr4,
-    idtr: Option<Idtr>,
-    msrs: BTreeMap<Msr, u64>,
-) -> Cpu {
-    Cpu {
-        id,
-        mode,
-        domain,
-        ctx,
-        cr0,
-        cr3,
-        cr4,
-        idtr,
-        msrs,
-    }
-}
-
-/// Crate-internal setter for the migration importer: installs the
-/// private `Machine` fields in one shot (the importer builds the public
-/// fields directly and hands the rest here).
-pub(crate) fn machine_set_private(
-    m: &mut Machine,
-    sensitive_domains: BTreeSet<Domain>,
-    pending_shootdowns: BTreeSet<(usize, u64)>,
-    pending_asid_shootdowns: BTreeSet<(usize, u64)>,
-    interrupt_depth: Vec<u32>,
-    decisions: Vec<DecisionCache>,
-    mmu_epoch: u64,
-) {
-    m.sensitive_domains = sensitive_domains;
-    m.injector = None;
-    m.pending_shootdowns = pending_shootdowns;
-    m.pending_asid_shootdowns = pending_asid_shootdowns;
-    m.interrupt_depth = interrupt_depth;
-    m.decisions = decisions;
-    m.mmu_epoch = mmu_epoch;
 }
 
 /// Test hook: plant staleness-ledger rows the way a chaos-dropped IPI

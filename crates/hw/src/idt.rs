@@ -45,6 +45,8 @@ pub struct Idtr {
     pub base: VirtAddr,
 }
 
+erebor_wire::wire_struct!(Idtr { base });
+
 /// Write the handler address for `vec` into the in-memory IDT.
 ///
 /// This is a *software* store in real hardware; callers that model software

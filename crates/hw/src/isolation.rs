@@ -20,6 +20,7 @@
 
 use crate::regs::PkrsPerms;
 use erebor_wire::{WireError, WireReader, WireWriter};
+use std::collections::BTreeSet;
 
 /// Which isolation mechanism a platform runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,6 +30,8 @@ pub enum BackendKind {
     /// TME-MK keyed memory: per-frame key-IDs in high PA bits.
     TmeMk,
 }
+
+erebor_wire::wire_enum!(BackendKind { Pks = 0, TmeMk = 1 });
 
 impl BackendKind {
     /// Short label used in bench output and JSON metas.
@@ -46,6 +49,8 @@ impl BackendKind {
 /// key-ID (1..=4095; key-ID 0 means "untagged / kernel default").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomainId(pub u16);
+
+erebor_wire::wire_newtype!(DomainId);
 
 impl DomainId {
     /// The kernel/default domain: pkey 0, key-ID 0. Never allocated.
@@ -157,7 +162,7 @@ struct DomainPool {
     capacity: u16,
     next_fresh: u16,
     free_list: Vec<u16>,
-    live: std::collections::BTreeSet<u16>,
+    live: BTreeSet<u16>,
 }
 
 impl DomainPool {
@@ -167,7 +172,7 @@ impl DomainPool {
             capacity,
             next_fresh: first,
             free_list: Vec::new(),
-            live: std::collections::BTreeSet::new(),
+            live: BTreeSet::new(),
         }
     }
 
@@ -196,15 +201,9 @@ impl DomainPool {
     }
 
     fn export(&self, w: &mut WireWriter) {
-        w.u16(self.next_fresh);
-        w.seq(self.free_list.len());
-        for id in &self.free_list {
-            w.u16(*id);
-        }
-        w.seq(self.live.len());
-        for id in &self.live {
-            w.u16(*id);
-        }
+        w.put(&self.next_fresh);
+        w.put(&self.free_list);
+        w.put(&self.live);
     }
 
     /// Rebuild a pool over the same `[first, capacity)` range. The
@@ -214,21 +213,9 @@ impl DomainPool {
     /// tampered export can neither double-allocate a live id nor leak
     /// one out of existence.
     fn import(r: &mut WireReader, first: u16, capacity: u16) -> Result<DomainPool, WireError> {
-        let next_fresh = r.u16()?;
+        let (next_fresh, free_list, live): (u16, Vec<u16>, BTreeSet<u16>) = r.get()?;
         if next_fresh < first || next_fresh > capacity {
             return Err(WireError::BadValue { what: "next_fresh" });
-        }
-        let nfree = r.seq(2)?;
-        let mut free_list = Vec::with_capacity(nfree);
-        for _ in 0..nfree {
-            free_list.push(r.u16()?);
-        }
-        let nlive = r.seq(2)?;
-        let mut live = std::collections::BTreeSet::new();
-        for _ in 0..nlive {
-            if !live.insert(r.u16()?) {
-                return Err(WireError::BadValue { what: "dup live" });
-            }
         }
         let mut seen = live.clone();
         for id in &free_list {
@@ -238,7 +225,7 @@ impl DomainPool {
                 });
             }
         }
-        let handed_out: std::collections::BTreeSet<u16> = (first..next_fresh).collect();
+        let handed_out: BTreeSet<u16> = (first..next_fresh).collect();
         if seen != handed_out {
             return Err(WireError::BadValue {
                 what: "domain pool partition",
@@ -411,13 +398,11 @@ impl Backend {
         let mut w = WireWriter::new();
         match self {
             Backend::Pks(b) => {
-                w.u8(0);
-                w.u16(b.pool.first);
+                w.put(&(0u8, b.pool.first));
                 b.pool.export(&mut w);
             }
             Backend::TmeMk(b) => {
-                w.u8(1);
-                w.u8(b.alias_pkey);
+                w.put(&(1u8, b.alias_pkey));
                 b.pool.export(&mut w);
             }
         }
@@ -435,11 +420,10 @@ impl Backend {
     /// the handed-out range, ...).
     pub fn import_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = WireReader::new(bytes);
-        let kind = r.u8()?;
+        let kind: u8 = r.get()?;
         match (&mut *self, kind) {
             (Backend::Pks(b), 0) => {
-                let first = r.u16()?;
-                if first != b.pool.first {
+                if r.get::<u16>()? != b.pool.first {
                     return Err(WireError::BadValue {
                         what: "reserved pkeys",
                     });
@@ -449,8 +433,7 @@ impl Backend {
                 b.pool = pool;
             }
             (Backend::TmeMk(b), 1) => {
-                let alias = r.u8()?;
-                if alias != b.alias_pkey {
+                if r.get::<u8>()? != b.alias_pkey {
                     return Err(WireError::BadValue { what: "alias pkey" });
                 }
                 let pool = DomainPool::import(&mut r, b.pool.first, b.pool.capacity)?;

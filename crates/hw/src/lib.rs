@@ -63,6 +63,8 @@ pub use tlb::{HwStats, Tlb};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtAddr(pub u64);
 
+erebor_wire::wire_newtype!(VirtAddr);
+
 impl VirtAddr {
     /// Returns the address rounded down to the containing page boundary.
     #[must_use]

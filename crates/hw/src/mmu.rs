@@ -50,6 +50,14 @@ pub struct EffPerms {
     pub keyid: u16,
 }
 
+erebor_wire::wire_struct!(EffPerms {
+    writable,
+    user,
+    nx,
+    pkey,
+    keyid
+});
+
 /// Result of a successful translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Translation {

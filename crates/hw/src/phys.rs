@@ -14,7 +14,7 @@
 //! set-based reference model of exactly that policy.
 
 use crate::inject::InjectorHandle;
-use erebor_wire::{WireError, WireReader, WireWriter};
+use erebor_wire::{Wire, WireError, WireWriter};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Page size in bytes (4 KiB; huge pages are disabled per paper §7).
@@ -49,6 +49,8 @@ impl core::fmt::Debug for PhysAddr {
 /// A physical frame number (address >> 12).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frame(pub u64);
+
+erebor_wire::wire_newtype!(Frame);
 
 impl Frame {
     /// Base physical address of the frame.
@@ -102,6 +104,8 @@ pub struct Region {
     /// One past the last frame (exclusive).
     pub end: Frame,
 }
+
+erebor_wire::wire_struct!(Region { start, end });
 
 impl Region {
     /// Construct a region from frame numbers.
@@ -617,22 +621,11 @@ impl PhysMemory {
     #[must_use]
     pub fn export_meta(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.u64(self.total_frames);
-        w.u64(self.next_hint);
-        w.seq(self.free.len());
-        for word in &self.free {
-            w.u64(*word);
-        }
-        w.seq(self.reserved.len());
-        for r in &self.reserved {
-            w.u64(r.start.0);
-            w.u64(r.end.0);
-        }
-        w.seq(self.frame_keys.len());
-        for (f, k) in &self.frame_keys {
-            w.u64(*f);
-            w.u16(*k);
-        }
+        w.put(&self.total_frames);
+        w.put(&self.next_hint);
+        w.put(&self.free);
+        w.put(&self.reserved);
+        w.put(&self.frame_keys);
         w.finish()
     }
 
@@ -641,55 +634,47 @@ impl PhysMemory {
     /// count are re-derived; host-side `alloc_stats` start at zero on the
     /// destination (they describe simulator scan work, not architecture).
     ///
+    /// Nothing is sized from the header alone: the declared frame count
+    /// must match the allocator bitmap that actually arrived before any
+    /// DRAM bookkeeping is allocated.
+    ///
     /// # Errors
     /// [`WireError`] on any truncation, trailing bytes, geometry
     /// mismatch, out-of-range frame, or wrongly-sized page.
     pub fn from_export(meta: &[u8], pages: &[(u64, Vec<u8>)]) -> Result<PhysMemory, WireError> {
-        let mut r = WireReader::new(meta);
-        let total_frames = r.u64()?;
+        type Meta = (u64, u64, Vec<u64>, Vec<Region>, BTreeMap<u64, u16>);
+        let (total_frames, next_hint, free, reserved, frame_keys) = Meta::from_wire(meta)?;
         if total_frames == 0 || total_frames > (1 << 40) {
             return Err(WireError::BadValue {
                 what: "total_frames",
             });
         }
-        let next_hint = r.u64()?;
         if next_hint >= total_frames {
             return Err(WireError::BadValue { what: "next_hint" });
         }
-        let mut mem = PhysMemory::new(total_frames << PAGE_SHIFT);
-        mem.next_hint = next_hint;
-        let nwords = r.seq(8)?;
-        if nwords != mem.free.len() {
+        if free.len() as u64 != total_frames.div_ceil(WORD_BITS) {
             return Err(WireError::BadValue { what: "free words" });
-        }
-        let mut free = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            free.push(r.u64()?);
         }
         // Bits past the last real frame must stay clear.
         let tail = total_frames % WORD_BITS;
-        if tail != 0 && free[nwords - 1] & !((1u64 << tail) - 1) != 0 {
+        if tail != 0 && free.last().is_some_and(|w| w & !((1u64 << tail) - 1) != 0) {
             return Err(WireError::BadValue { what: "free tail" });
         }
-        let nregions = r.seq(16)?;
-        for _ in 0..nregions {
-            let start = r.u64()?;
-            let end = r.u64()?;
-            if start > end {
-                return Err(WireError::BadValue { what: "region" });
-            }
-            mem.reserve_region(Region::new(start, end));
+        if reserved.iter().any(|r| r.start > r.end) {
+            return Err(WireError::BadValue { what: "region" });
         }
-        let nkeys = r.seq(10)?;
-        for _ in 0..nkeys {
-            let f = r.u64()?;
-            let k = r.u16()?;
-            if f >= total_frames || k == 0 {
-                return Err(WireError::BadValue { what: "frame key" });
-            }
-            mem.frame_keys.insert(f, k);
+        if frame_keys
+            .iter()
+            .any(|(&f, &k)| f >= total_frames || k == 0)
+        {
+            return Err(WireError::BadValue { what: "frame key" });
         }
-        r.finish()?;
+        let mut mem = PhysMemory::new(total_frames << PAGE_SHIFT);
+        mem.next_hint = next_hint;
+        for region in reserved {
+            mem.reserve_region(region);
+        }
+        mem.frame_keys = frame_keys;
         // Install the allocator bitmap last and re-derive everything that
         // hangs off it.
         let free_bits: u64 = free.iter().map(|w| u64::from(w.count_ones())).sum();
@@ -952,6 +937,48 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(src.alloc_frame().ok(), dst.alloc_frame().ok());
         }
+    }
+
+    /// A 48-byte header declaring 2^40 frames with a one-word bitmap,
+    /// no regions and no keys: the frame count is checked against the
+    /// bitmap that arrived before anything is sized from it, so this is
+    /// a typed error rather than a 128 GiB allocation.
+    #[test]
+    fn huge_declared_dram_is_refused_before_allocation() {
+        let meta = (1u64 << 40, 0u64, vec![0u64], Vec::<Region>::new(), Vec::<(u64, u16)>::new())
+            .to_wire();
+        assert_eq!(meta.len(), 48);
+        let started = std::time::Instant::now();
+        assert_eq!(
+            PhysMemory::from_export(&meta, &[]).err(),
+            Some(WireError::BadValue { what: "free words" })
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    /// A frame-key table naming one frame twice used to merge silently;
+    /// the map rule now refuses it.
+    #[test]
+    fn duplicate_frame_key_is_refused() {
+        let mut src = PhysMemory::new(64 * PAGE_SIZE as u64);
+        let f = src.alloc_frame().unwrap();
+        src.set_frame_key(f, 3);
+        let ok = src.export_meta();
+        assert!(PhysMemory::from_export(&ok, &[]).is_ok());
+        let dup = (
+            src.total_frames,
+            src.next_hint,
+            src.free.clone(),
+            src.reserved.clone(),
+            vec![(f.0, 3u16), (f.0, 4u16)],
+        )
+            .to_wire();
+        assert_eq!(
+            PhysMemory::from_export(&dup, &[]).err(),
+            Some(WireError::BadValue {
+                what: "map key order"
+            })
+        );
     }
 
     /// Hostile import inputs land as typed errors, never panics.

@@ -27,6 +27,8 @@ fn note_pkey_out_of_range() {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cr0(pub u64);
 
+erebor_wire::wire_newtype!(Cr0);
+
 impl Cr0 {
     /// Write Protect: supervisor writes honour read-only mappings.
     pub const WP: u64 = 1 << 16;
@@ -49,6 +51,8 @@ impl Cr0 {
 /// `CR4` bits used by the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cr4(pub u64);
+
+erebor_wire::wire_newtype!(Cr4);
 
 impl Cr4 {
     /// Supervisor Mode Execution Prevention.
@@ -277,6 +281,8 @@ pub struct GprContext {
     /// Flags register.
     pub rflags: u64,
 }
+
+erebor_wire::wire_struct!(GprContext { gpr, rip, rflags });
 
 impl GprContext {
     /// Index of `rsp` within [`GprContext::gpr`].

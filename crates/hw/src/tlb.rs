@@ -44,6 +44,14 @@ pub struct TlbEntry {
     pub dirty: bool,
 }
 
+erebor_wire::wire_struct!(TlbEntry {
+    root,
+    page,
+    frame,
+    eff,
+    dirty
+});
+
 /// A single core's TLB: direct-mapped instruction and data arrays.
 #[derive(Debug, Clone)]
 pub struct Tlb {
@@ -166,39 +174,27 @@ impl Tlb {
     }
 }
 
-/// Hardware-level counters exported into bench JSON next to
-/// `MonitorStats`: translation-path observability for Table 3 / Fig 8.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct HwStats {
-    /// Translations served from the TLB (charged `Costs::tlb_hit`).
-    pub tlb_hits: u64,
-    /// Translations that walked the tables and filled the TLB (charged
-    /// `levels_walked * Costs::walk_level`).
-    pub tlb_misses: u64,
-    /// Whole-TLB flushes (CR3 writes).
-    pub tlb_flushes: u64,
-    /// Single-page invalidations (`invlpg`, local half of shootdowns).
-    pub tlb_page_invalidations: u64,
-    /// Remote-core invalidation IPIs sent by shootdowns (charged
-    /// `Costs::interrupt_delivery` each).
-    pub tlb_shootdown_ipis: u64,
+erebor_wire::counters! {
+    /// Hardware-level counters exported into bench JSON next to
+    /// `MonitorStats`: translation-path observability for Table 3 / Fig 8.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct HwStats {
+        /// Translations served from the TLB (charged `Costs::tlb_hit`).
+        pub tlb_hits: u64,
+        /// Translations that walked the tables and filled the TLB (charged
+        /// `levels_walked * Costs::walk_level`).
+        pub tlb_misses: u64,
+        /// Whole-TLB flushes (CR3 writes).
+        pub tlb_flushes: u64,
+        /// Single-page invalidations (`invlpg`, local half of shootdowns).
+        pub tlb_page_invalidations: u64,
+        /// Remote-core invalidation IPIs sent by shootdowns (charged
+        /// `Costs::interrupt_delivery` each).
+        pub tlb_shootdown_ipis: u64,
+    }
 }
 
 impl HwStats {
-    /// Counter-wise difference `self - prev` (saturating).
-    #[must_use]
-    pub fn delta(&self, prev: &HwStats) -> HwStats {
-        HwStats {
-            tlb_hits: self.tlb_hits.saturating_sub(prev.tlb_hits),
-            tlb_misses: self.tlb_misses.saturating_sub(prev.tlb_misses),
-            tlb_flushes: self.tlb_flushes.saturating_sub(prev.tlb_flushes),
-            tlb_page_invalidations: self
-                .tlb_page_invalidations
-                .saturating_sub(prev.tlb_page_invalidations),
-            tlb_shootdown_ipis: self.tlb_shootdown_ipis.saturating_sub(prev.tlb_shootdown_ipis),
-        }
-    }
-
     /// Fraction of successful translations served from the TLB.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {

@@ -19,6 +19,7 @@ use erebor_hw::idt::vector;
 use erebor_hw::regs::Msr;
 use erebor_hw::{VirtAddr, PAGE_SIZE};
 use erebor_tdx::TdxModule;
+use erebor_wire::{index_by, Wire, WireError, WireReader, WireWriter};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The hardware/monitor context a kernel entry point executes against.
@@ -39,68 +40,24 @@ impl core::fmt::Debug for Hw<'_> {
     }
 }
 
-/// Kernel event counters (Fig. 8 / Table 6 raw material).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct KernelStats {
-    /// Syscalls dispatched.
-    pub syscalls: u64,
-    /// Page faults handled.
-    pub page_faults: u64,
-    /// Timer ticks.
-    pub timer_ticks: u64,
-    /// Context switches performed.
-    pub ctx_switches: u64,
-    /// Processes forked.
-    pub forks: u64,
-    /// Signals delivered to user handlers.
-    pub signals_delivered: u64,
-    /// `#VE` exits handled for native tasks.
-    pub ve_handled: u64,
-}
-
-impl KernelStats {
-    /// Fieldwise saturating difference `self - earlier`, for interval
-    /// measurements between two snapshots.
-    #[must_use]
-    pub fn delta(&self, earlier: &KernelStats) -> KernelStats {
-        KernelStats {
-            syscalls: self.syscalls.saturating_sub(earlier.syscalls),
-            page_faults: self.page_faults.saturating_sub(earlier.page_faults),
-            timer_ticks: self.timer_ticks.saturating_sub(earlier.timer_ticks),
-            ctx_switches: self.ctx_switches.saturating_sub(earlier.ctx_switches),
-            forks: self.forks.saturating_sub(earlier.forks),
-            signals_delivered: self.signals_delivered.saturating_sub(earlier.signals_delivered),
-            ve_handled: self.ve_handled.saturating_sub(earlier.ve_handled),
-        }
-    }
-
-    /// Append the counters to a wire stream (migration).
-    pub fn export_to(&self, w: &mut erebor_wire::WireWriter) {
-        w.u64(self.syscalls);
-        w.u64(self.page_faults);
-        w.u64(self.timer_ticks);
-        w.u64(self.ctx_switches);
-        w.u64(self.forks);
-        w.u64(self.signals_delivered);
-        w.u64(self.ve_handled);
-    }
-
-    /// Decode counters from a wire stream.
-    ///
-    /// # Errors
-    /// [`erebor_wire::WireError`] on truncation.
-    pub fn import_from(
-        r: &mut erebor_wire::WireReader<'_>,
-    ) -> Result<KernelStats, erebor_wire::WireError> {
-        Ok(KernelStats {
-            syscalls: r.u64()?,
-            page_faults: r.u64()?,
-            timer_ticks: r.u64()?,
-            ctx_switches: r.u64()?,
-            forks: r.u64()?,
-            signals_delivered: r.u64()?,
-            ve_handled: r.u64()?,
-        })
+erebor_wire::counters! {
+    /// Kernel event counters (Fig. 8 / Table 6 raw material).
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct KernelStats {
+        /// Syscalls dispatched.
+        pub syscalls: u64,
+        /// Page faults handled.
+        pub page_faults: u64,
+        /// Timer ticks.
+        pub timer_ticks: u64,
+        /// Context switches performed.
+        pub ctx_switches: u64,
+        /// Processes forked.
+        pub forks: u64,
+        /// Signals delivered to user handlers.
+        pub signals_delivered: u64,
+        /// `#VE` exits handled for native tasks.
+        pub ve_handled: u64,
     }
 }
 
@@ -942,130 +899,58 @@ impl Kernel {
         }
         Ok(())
     }
+}
 
-    // =================================================================
-    // Live migration
-    // =================================================================
-
-    /// Serialise the whole kernel: every task, the filesystem, captured
-    /// stdout, swapped-out page contents, and the scheduler state.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = erebor_wire::WireWriter::new();
-        w.seq(self.tasks.len());
-        for task in self.tasks.values() {
-            w.bytes(&task.export_state());
-        }
-        self.stats.export_to(&mut w);
-        w.bytes(&self.vfs.export_state());
-        w.seq(self.stdout.len());
-        for (pid, out) in &self.stdout {
-            w.u32(*pid);
-            w.bytes(out);
-        }
-        w.seq(self.swap.len());
-        for (&(root, va), contents) in &self.swap {
-            w.u64(root);
-            w.u64(va);
-            w.bytes(contents);
-        }
-        w.seq(self.current.len());
-        for (&cpu, &pid) in &self.current {
-            w.usize(cpu);
-            w.u32(pid.0);
-        }
-        w.seq(self.runqueue.len());
-        for pid in &self.runqueue {
-            w.u32(pid.0);
-        }
-        w.u32(self.next_pid);
-        w.u32(self.next_asid);
-        w.bool(self.initialized);
-        w.finish()
+/// Live migration: every task (each a nested blob, in pid order), the
+/// counters, the filesystem, captured stdout, swapped-out page contents,
+/// and the scheduler state. Everything is validated before assembly — a
+/// torn stream yields an error, not a half-imported scheduler: every pid
+/// the runqueue or a CPU names must be a known task, and `next_pid` must
+/// be past them all.
+impl Wire for Kernel {
+    fn encode(&self, w: &mut WireWriter) {
+        w.nested_seq(self.tasks.values());
+        w.put(&self.stats);
+        w.nested(&self.vfs);
+        w.put(&self.stdout);
+        w.put(&self.swap);
+        w.put(&self.current);
+        w.put(&self.runqueue);
+        w.put(&self.next_pid);
+        w.put(&self.next_asid);
+        w.put(&self.initialized);
     }
 
-    /// Rebuild a kernel from [`Kernel::export_state`] bytes. Everything
-    /// is validated before assembly — a torn stream yields an error, not
-    /// a half-imported scheduler.
-    ///
-    /// # Errors
-    /// [`erebor_wire::WireError`] on truncation, duplicate pids, a
-    /// runqueue or CPU assignment naming an unknown pid, or trailing
-    /// bytes.
-    pub fn import_state(bytes: &[u8]) -> Result<Kernel, erebor_wire::WireError> {
-        use erebor_wire::WireError;
-        let mut r = erebor_wire::WireReader::new(bytes);
-        let n = r.seq(4)?;
-        let mut tasks = BTreeMap::new();
-        for _ in 0..n {
-            let task = Task::import_state(r.bytes()?)?;
-            if tasks.insert(task.pid.0, task).is_some() {
-                return Err(WireError::BadValue {
-                    what: "duplicate pid",
-                });
-            }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let tasks = index_by(r.nested_seq()?, |task: &Task| task.pid.0)?;
+        let k = Kernel {
+            tasks,
+            stats: r.get()?,
+            vfs: r.nested()?,
+            stdout: r.get()?,
+            swap: r.get()?,
+            current: r.get()?,
+            runqueue: r.get()?,
+            next_pid: r.get()?,
+            next_asid: r.get()?,
+            initialized: r.get()?,
+        };
+        if k.current.values().any(|pid| !k.tasks.contains_key(&pid.0)) {
+            return Err(WireError::BadValue {
+                what: "current pid unknown",
+            });
         }
-        let stats = KernelStats::import_from(&mut r)?;
-        let vfs = Vfs::import_state(r.bytes()?)?;
-        let n = r.seq(8)?;
-        let mut stdout = BTreeMap::new();
-        for _ in 0..n {
-            let pid = r.u32()?;
-            let out = r.bytes()?.to_vec();
-            stdout.insert(pid, out);
+        if k.runqueue.iter().any(|pid| !k.tasks.contains_key(&pid.0)) {
+            return Err(WireError::BadValue {
+                what: "runqueue pid unknown",
+            });
         }
-        let n = r.seq(20)?;
-        let mut swap = BTreeMap::new();
-        for _ in 0..n {
-            let root = r.u64()?;
-            let va = r.u64()?;
-            let contents = r.bytes()?.to_vec();
-            swap.insert((root, va), contents);
-        }
-        let n = r.seq(12)?;
-        let mut current = BTreeMap::new();
-        for _ in 0..n {
-            let cpu = r.usize()?;
-            let pid = Pid(r.u32()?);
-            if !tasks.contains_key(&pid.0) {
-                return Err(WireError::BadValue {
-                    what: "current pid unknown",
-                });
-            }
-            current.insert(cpu, pid);
-        }
-        let n = r.seq(4)?;
-        let mut runqueue = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let pid = Pid(r.u32()?);
-            if !tasks.contains_key(&pid.0) {
-                return Err(WireError::BadValue {
-                    what: "runqueue pid unknown",
-                });
-            }
-            runqueue.push_back(pid);
-        }
-        let next_pid = r.u32()?;
-        let next_asid = r.u32()?;
-        let initialized = r.bool()?;
-        r.finish()?;
-        if tasks.keys().any(|&pid| pid >= next_pid) {
+        if k.tasks.keys().any(|&pid| pid >= k.next_pid) {
             return Err(WireError::BadValue {
                 what: "next pid not past live pids",
             });
         }
-        Ok(Kernel {
-            tasks,
-            stats,
-            vfs,
-            stdout,
-            swap,
-            current,
-            runqueue,
-            next_pid,
-            next_asid,
-            initialized,
-        })
+        Ok(k)
     }
 }
 
@@ -1078,6 +963,33 @@ mod tests {
     use erebor_hw::layout::KERNEL_BASE;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+    /// Captured stdout naming one pid twice used to merge silently; the
+    /// map rule now refuses it (a map encodes as a `Vec` of its pairs,
+    /// which is how the duplicate is planted).
+    #[test]
+    fn duplicate_stdout_pid_is_refused() -> Result<(), WireError> {
+        let mut k = Kernel::new();
+        k.stdout.insert(1, b"a".to_vec());
+        let good = k.to_wire();
+        Kernel::from_wire(&good)?;
+        let needle = k.stdout.to_wire();
+        let at = good
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .ok_or(WireError::BadValue {
+                what: "stdout bytes",
+            })?;
+        let dup = vec![(1u32, b"a".to_vec()), (1u32, b"b".to_vec())].to_wire();
+        let bad = [&good[..at], &dup, &good[at + needle.len()..]].concat();
+        assert_eq!(
+            Kernel::from_wire(&bad).err(),
+            Some(WireError::BadValue {
+                what: "map key order"
+            })
+        );
+        Ok(())
+    }
 
     fn booted(mode: Mode) -> Result<(Cvm, Kernel), Box<dyn std::error::Error>> {
         let cfg = BootConfig {
@@ -1303,14 +1215,14 @@ mod tests {
         kernel.write_user(&mut cvm_hw(&mut cvm), pid, VirtAddr(addr), b"resident data")?;
         kernel.vfs.put("/data/f", b"contents".to_vec());
         kernel.handle_syscall(&mut cvm_hw(&mut cvm), pid, nr::WRITE, [1, addr, 8, 0, 0, 0]);
-        let bytes = kernel.export_state();
-        let back = Kernel::import_state(&bytes)?;
-        assert_eq!(back.export_state(), bytes, "fixed point");
+        let bytes = kernel.to_wire();
+        let back = Kernel::from_wire(&bytes)?;
+        assert_eq!(back.to_wire(), bytes, "fixed point");
         assert_eq!(back.current(), Some(pid));
         assert_eq!(back.stats.syscalls, kernel.stats.syscalls);
         // Truncation sweep: no prefix imports (step keeps it fast).
         for cut in (0..bytes.len()).step_by(5).chain([bytes.len() - 1]) {
-            assert!(Kernel::import_state(&bytes[..cut]).is_err());
+            assert!(Kernel::from_wire(&bytes[..cut]).is_err());
         }
         Ok(())
     }
@@ -1323,9 +1235,9 @@ mod tests {
         kernel.schedule(&mut hw(&mut cvm), pid)?;
         // Forge a stream whose runqueue names a pid with no task.
         kernel.runqueue.push_back(Pid(999));
-        let bytes = kernel.export_state();
+        let bytes = kernel.to_wire();
         assert!(matches!(
-            Kernel::import_state(&bytes),
+            Kernel::from_wire(&bytes),
             Err(erebor_wire::WireError::BadValue { .. })
         ));
         Ok(())

@@ -4,12 +4,14 @@ use crate::vfs::FileDesc;
 use erebor_core::sandbox::SandboxId;
 use erebor_hw::regs::GprContext;
 use erebor_hw::{Frame, VirtAddr};
-use erebor_wire::{WireError, WireReader, WireWriter};
+use erebor_wire::{Wire, WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub u32);
+
+erebor_wire::wire_newtype!(Pid);
 
 /// What kind of task this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +20,27 @@ pub enum TaskKind {
     Native,
     /// The userspace host of an EREBOR-SANDBOX container.
     Sandbox(SandboxId),
+}
+
+/// Migration: tag 0 for native, tag 1 followed by the sandbox id.
+impl Wire for TaskKind {
+    fn encode(&self, w: &mut WireWriter) {
+        match self {
+            TaskKind::Native => w.u8(0),
+            TaskKind::Sandbox(id) => w.put(&(1u8, *id)),
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(TaskKind::Native),
+            1 => Ok(TaskKind::Sandbox(r.get()?)),
+            t => Err(WireError::BadTag {
+                what: "TaskKind",
+                tag: u64::from(t),
+            }),
+        }
+    }
 }
 
 /// Scheduler state.
@@ -33,6 +56,13 @@ pub enum TaskState {
     Zombie,
 }
 
+erebor_wire::wire_enum!(TaskState {
+    Ready = 0,
+    Running = 1,
+    Blocked = 2,
+    Zombie = 3
+});
+
 /// A virtual memory area.
 #[derive(Debug, Clone)]
 pub struct Vma {
@@ -47,6 +77,14 @@ pub struct Vma {
     /// Pages actually materialized (demand paging).
     pub mapped: Vec<VirtAddr>,
 }
+
+erebor_wire::wire_struct!(Vma {
+    start,
+    end,
+    writable,
+    executable,
+    mapped
+});
 
 impl Vma {
     /// Whether `va` falls inside the area.
@@ -90,6 +128,23 @@ pub struct Task {
     /// Next free mmap address (simple bump).
     pub mmap_cursor: VirtAddr,
 }
+
+// Migration: identity, scheduler state, the saved user context, fd
+// table, VMAs, and signal machinery.
+erebor_wire::wire_struct!(Task {
+    pid,
+    kind,
+    root,
+    state,
+    ctx,
+    fds,
+    brk,
+    vmas,
+    sig_handlers,
+    pending_signals,
+    exit_status,
+    mmap_cursor
+});
 
 impl Task {
     /// A fresh task with the conventional layout.
@@ -150,168 +205,6 @@ impl Task {
             TaskKind::Native => None,
         }
     }
-
-    /// Serialise the task for migration: identity, scheduler state, the
-    /// saved user context, fd table, VMAs, and signal machinery.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(self.pid.0);
-        match self.kind {
-            TaskKind::Native => w.u8(0),
-            TaskKind::Sandbox(id) => {
-                w.u8(1);
-                w.u32(id.0);
-            }
-        }
-        w.u64(self.root.0);
-        w.u8(match self.state {
-            TaskState::Ready => 0,
-            TaskState::Running => 1,
-            TaskState::Blocked => 2,
-            TaskState::Zombie => 3,
-        });
-        for g in self.ctx.gpr {
-            w.u64(g);
-        }
-        w.u64(self.ctx.rip);
-        w.u64(self.ctx.rflags);
-        w.seq(self.fds.len());
-        for (fd, desc) in &self.fds {
-            w.u64(*fd);
-            desc.export_to(&mut w);
-        }
-        w.u64(self.brk.0);
-        w.seq(self.vmas.len());
-        for vma in &self.vmas {
-            w.u64(vma.start.0);
-            w.u64(vma.end.0);
-            w.bool(vma.writable);
-            w.bool(vma.executable);
-            w.seq(vma.mapped.len());
-            for p in &vma.mapped {
-                w.u64(p.0);
-            }
-        }
-        w.seq(self.sig_handlers.len());
-        for (sig, handler) in &self.sig_handlers {
-            w.u64(*sig);
-            w.u64(handler.0);
-        }
-        w.seq(self.pending_signals.len());
-        for sig in &self.pending_signals {
-            w.u64(*sig);
-        }
-        match self.exit_status {
-            None => w.bool(false),
-            Some(s) => {
-                w.bool(true);
-                w.i64(s);
-            }
-        }
-        w.u64(self.mmap_cursor.0);
-        w.finish()
-    }
-
-    /// Rebuild a task from [`Task::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`WireError`] on any malformed field.
-    pub fn import_state(bytes: &[u8]) -> Result<Task, WireError> {
-        let mut r = WireReader::new(bytes);
-        let pid = Pid(r.u32()?);
-        let kind = match r.u8()? {
-            0 => TaskKind::Native,
-            1 => TaskKind::Sandbox(SandboxId(r.u32()?)),
-            t => {
-                return Err(WireError::BadTag {
-                    what: "TaskKind",
-                    tag: u64::from(t),
-                })
-            }
-        };
-        let root = Frame(r.u64()?);
-        let state = match r.u8()? {
-            0 => TaskState::Ready,
-            1 => TaskState::Running,
-            2 => TaskState::Blocked,
-            3 => TaskState::Zombie,
-            t => {
-                return Err(WireError::BadTag {
-                    what: "TaskState",
-                    tag: u64::from(t),
-                })
-            }
-        };
-        let mut gpr = [0u64; 16];
-        for g in &mut gpr {
-            *g = r.u64()?;
-        }
-        let rip = r.u64()?;
-        let rflags = r.u64()?;
-        let ctx = GprContext { gpr, rip, rflags };
-        let n = r.seq(9)?;
-        let mut fds = BTreeMap::new();
-        for _ in 0..n {
-            let fd = r.u64()?;
-            let desc = FileDesc::import_from(&mut r)?;
-            if fds.insert(fd, desc).is_some() {
-                return Err(WireError::BadValue {
-                    what: "duplicate fd",
-                });
-            }
-        }
-        let brk = VirtAddr(r.u64()?);
-        let n = r.seq(26)?;
-        let mut vmas = Vec::with_capacity(n);
-        for _ in 0..n {
-            let start = VirtAddr(r.u64()?);
-            let end = VirtAddr(r.u64()?);
-            let writable = r.bool()?;
-            let executable = r.bool()?;
-            let m = r.seq(8)?;
-            let mut mapped = Vec::with_capacity(m);
-            for _ in 0..m {
-                mapped.push(VirtAddr(r.u64()?));
-            }
-            vmas.push(Vma {
-                start,
-                end,
-                writable,
-                executable,
-                mapped,
-            });
-        }
-        let n = r.seq(16)?;
-        let mut sig_handlers = BTreeMap::new();
-        for _ in 0..n {
-            let sig = r.u64()?;
-            let handler = VirtAddr(r.u64()?);
-            sig_handlers.insert(sig, handler);
-        }
-        let n = r.seq(8)?;
-        let mut pending_signals = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending_signals.push(r.u64()?);
-        }
-        let exit_status = if r.bool()? { Some(r.i64()?) } else { None };
-        let mmap_cursor = VirtAddr(r.u64()?);
-        r.finish()?;
-        Ok(Task {
-            pid,
-            kind,
-            root,
-            state,
-            ctx,
-            fds,
-            brk,
-            vmas,
-            sig_handlers,
-            pending_signals,
-            exit_status,
-            mmap_cursor,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -356,13 +249,13 @@ mod tests {
         t.sig_handlers.insert(10, VirtAddr(0x40_2000));
         t.pending_signals.push(10);
         t.exit_status = Some(-3);
-        let bytes = t.export_state();
-        let back = Task::import_state(&bytes)?;
-        assert_eq!(back.export_state(), bytes);
+        let bytes = t.to_wire();
+        let back = Task::from_wire(&bytes)?;
+        assert_eq!(back.to_wire(), bytes);
         assert_eq!(back.sandbox(), Some(SandboxId(2)));
         assert_eq!(back.state, TaskState::Blocked);
         for cut in 0..bytes.len() {
-            assert!(Task::import_state(&bytes[..cut]).is_err());
+            assert!(Task::from_wire(&bytes[..cut]).is_err());
         }
         Ok(())
     }

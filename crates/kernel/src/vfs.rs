@@ -5,7 +5,7 @@
 //! artifact evaluation (§A.4).
 
 use crate::syscall::Errno;
-use erebor_wire::{WireError, WireReader, WireWriter};
+use erebor_wire::{Wire, WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Path of the Erebor pseudo-device.
@@ -37,16 +37,17 @@ pub enum FileDesc {
     DebugOut,
 }
 
-impl FileDesc {
-    /// Append the descriptor to a wire stream (migration).
-    pub fn export_to(&self, w: &mut WireWriter) {
+/// Migration: a one-byte tag in declaration order; a regular file adds
+/// its path and cursor.
+impl Wire for FileDesc {
+    fn encode(&self, w: &mut WireWriter) {
         match self {
             FileDesc::Stdin => w.u8(0),
             FileDesc::Stdout => w.u8(1),
             FileDesc::File { path, offset } => {
                 w.u8(2);
-                w.str(path);
-                w.u64(*offset);
+                w.put(path);
+                w.put(offset);
             }
             FileDesc::EreborDev => w.u8(3),
             FileDesc::DebugIn => w.u8(4),
@@ -54,17 +55,13 @@ impl FileDesc {
         }
     }
 
-    /// Decode one descriptor from a wire stream.
-    ///
-    /// # Errors
-    /// [`WireError`] on truncation or unknown tags.
-    pub fn import_from(r: &mut WireReader<'_>) -> Result<FileDesc, WireError> {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
             0 => FileDesc::Stdin,
             1 => FileDesc::Stdout,
             2 => FileDesc::File {
-                path: r.str()?.to_string(),
-                offset: r.u64()?,
+                path: r.get()?,
+                offset: r.get()?,
             },
             3 => FileDesc::EreborDev,
             4 => FileDesc::DebugIn,
@@ -193,49 +190,14 @@ impl Vfs {
             FileDesc::EreborDev => Err(Errno::Einval),
         }
     }
-
-    /// Serialise the filesystem for migration: every regular file plus
-    /// both debug channel buffers.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.seq(self.files.len());
-        for (path, contents) in &self.files {
-            w.str(path);
-            w.bytes(contents);
-        }
-        w.bytes(&self.debug_in);
-        w.bytes(&self.debug_out);
-        w.finish()
-    }
-
-    /// Rebuild a filesystem from [`Vfs::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`WireError`] on truncation, duplicate paths, or trailing bytes.
-    pub fn import_state(bytes: &[u8]) -> Result<Vfs, WireError> {
-        let mut r = WireReader::new(bytes);
-        let n = r.seq(16)?;
-        let mut files = BTreeMap::new();
-        for _ in 0..n {
-            let path = r.str()?.to_string();
-            let contents = r.bytes()?.to_vec();
-            if files.insert(path, contents).is_some() {
-                return Err(WireError::BadValue {
-                    what: "duplicate vfs path",
-                });
-            }
-        }
-        let debug_in = r.bytes()?.to_vec();
-        let debug_out = r.bytes()?.to_vec();
-        r.finish()?;
-        Ok(Vfs {
-            files,
-            debug_in,
-            debug_out,
-        })
-    }
 }
+
+// Migration: every regular file plus both debug channel buffers.
+erebor_wire::wire_struct!(Vfs {
+    files,
+    debug_in,
+    debug_out
+});
 
 #[cfg(test)]
 mod tests {
@@ -303,14 +265,14 @@ mod tests {
         vfs.put("/tmp/out", b"partial".to_vec());
         vfs.debug_in.extend_from_slice(b"queued input");
         vfs.debug_out.extend_from_slice(b"emitted");
-        let bytes = vfs.export_state();
-        let back = Vfs::import_state(&bytes)?;
-        assert_eq!(back.export_state(), bytes);
+        let bytes = vfs.to_wire();
+        let back = Vfs::from_wire(&bytes)?;
+        assert_eq!(back.to_wire(), bytes);
         assert_eq!(back.get("/data/model.bin").map(Vec::len), Some(300));
         assert_eq!(back.debug_in, b"queued input");
         // Truncation never yields a partial filesystem.
         for cut in 0..bytes.len() {
-            assert!(Vfs::import_state(&bytes[..cut]).is_err());
+            assert!(Vfs::from_wire(&bytes[..cut]).is_err());
         }
         Ok(())
     }

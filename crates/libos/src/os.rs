@@ -16,7 +16,9 @@ pub const COMMON_BASE: u64 = 0x0000_0001_0000_0000;
 
 /// Registry of already-created common regions, shared across sandboxes of
 /// the same service (name → monitor region id). Owned by the service
-/// provider's deployment tooling.
+/// provider's deployment tooling. It migrates with the TD (as a map,
+/// through its [`erebor_wire::Wire`] encoding) so post-migration
+/// sandboxes attach the *existing* regions instead of re-creating them.
 pub type CommonRegistry = BTreeMap<String, u32>;
 
 /// A LibOS-visible common region.
@@ -514,43 +516,6 @@ impl LibOs {
     }
 }
 
-/// Serialise a [`CommonRegistry`] for migration. The registry is the
-/// service provider's name → region-id map; the destination must keep it
-/// so post-migration sandboxes attach the *existing* regions instead of
-/// re-creating them.
-#[must_use]
-pub fn export_registry(registry: &CommonRegistry) -> Vec<u8> {
-    let mut w = erebor_wire::WireWriter::new();
-    w.seq(registry.len());
-    for (name, region) in registry {
-        w.str(name);
-        w.u32(*region);
-    }
-    w.finish()
-}
-
-/// Rebuild a [`CommonRegistry`] from [`export_registry`] bytes.
-///
-/// # Errors
-/// [`erebor_wire::WireError`] on truncation, duplicate names, or trailing
-/// bytes.
-pub fn import_registry(bytes: &[u8]) -> Result<CommonRegistry, erebor_wire::WireError> {
-    let mut r = erebor_wire::WireReader::new(bytes);
-    let n = r.seq(5)?;
-    let mut registry = CommonRegistry::new();
-    for _ in 0..n {
-        let name = r.str()?.to_string();
-        let region = r.u32()?;
-        if registry.insert(name, region).is_some() {
-            return Err(erebor_wire::WireError::BadValue {
-                what: "duplicate registry name",
-            });
-        }
-    }
-    r.finish()?;
-    Ok(registry)
-}
-
 fn sys_ioctl(sys: &mut dyn Sys, req: u64, extra: [u64; 4]) -> Result<u64, LibOsError> {
     sys.syscall(
         nr::IOCTL,
@@ -562,6 +527,7 @@ fn sys_ioctl(sys: &mut dyn Sys, req: u64, extra: [u64; 4]) -> Result<u64, LibOsE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use erebor_wire::{Wire, WireError};
 
     #[test]
     fn common_base_spacing() {
@@ -572,16 +538,16 @@ mod tests {
     }
 
     #[test]
-    fn registry_roundtrips_byte_exact() -> Result<(), erebor_wire::WireError> {
+    fn registry_roundtrips_byte_exact() -> Result<(), WireError> {
         let mut reg = CommonRegistry::new();
         reg.insert("model".to_string(), 1);
         reg.insert("embeddings".to_string(), 2);
-        let bytes = export_registry(&reg);
-        let back = import_registry(&bytes)?;
+        let bytes = reg.to_wire();
+        let back = CommonRegistry::from_wire(&bytes)?;
         assert_eq!(back, reg);
-        assert_eq!(export_registry(&back), bytes);
+        assert_eq!(back.to_wire(), bytes);
         for cut in 0..bytes.len() {
-            assert!(import_registry(&bytes[..cut]).is_err());
+            assert!(CommonRegistry::from_wire(&bytes[..cut]).is_err());
         }
         Ok(())
     }

@@ -9,7 +9,7 @@
 use erebor_crypto::hmac::hmac_sha256;
 use erebor_crypto::sha256::Sha256;
 use erebor_crypto::{SigningKey, VerifyingKey};
-use erebor_wire::{WireError, WireReader, WireWriter};
+use erebor_wire::{Wire, WireError};
 
 /// The TDREPORT structure: measurements plus caller-supplied report data,
 /// integrity-bound with the module's HMAC key (the expensive part of
@@ -169,13 +169,7 @@ impl Attestation {
     /// as [`Attestation::new`] does.
     #[must_use]
     pub fn export_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.raw(&self.mrtd);
-        w.bool(self.mrtd_sealed);
-        for r in &self.rtmr {
-            w.raw(r);
-        }
-        w.finish()
+        (self.mrtd, self.mrtd_sealed, self.rtmr).to_wire()
     }
 
     /// Rebuild measurement state from [`Attestation::export_state`] bytes
@@ -184,19 +178,13 @@ impl Attestation {
     /// # Errors
     /// [`WireError`] on truncation or trailing bytes.
     pub fn import_state(root_seed: [u8; 32], bytes: &[u8]) -> Result<Attestation, WireError> {
-        let mut r = WireReader::new(bytes);
-        let mrtd: [u8; 32] = r.array()?;
-        let mrtd_sealed = r.bool()?;
-        let mut rtmr = [[0u8; 32]; 4];
-        for slot in &mut rtmr {
-            *slot = r.array()?;
-        }
-        r.finish()?;
-        let mut att = Attestation::new(root_seed);
-        att.mrtd = mrtd;
-        att.mrtd_sealed = mrtd_sealed;
-        att.rtmr = rtmr;
-        Ok(att)
+        let (mrtd, mrtd_sealed, rtmr) = Wire::from_wire(bytes)?;
+        Ok(Attestation {
+            mrtd,
+            mrtd_sealed,
+            rtmr,
+            ..Attestation::new(root_seed)
+        })
     }
 
     /// Sign a report into a quote (the quoting path; in real TDX this

@@ -9,7 +9,7 @@
 use crate::sept::Sept;
 use erebor_hw::phys::PhysMemory;
 use erebor_hw::{Frame, PAGE_SIZE};
-use erebor_wire::{WireError, WireReader, WireWriter};
+use erebor_wire::{Wire, WireError, WireReader, WireWriter};
 
 /// Host-side access failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,40 +130,6 @@ impl HostVmm {
         self.read_guest(mem, sept, frame)
     }
 
-    /// Serialise the host's observation log and hypercall counter. The
-    /// cpuid table is deterministic from [`HostVmm::new`] and is not
-    /// exported. Migrating the *attacker's* log keeps leak audits valid
-    /// across the move: anything the source leaked stays on the record.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u64(self.vmcalls);
-        w.seq(self.observed.len());
-        for o in &self.observed {
-            w.bytes(o);
-        }
-        w.finish()
-    }
-
-    /// Rebuild a host from [`HostVmm::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`WireError`] on truncation, oversized entries, or trailing bytes.
-    pub fn import_state(bytes: &[u8]) -> Result<HostVmm, WireError> {
-        let mut r = WireReader::new(bytes);
-        let vmcalls = r.u64()?;
-        let n = r.seq(8)?;
-        let mut observed = Vec::with_capacity(n);
-        for _ in 0..n {
-            observed.push(r.bytes()?.to_vec());
-        }
-        r.finish()?;
-        let mut host = HostVmm::new();
-        host.vmcalls = vmcalls;
-        host.observed = observed;
-        Ok(host)
-    }
-
     /// Whether any observed byte string contains `needle` — the leak-test
     /// predicate.
     #[must_use]
@@ -173,6 +139,25 @@ impl HostVmm {
                 .observed
                 .iter()
                 .any(|o| o.windows(needle.len()).any(|w| w == needle))
+    }
+}
+
+/// Migration: the host's observation log and hypercall counter. The
+/// cpuid table is deterministic from [`HostVmm::new`] and is not
+/// exported. Migrating the *attacker's* log keeps leak audits valid
+/// across the move: anything the source leaked stays on the record.
+impl Wire for HostVmm {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put(&self.vmcalls);
+        w.put(&self.observed);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(HostVmm {
+            vmcalls: r.get()?,
+            observed: r.get()?,
+            ..HostVmm::new()
+        })
     }
 }
 

@@ -34,7 +34,7 @@ use erebor_crypto::frame::{FrameError, FrameReceiver, FrameSender};
 use erebor_crypto::kx::derive_session_keys;
 use erebor_crypto::{x25519, VerifyingKey};
 use erebor_hw::PAGE_SIZE;
-use erebor_wire::{WireError, WireReader, WireWriter};
+use erebor_wire::{Wire, WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Version stamped into the `Begin` record; the destination refuses a
@@ -264,9 +264,7 @@ impl MigrationSource {
         if self.phase != SourcePhase::Attested {
             return Err(MigrationError::Protocol("begin: stream already started"));
         }
-        let mut w = WireWriter::new();
-        w.u32(MIGRATION_VERSION);
-        let rec = self.tx.seal(record::BEGIN, &w.finish())?;
+        let rec = self.tx.seal(record::BEGIN, &MIGRATION_VERSION.to_wire())?;
         self.phase = SourcePhase::PreCopy;
         Ok(rec)
     }
@@ -327,10 +325,7 @@ impl MigrationSource {
         if self.phase != SourcePhase::StopCopy {
             return Err(MigrationError::Protocol("finish: not in stop-and-copy"));
         }
-        let mut w = WireWriter::new();
-        w.u64(self.pages);
-        w.u64(self.sections);
-        let rec = self.tx.seal(record::FINISH, &w.finish())?;
+        let rec = self.tx.seal(record::FINISH, &(self.pages, self.sections).to_wire())?;
         self.phase = SourcePhase::Finished;
         Ok(rec)
     }
@@ -418,12 +413,9 @@ impl MigrationDest {
             return Err(MigrationError::Protocol("record after finish"));
         }
         let (rtype, payload) = self.rx.open(frame)?;
-        let mut r = WireReader::new(&payload);
         match (self.phase, rtype) {
             (DestPhase::AwaitBegin, record::BEGIN) => {
-                let version = r.u32()?;
-                r.finish()?;
-                if version != MIGRATION_VERSION {
+                if u32::from_wire(&payload)? != MIGRATION_VERSION {
                     return Err(MigrationError::Protocol("begin: version mismatch"));
                 }
                 self.phase = DestPhase::Receiving;
@@ -434,6 +426,7 @@ impl MigrationDest {
                 Err(MigrationError::Protocol("duplicate begin"))
             }
             (DestPhase::Receiving, record::PAGE) => {
+                let mut r = WireReader::new(&payload);
                 let frame_no = r.u64()?;
                 let data = r.take(PAGE_SIZE)?.to_vec();
                 r.finish()?;
@@ -442,9 +435,7 @@ impl MigrationDest {
                 Ok(())
             }
             (DestPhase::Receiving, record::SECTION) => {
-                let id = r.u8()?;
-                let payload = r.bytes()?.to_vec();
-                r.finish()?;
+                let (id, payload): (u8, Vec<u8>) = Wire::from_wire(&payload)?;
                 if self.sections.insert(id, payload).is_some() {
                     return Err(MigrationError::Protocol("duplicate section"));
                 }
@@ -452,9 +443,7 @@ impl MigrationDest {
                 Ok(())
             }
             (DestPhase::Receiving, record::FINISH) => {
-                let pages = r.u64()?;
-                let sections = r.u64()?;
-                r.finish()?;
+                let (pages, sections): (u64, u64) = Wire::from_wire(&payload)?;
                 if pages != self.page_records {
                     return Err(MigrationError::Incomplete {
                         claimed: pages,

@@ -5,7 +5,6 @@
 //! reclaim, but never read, private frames.
 
 use erebor_hw::Frame;
-use erebor_wire::{WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Host-visibility state of a guest physical frame.
@@ -16,6 +15,11 @@ pub enum GpaState {
     /// Host- and DMA-visible (the CVM "shared" window).
     Shared,
 }
+
+erebor_wire::wire_enum!(GpaState {
+    Private = 0,
+    Shared = 1
+});
 
 /// Secure EPT error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,57 +98,11 @@ impl Sept {
     pub fn accepted_count(&self) -> usize {
         self.state.len()
     }
-
-    /// Serialise the table for migration: every accepted frame with its
-    /// private/shared state, in ascending frame order.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.seq(self.state.len());
-        for (frame, st) in &self.state {
-            w.u64(*frame);
-            w.u8(match st {
-                GpaState::Private => 0,
-                GpaState::Shared => 1,
-            });
-        }
-        w.finish()
-    }
-
-    /// Rebuild a table from [`Sept::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`WireError`] on truncation, an unknown state tag, out-of-order or
-    /// duplicate frames, or trailing bytes.
-    pub fn import_state(bytes: &[u8]) -> Result<Sept, WireError> {
-        let mut r = WireReader::new(bytes);
-        let n = r.seq(9)?;
-        let mut state = BTreeMap::new();
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let frame = r.u64()?;
-            if prev.is_some_and(|p| frame <= p) {
-                return Err(WireError::BadValue {
-                    what: "sEPT frames out of order",
-                });
-            }
-            prev = Some(frame);
-            let st = match r.u8()? {
-                0 => GpaState::Private,
-                1 => GpaState::Shared,
-                tag => {
-                    return Err(WireError::BadTag {
-                        what: "GpaState",
-                        tag: u64::from(tag),
-                    })
-                }
-            };
-            state.insert(frame, st);
-        }
-        r.finish()?;
-        Ok(Sept { state })
-    }
 }
+
+// Migration: every accepted frame with its private/shared state. The
+// map rule makes frames arrive strictly ascending.
+erebor_wire::wire_struct!(Sept { state });
 
 #[cfg(test)]
 mod tests {

@@ -168,68 +168,23 @@ impl TdcallResult {
     }
 }
 
-/// Per-CVM counters the evaluation harness reads (Table 6 columns).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TdxStats {
-    /// `tdcall` round trips.
-    pub tdcalls: u64,
-    /// `MapGPA` conversions.
-    pub mapgpa: u64,
-    /// Synchronous exits (`vmcall`).
-    pub vmcalls: u64,
-    /// Injected `#VE` exceptions.
-    pub ve_injected: u64,
-    /// Generated reports.
-    pub tdreports: u64,
-}
-
-impl TdxStats {
-    /// Serialise the counters for migration. These are *architectural*
-    /// for a TD: the real module's TD-scope metadata fields travel with
-    /// the TD, and the audit trail must not reset across a move.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        for v in [
-            self.tdcalls,
-            self.mapgpa,
-            self.vmcalls,
-            self.ve_injected,
-            self.tdreports,
-        ] {
-            w.u64(v);
-        }
-        w.finish()
-    }
-
-    /// Rebuild counters from [`TdxStats::export_state`] bytes.
-    ///
-    /// # Errors
-    /// [`WireError`] on truncation or trailing bytes.
-    pub fn import_state(bytes: &[u8]) -> Result<TdxStats, WireError> {
-        let mut r = WireReader::new(bytes);
-        let s = TdxStats {
-            tdcalls: r.u64()?,
-            mapgpa: r.u64()?,
-            vmcalls: r.u64()?,
-            ve_injected: r.u64()?,
-            tdreports: r.u64()?,
-        };
-        r.finish()?;
-        Ok(s)
-    }
-
-    /// Fieldwise saturating difference `self - earlier`, for interval
-    /// measurements between two snapshots.
-    #[must_use]
-    pub fn delta(&self, earlier: &TdxStats) -> TdxStats {
-        TdxStats {
-            tdcalls: self.tdcalls.saturating_sub(earlier.tdcalls),
-            mapgpa: self.mapgpa.saturating_sub(earlier.mapgpa),
-            vmcalls: self.vmcalls.saturating_sub(earlier.vmcalls),
-            ve_injected: self.ve_injected.saturating_sub(earlier.ve_injected),
-            tdreports: self.tdreports.saturating_sub(earlier.tdreports),
-        }
+erebor_wire::counters! {
+    /// Per-CVM counters the evaluation harness reads (Table 6 columns).
+    /// They are *architectural* for a TD: the real module's TD-scope
+    /// metadata fields travel with the TD, and the audit trail must not
+    /// reset across a move.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct TdxStats {
+        /// `tdcall` round trips.
+        pub tdcalls: u64,
+        /// `MapGPA` conversions.
+        pub mapgpa: u64,
+        /// Synchronous exits (`vmcall`).
+        pub vmcalls: u64,
+        /// Injected `#VE` exceptions.
+        pub ve_injected: u64,
+        /// Generated reports.
+        pub tdreports: u64,
     }
 }
 
@@ -263,10 +218,10 @@ impl TdxModule {
     #[must_use]
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.bytes(&self.sept.export_state());
+        w.nested(&self.sept);
         w.bytes(&self.attest.export_state());
-        w.bytes(&self.host.export_state());
-        w.bytes(&self.stats.export_state());
+        w.nested(&self.host);
+        w.nested(&self.stats);
         w.finish()
     }
 
@@ -277,17 +232,14 @@ impl TdxModule {
     /// [`WireError`] if any nested section is malformed.
     pub fn import_state(root_seed: [u8; 32], bytes: &[u8]) -> Result<TdxModule, WireError> {
         let mut r = WireReader::new(bytes);
-        let sept = Sept::import_state(r.bytes()?)?;
-        let attest = Attestation::import_state(root_seed, r.bytes()?)?;
-        let host = HostVmm::import_state(r.bytes()?)?;
-        let stats = TdxStats::import_state(r.bytes()?)?;
+        let module = TdxModule {
+            sept: r.nested()?,
+            attest: Attestation::import_state(root_seed, r.bytes()?)?,
+            host: r.nested()?,
+            stats: r.nested()?,
+        };
         r.finish()?;
-        Ok(TdxModule {
-            sept,
-            attest,
-            host,
-            stats,
-        })
+        Ok(module)
     }
 
     /// Inject a `#VE` into the guest for a synchronous exit cause: the TDX

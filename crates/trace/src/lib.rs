@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use erebor_wire::{wire_struct, Wire, WireError, WireReader, WireWriter};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -310,6 +311,68 @@ impl TraceEvent {
     }
 }
 
+/// Migration encoding: a one-byte tag in declaration order, then the
+/// payload fields in order.
+impl Wire for TraceEvent {
+    fn encode(&self, w: &mut WireWriter) {
+        match *self {
+            TraceEvent::GateEnter => w.u8(0),
+            TraceEvent::GateExit => w.u8(1),
+            TraceEvent::Emc { op, arg } => w.put(&(2u8, op, arg)),
+            TraceEvent::PageFault { va_page, write } => w.put(&(3u8, va_page, write)),
+            TraceEvent::TdcallLeave { leaf } => w.put(&(4u8, leaf)),
+            TraceEvent::TdcallDone { ok } => w.put(&(5u8, ok)),
+            TraceEvent::IpiSent { to } => w.put(&(6u8, to)),
+            TraceEvent::IpiReceived { from } => w.put(&(7u8, from)),
+            TraceEvent::IpiDropped { to } => w.put(&(8u8, to)),
+            TraceEvent::IpiSpurious => w.u8(9),
+            TraceEvent::ChaosFault { point } => w.put(&(10u8, point)),
+            TraceEvent::TlbShootdown { root, page } => w.put(&(11u8, root, page)),
+            TraceEvent::TlbInvlpg { page } => w.put(&(12u8, page)),
+            TraceEvent::TlbFlush => w.u8(13),
+            TraceEvent::TlbHit { root, page } => w.put(&(14u8, root, page)),
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => TraceEvent::GateEnter,
+            1 => TraceEvent::GateExit,
+            2 => TraceEvent::Emc {
+                op: r.get()?,
+                arg: r.get()?,
+            },
+            3 => TraceEvent::PageFault {
+                va_page: r.get()?,
+                write: r.get()?,
+            },
+            4 => TraceEvent::TdcallLeave { leaf: r.get()? },
+            5 => TraceEvent::TdcallDone { ok: r.get()? },
+            6 => TraceEvent::IpiSent { to: r.get()? },
+            7 => TraceEvent::IpiReceived { from: r.get()? },
+            8 => TraceEvent::IpiDropped { to: r.get()? },
+            9 => TraceEvent::IpiSpurious,
+            10 => TraceEvent::ChaosFault { point: r.get()? },
+            11 => TraceEvent::TlbShootdown {
+                root: r.get()?,
+                page: r.get()?,
+            },
+            12 => TraceEvent::TlbInvlpg { page: r.get()? },
+            13 => TraceEvent::TlbFlush,
+            14 => TraceEvent::TlbHit {
+                root: r.get()?,
+                page: r.get()?,
+            },
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "TraceEvent",
+                    tag: u64::from(tag),
+                })
+            }
+        })
+    }
+}
+
 /// One recorded event: global sequence number, simulated-cycle stamp,
 /// the recording core, and the event itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,6 +386,13 @@ pub struct TraceRecord {
     /// The event.
     pub event: TraceEvent,
 }
+
+wire_struct!(TraceRecord {
+    seq,
+    cycles,
+    cpu,
+    event
+});
 
 impl TraceRecord {
     /// Deterministic JSON object for this record.
@@ -524,47 +594,47 @@ impl TraceBuffer {
     }
 }
 
-/// Intern a string, returning a `&'static str` with the same contents.
-///
-/// Trace events carry `&'static str` payloads by design (no escaping, no
-/// allocation on the record path). A migration stream, however, decodes
-/// event payloads from bytes; interning gives those decoded strings the
-/// required `'static` lifetime. The table is global and append-only:
-/// every distinct string is leaked exactly once, and re-interning an
-/// already-known string (including every compile-time literal previously
-/// interned) returns the same pointer. The set of distinct payload
-/// strings in the workspace is a small closed vocabulary, so the leak is
-/// bounded in practice.
-#[must_use]
-pub fn intern(s: &str) -> &'static str {
-    use std::collections::BTreeMap;
-    use std::sync::{Mutex, OnceLock};
-    static TABLE: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let mut guard = match table.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if let Some(&known) = guard.get(s) {
-        return known;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    guard.insert(s.to_owned(), leaked);
-    leaked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn intern_is_stable_and_deduplicated() {
-        let a = intern("migration-test-payload");
-        let b = intern("migration-test-payload");
-        assert_eq!(a, b);
-        assert!(std::ptr::eq(a, b), "same interned pointer");
-        let c = intern(&format!("migration-{}", "test-payload"));
-        assert!(std::ptr::eq(a, c), "runtime-built string folds in");
+    fn every_event_roundtrips_on_the_wire() {
+        let events = [
+            TraceEvent::GateEnter,
+            TraceEvent::GateExit,
+            TraceEvent::Emc {
+                op: "create",
+                arg: 3,
+            },
+            TraceEvent::PageFault {
+                va_page: 9,
+                write: true,
+            },
+            TraceEvent::TdcallLeave { leaf: "MapGpa" },
+            TraceEvent::TdcallDone { ok: false },
+            TraceEvent::IpiSent { to: 1 },
+            TraceEvent::IpiReceived { from: 2 },
+            TraceEvent::IpiDropped { to: 3 },
+            TraceEvent::IpiSpurious,
+            TraceEvent::ChaosFault { point: "wrmsr" },
+            TraceEvent::TlbShootdown { root: 4, page: 5 },
+            TraceEvent::TlbInvlpg { page: 6 },
+            TraceEvent::TlbFlush,
+            TraceEvent::TlbHit { root: 7, page: 8 },
+        ];
+        for (tag, e) in events.into_iter().enumerate() {
+            let bytes = e.to_wire();
+            assert_eq!(usize::from(bytes[0]), tag, "tags follow declaration order");
+            assert_eq!(TraceEvent::from_wire(&bytes), Ok(e));
+        }
+        assert_eq!(
+            TraceEvent::from_wire(&[15]),
+            Err(WireError::BadTag {
+                what: "TraceEvent",
+                tag: 15
+            })
+        );
     }
 
     #[test]
@@ -652,4 +722,3 @@ mod tests {
         assert_eq!(t.core(0)[0].cpu, 9, "original core id preserved");
     }
 }
-

@@ -2,10 +2,13 @@
 # Tier-1 verification for the Erebor reproduction — fully offline.
 #
 #   scripts/ci.sh          build + clippy + test (the tier-1 gate)
-#   scripts/ci.sh --smoke  additionally run the bench binaries in smoke
-#                          mode (EREBOR_BENCH_SMOKE=1, reduced iteration
-#                          counts) and check they emit valid JSON on
-#                          stdout.
+#   scripts/ci.sh --smoke  additionally run the benchmark package's own
+#                          tests (it is a separate workspace that reads
+#                          Snapshot and the counter structs, so nothing
+#                          else builds it), then the bench binaries in
+#                          smoke mode (EREBOR_BENCH_SMOKE=1, reduced
+#                          iteration counts) and check they emit valid
+#                          JSON on stdout.
 #   scripts/ci.sh --chaos  additionally run the deterministic chaos
 #                          campaign (fixed seed, release mode). Any
 #                          invariant violation fails the stage and the
@@ -206,6 +209,9 @@ PY
 fi
 
 if [[ "$SMOKE" == 1 ]]; then
+    echo "==> smoke: cargo test (benchmark package)"
+    cargo test --offline -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
     export EREBOR_BENCH_SMOKE=1
 
     for bin in table3 fig8; do

@@ -19,15 +19,15 @@ use erebor_kernel::image::benign_kernel;
 use erebor_kernel::kernel::KernelStats;
 use erebor_kernel::{Hw, Kernel, Pid};
 use erebor_libos::api::{Sys, SysError};
-use erebor_libos::os::{export_registry, import_registry, CommonRegistry, LibOs, ServiceProgram};
+use erebor_libos::os::{CommonRegistry, LibOs, ServiceProgram};
 use erebor_tdx::attest::{expected_mrtd, Expected, Quote};
 use erebor_tdx::migrate::{
     check_pages_private, migration_binding, section, MigrationDest, MigrationError, MigrationKey,
     MigrationSource,
 };
 use erebor_tdx::tdcall::{tdcall, TdcallLeaf, TdcallResult, TdxStats, VmcallOp};
-use erebor_wire::{WireError, WireReader, WireWriter};
 use erebor_trace::{Attribution, Bucket};
+use erebor_wire::{Wire, WireError};
 
 /// The synthetic rip of user code (any user-half address works; only its
 /// *half* matters to the privilege model).
@@ -1025,11 +1025,11 @@ impl Platform {
             (section::PHYS_META, self.cvm.machine.mem.export_meta()),
             (section::TDX, self.cvm.tdx.export_state()),
             (section::BACKEND, self.cvm.monitor.backend.export_state()),
-            (section::MONITOR, self.cvm.monitor.export_state()),
-            (section::KERNEL, self.kernel.export_state()),
-            (section::LIBOS, export_registry(&self.registry)),
-            (section::ROOT_SEED, self.root_seed.to_vec()),
-            (section::PLATFORM, self.export_driver_state()),
+            (section::MONITOR, self.cvm.monitor.to_wire()),
+            (section::KERNEL, self.kernel.to_wire()),
+            (section::LIBOS, self.registry.to_wire()),
+            (section::ROOT_SEED, self.root_seed.to_wire()),
+            (section::PLATFORM, self.driver_state().to_wire()),
         ];
         for (id, payload) in &sections {
             records.push(mig.source.section(*id, payload)?);
@@ -1085,12 +1085,8 @@ impl Platform {
         let snap = dest.into_snapshot()?;
 
         // Stage 1: parse and cross-validate everything. No `self` writes.
-        let root_seed: [u8; 32] = {
-            let mut r = WireReader::new(snap.section(section::ROOT_SEED, "missing root seed")?);
-            let seed = r.array()?;
-            r.finish()?;
-            seed
-        };
+        let root_seed =
+            <[u8; 32]>::from_wire(snap.section(section::ROOT_SEED, "missing root seed")?)?;
         let machine = erebor_hw::cpu::Machine::import_state(
             snap.section(section::MACHINE, "missing machine section")?,
             &snap.pages,
@@ -1103,7 +1099,7 @@ impl Platform {
             snap.section(section::TDX, "missing tdx section")?,
         )?;
         check_pages_private(&tdx.sept, &snap.pages)?;
-        let monitor = erebor_core::monitor::Monitor::import_state(
+        let monitor = erebor_core::monitor::Monitor::from_wire(
             snap.section(section::MONITOR, "missing monitor section")?,
         )?;
         if snap.section(section::BACKEND, "missing backend section")?
@@ -1111,9 +1107,9 @@ impl Platform {
         {
             return Err(MigrationError::Protocol("backend section mismatch").into());
         }
-        let kernel = Kernel::import_state(snap.section(section::KERNEL, "missing kernel section")?)?;
+        let kernel = Kernel::from_wire(snap.section(section::KERNEL, "missing kernel section")?)?;
         let registry =
-            import_registry(snap.section(section::LIBOS, "missing libos section")?)?;
+            CommonRegistry::from_wire(snap.section(section::LIBOS, "missing libos section")?)?;
         let driver = DriverState::import(
             snap.section(section::PLATFORM, "missing platform section")?,
             machine.cpus.len(),
@@ -1137,28 +1133,22 @@ impl Platform {
         Ok(())
     }
 
-    /// Serialise the platform-driver state (`section::PLATFORM`): timer
-    /// phase, device/reclaim cadence, the active core. None of it is
+    /// The platform-driver state (`section::PLATFORM`): timer phase,
+    /// device/reclaim cadence, the active core. None of it is
     /// architectural, but same-seed trace equivalence requires the
     /// execution driver to resume mid-quantum exactly where the source
     /// stopped.
-    fn export_driver_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.bool(self.paravisor);
-        w.usize(self.cpu);
-        w.seq(self.last_timer.len());
-        for t in &self.last_timer {
-            w.u64(*t);
+    fn driver_state(&self) -> DriverState {
+        DriverState {
+            paravisor: self.paravisor,
+            cpu: self.cpu,
+            last_timer: self.last_timer.clone(),
+            device_period_ticks: self.device_period_ticks,
+            ticks_since_device: self.ticks_since_device.clone(),
+            reclaim_period_ticks: self.reclaim_period_ticks,
+            reclaim_pages_per_pass: self.reclaim_pages_per_pass,
+            ticks_since_reclaim: self.ticks_since_reclaim,
         }
-        w.u64(self.device_period_ticks);
-        w.seq(self.ticks_since_device.len());
-        for t in &self.ticks_since_device {
-            w.u64(*t);
-        }
-        w.u64(self.reclaim_period_ticks);
-        w.u64(self.reclaim_pages_per_pass);
-        w.u64(self.ticks_since_reclaim);
-        w.finish()
     }
 }
 
@@ -1175,49 +1165,34 @@ struct DriverState {
     ticks_since_reclaim: u64,
 }
 
+erebor_wire::wire_struct!(DriverState {
+    paravisor,
+    cpu,
+    last_timer,
+    device_period_ticks,
+    ticks_since_device,
+    reclaim_period_ticks,
+    reclaim_pages_per_pass,
+    ticks_since_reclaim
+});
+
 impl DriverState {
     fn import(bytes: &[u8], cores: usize) -> Result<DriverState, WireError> {
-        let mut r = WireReader::new(bytes);
-        let paravisor = r.bool()?;
-        let cpu = r.usize()?;
-        if cpu >= cores {
+        let driver = DriverState::from_wire(bytes)?;
+        if driver.cpu >= cores {
             return Err(WireError::BadValue { what: "active cpu" });
         }
-        let n = r.seq(8)?;
-        if n != cores {
+        if driver.last_timer.len() != cores {
             return Err(WireError::BadValue {
                 what: "timer vector length",
             });
         }
-        let mut last_timer = Vec::with_capacity(n);
-        for _ in 0..n {
-            last_timer.push(r.u64()?);
-        }
-        let device_period_ticks = r.u64()?;
-        let n = r.seq(8)?;
-        if n != cores {
+        if driver.ticks_since_device.len() != cores {
             return Err(WireError::BadValue {
                 what: "device tick vector length",
             });
         }
-        let mut ticks_since_device = Vec::with_capacity(n);
-        for _ in 0..n {
-            ticks_since_device.push(r.u64()?);
-        }
-        let reclaim_period_ticks = r.u64()?;
-        let reclaim_pages_per_pass = r.u64()?;
-        let ticks_since_reclaim = r.u64()?;
-        r.finish()?;
-        Ok(DriverState {
-            paravisor,
-            cpu,
-            last_timer,
-            device_period_ticks,
-            ticks_since_device,
-            reclaim_period_ticks,
-            reclaim_pages_per_pass,
-            ticks_since_reclaim,
-        })
+        Ok(driver)
     }
 }
 

@@ -21,7 +21,7 @@
 
 use erebor::ecore::channel::Client;
 use erebor::ehw::isolation::BackendKind;
-use erebor::elibos::api::SysError;
+use erebor::elibos::api::{Sys, SysError};
 use erebor::{
     BootConfig, ExecConfig, MigrationError, MigrationKey, Mode, Platform, PlatformError,
     ServiceInstance,
@@ -492,4 +492,310 @@ fn source_refuses_unattested_destination() {
     // The refusal happened before any state was disturbed.
     assert!(!src.cvm.machine.mem.dirty_tracking());
     assert!(src.audit().is_clean());
+}
+
+// ====================================================================
+// Format pin: the bytes of every section are fixed for this version
+// ====================================================================
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// A platform with some of everything the stream carries: three served
+/// sandboxes (the second then killed) and a native process with a
+/// touched mmap page.
+fn busy(seed: u64, backend: BackendKind) -> Platform {
+    let mut p = boot(seed, backend);
+    let mut killed = None;
+    for i in 0..3u8 {
+        let (mut svc, mut client) = deploy(&mut p, 0x30 + i);
+        serve(&mut p, &mut svc, &mut client, b"pin");
+        if i == 1 {
+            killed = Some(svc.sandbox);
+        }
+    }
+    let victim = killed.expect("three sandboxes deployed");
+    p.cvm
+        .monitor
+        .kill_sandbox(&mut p.cvm.machine, victim, "pinned kill");
+    let pid = p.spawn_native().expect("spawn native");
+    let base = p
+        .proc(pid)
+        .syscall(
+            erebor::ekernel::syscall::nr::MMAP,
+            [0, 2 * 4096, 3, 0, 0, 0],
+        )
+        .expect("native mmap");
+    p.proc(pid).touch(base, true).expect("native touch");
+    p
+}
+
+/// Run `migrate_to` from `src` and open the stream on a destination
+/// key, returning the sealed records and the verified snapshot.
+fn open_stream(
+    src: &mut Platform,
+    seed: u64,
+    backend: BackendKind,
+) -> (Vec<Vec<u8>>, erebor::etdx::migrate::MigrationSnapshot) {
+    let dest = boot(seed, backend);
+    let src_key = MigrationKey::from_seed([0x3C; 32]);
+    let dest_key = MigrationKey::from_seed([0xC3; 32]);
+    let offer = dest.migration_offer(&dest_key, &src_key.public());
+    let (records, _) = src.migrate_to(&src_key, &offer).expect("migrate out");
+    let mut rx = erebor::etdx::MigrationDest::open(&dest_key, src_key.public());
+    for rec in &records {
+        rx.feed(rec).expect("clean record");
+    }
+    (records, rx.into_snapshot().expect("finished stream"))
+}
+
+/// Pins the plaintext of all nine sections — `(section id, length,
+/// FNV-1a digest)` — of a seeded busy platform on both backends.
+///
+/// Rule: any change to a pinned value is a wire-format change and must
+/// bump `MIGRATION_VERSION` (and `MACHINE_STATE_VERSION` when the
+/// MACHINE or PHYS_META bytes move), so an old peer refuses the stream
+/// instead of misreading it.
+#[test]
+fn section_bytes_are_pinned_for_this_format_version() {
+    type Pin = [(u8, usize, u64); 9];
+    let cases: [(BackendKind, Pin); 2] = [
+        (
+            BackendKind::Pks,
+            [
+                (1, 90424, 3146922008599525114),
+                (2, 4168, 6233751562866864121),
+                (3, 307850, 5416116987153895050),
+                (4, 27, 8850443241744778546),
+                (5, 298658, 2755859668033770499),
+                (6, 1310, 13456845851439787651),
+                (7, 8, 12161962213042174405),
+                (8, 32, 13151605024471147127),
+                (9, 185, 8831221950425577882),
+            ],
+        ),
+        (
+            BackendKind::TmeMk,
+            [
+                (1, 91864, 15805818145683564149),
+                (2, 5608, 14105302679590210025),
+                (3, 307850, 5416116987153895050),
+                (4, 26, 2069471851582972128),
+                (5, 298657, 7982790658262505098),
+                (6, 1310, 13456845851439787651),
+                (7, 8, 12161962213042174405),
+                (8, 32, 13151605024471147127),
+                (9, 185, 8831221950425577882),
+            ],
+        ),
+    ];
+    assert_eq!(erebor::etdx::migrate::MIGRATION_VERSION, 2);
+    assert_eq!(erebor::ehw::migrate::MACHINE_STATE_VERSION, 2);
+    for (backend, pinned) in cases {
+        let mut src = busy(0x9124, backend);
+        let (_, snap) = open_stream(&mut src, 0x9124, backend);
+        let got: Vec<(u8, usize, u64)> = snap
+            .sections
+            .iter()
+            .map(|(&id, bytes)| (id, bytes.len(), fnv1a(bytes)))
+            .collect();
+        assert_eq!(got, pinned, "{backend:?}: section bytes moved");
+    }
+}
+
+// ====================================================================
+// Section sweep: a damaged section decodes or fails typed, never panics
+// ====================================================================
+
+/// A clean stream of a busy platform plus an attested destination that
+/// resealed, damaged variants of it are imported into.
+struct SweepFixture {
+    snap: erebor::etdx::migrate::MigrationSnapshot,
+    backend: BackendKind,
+    dest: Platform,
+    src_key: MigrationKey,
+    dest_key: MigrationKey,
+    offer: erebor::MigrationOffer,
+    root: erebor_crypto::VerifyingKey,
+}
+
+impl SweepFixture {
+    fn new(seed: u64, backend: BackendKind) -> SweepFixture {
+        let mut src = busy(seed, backend);
+        let (_, snap) = open_stream(&mut src, seed, backend);
+        let dest = boot(seed, backend);
+        let src_key = MigrationKey::from_seed([0x5E; 32]);
+        let dest_key = MigrationKey::from_seed([0xE5; 32]);
+        let offer = dest.migration_offer(&dest_key, &src_key.public());
+        let root = src.cvm.tdx.attest.root_public();
+        SweepFixture {
+            snap,
+            backend,
+            dest,
+            src_key,
+            dest_key,
+            offer,
+            root,
+        }
+    }
+
+    /// Reseal the stream with `id`'s plaintext replaced by `bytes`.
+    fn reseal(&self, id: u8, bytes: &[u8]) -> Vec<Vec<u8>> {
+        use erebor::etdx::attest::Expected;
+        let mut src = erebor::etdx::MigrationSource::open(
+            &self.src_key,
+            self.offer.dest_pub,
+            &self.offer.quote,
+            &self.root,
+            &Expected::Mrtd(self.offer.quote.report.mrtd),
+        )
+        .expect("attested destination");
+        let mut records = vec![src.begin().expect("begin")];
+        for (frame, page) in &self.snap.pages {
+            let page = page.as_slice().try_into().expect("4 KiB page");
+            records.push(src.page(*frame, page).expect("page"));
+        }
+        src.enter_stop_copy().expect("stop-copy");
+        for (&sid, payload) in &self.snap.sections {
+            let payload = if sid == id { bytes } else { payload };
+            records.push(src.section(sid, payload).expect("section"));
+        }
+        records.push(src.finish().expect("finish"));
+        records
+    }
+
+    /// Decode `bytes` as section `id` with that section's own importer.
+    /// PLATFORM has none outside `migrate_from`.
+    fn import_alone(&self, id: u8, bytes: &[u8]) -> Option<Result<(), erebor_wire::WireError>> {
+        use erebor::ecore::policy::{PK_MONITOR, RESERVED_PKEYS};
+        use erebor::etdx::migrate::section;
+        use erebor_wire::Wire;
+        let seed = <[u8; 32]>::from_wire(&self.snap.sections[&section::ROOT_SEED]).ok()?;
+        Some(match id {
+            section::MACHINE => {
+                erebor::ehw::cpu::Machine::import_state(bytes, &self.snap.pages).map(drop)
+            }
+            section::PHYS_META => {
+                erebor::ehw::phys::PhysMemory::from_export(bytes, &self.snap.pages).map(drop)
+            }
+            section::TDX => erebor::etdx::TdxModule::import_state(seed, bytes).map(drop),
+            section::BACKEND => {
+                erebor::ehw::isolation::Backend::new(self.backend, RESERVED_PKEYS, PK_MONITOR)
+                    .import_state(bytes)
+            }
+            section::MONITOR => erebor::ecore::Monitor::from_wire(bytes).map(drop),
+            section::KERNEL => erebor::ekernel::kernel::Kernel::from_wire(bytes).map(drop),
+            section::LIBOS => erebor::elibos::os::CommonRegistry::from_wire(bytes).map(drop),
+            section::ROOT_SEED => <[u8; 32]>::from_wire(bytes).map(drop),
+            _ => return None,
+        })
+    }
+
+    /// One case: damage section `id` by XOR-ing one byte (`mask`) or by
+    /// truncating — anywhere, or in its first 32 bytes where the headers
+    /// and counts live — then decode it alone or through `migrate_from`.
+    fn case(&mut self, damage: (u8, bool, bool, u64, u8), whole_stream: bool) {
+        let (id, truncate, head, at, mask) = damage;
+        let mut bytes = self.snap.sections[&id].clone();
+        let span = if head {
+            bytes.len().min(32)
+        } else {
+            bytes.len()
+        };
+        let at = (at % span as u64) as usize;
+        if truncate {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= mask;
+        }
+        let alone = if whole_stream {
+            None
+        } else {
+            self.import_alone(id, &bytes)
+        };
+        if alone.is_none() {
+            let records = self.reseal(id, &bytes);
+            let got = self
+                .dest
+                .migrate_from(&self.dest_key, self.src_key.public(), &records);
+            assert!(
+                matches!(got, Ok(()) | Err(PlatformError::Migration(_))),
+                "untyped import failure: {got:?}"
+            );
+        }
+    }
+}
+
+/// 1024 seeded cases (`EREBOR_PT_SEED` / `EREBOR_PT_CASES` override):
+/// one XOR-ed byte or one truncation in one of the nine section
+/// plaintexts, decoded by that section's importer or resealed and fed
+/// through `Platform::migrate_from`. Every case ends in `Ok` or a typed
+/// error — never a panic or an abort (a hostile PHYS_META header once
+/// sized a 128 GiB allocation from its frame count alone).
+#[test]
+fn damaged_sections_decode_or_fail_typed() {
+    use erebor_testkit::prelude::*;
+    let mut fx = SweepFixture::new(0x5EE9, BackendKind::TmeMk);
+    let damage = (
+        1u8..=9,
+        any::<bool>(),
+        any::<bool>(),
+        any::<u64>(),
+        1u8..=255,
+    );
+    let case = (damage, any::<bool>());
+    erebor_testkit::prop::run(
+        &ProptestConfig::with_cases(1024),
+        "damaged_sections_decode_or_fail_typed",
+        |src| {
+            let (damage, whole_stream) = case.generate(src);
+            fx.case(damage, whole_stream);
+            Ok(())
+        },
+        |src| {
+            format!(
+                "  ((section, truncate, head, at, mask), whole_stream) = {:?}\n",
+                case.generate(src)
+            )
+        },
+    );
+}
+
+/// The sweep's allocation-before-validation case, pinned: a frame count
+/// near 2^40 in the PHYS_META header (alone) or in the copy MACHINE
+/// embeds (through `migrate_from`) is refused against the bitmap that
+/// actually arrived, instead of sizing DRAM bookkeeping from the header.
+#[test]
+fn hostile_dram_frame_count_is_refused_before_allocation() {
+    use erebor::etdx::migrate::section;
+    use erebor_wire::WireError;
+    let fx = SweepFixture::new(0x5EE9, BackendKind::TmeMk);
+    let refused = WireError::BadValue { what: "free words" };
+
+    // PHYS_META starts with `total_frames`; bit 32 makes it ~2^32 frames.
+    let mut meta = fx.snap.sections[&section::PHYS_META].clone();
+    meta[4] ^= 0x01;
+    assert_eq!(
+        fx.import_alone(section::PHYS_META, &meta),
+        Some(Err(refused))
+    );
+
+    // MACHINE embeds the same blob after its version, core count and
+    // the blob's length prefix: `total_frames` sits at offset 20.
+    let mut machine = fx.snap.sections[&section::MACHINE].clone();
+    machine[24] ^= 0xff;
+    let records = fx.reseal(section::MACHINE, &machine);
+    let mut dest = boot(0x5EE9, BackendKind::TmeMk);
+    let got = dest.migrate_from(&fx.dest_key, fx.src_key.public(), &records);
+    assert!(
+        matches!(
+            got,
+            Err(PlatformError::Migration(MigrationError::Decode(e))) if e == refused
+        ),
+        "got {got:?}"
+    );
 }
