@@ -146,10 +146,12 @@ mod tests {
 
     #[test]
     fn report_json_is_stable_and_work_sums() {
-        let mut r = AuditReport::default();
-        r.pte_reads = 10;
-        r.tlb_entries = 3;
-        r.idt_entries = 2;
+        let r = AuditReport {
+            pte_reads: 10,
+            tlb_entries: 3,
+            idt_entries: 2,
+            ..AuditReport::default()
+        };
         assert_eq!(r.work(), 15);
         assert!(r.is_clean());
         assert_eq!(r.json(), r.clone().json());

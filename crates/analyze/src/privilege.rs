@@ -672,9 +672,11 @@ mod tests {
 
     #[test]
     fn report_json_is_escaped_and_structured() {
-        let mut r = PrivilegeReport::default();
-        r.files_scanned = 2;
-        r.lines_scanned = 10;
+        let mut r = PrivilegeReport {
+            files_scanned: 2,
+            lines_scanned: 10,
+            ..PrivilegeReport::default()
+        };
         r.findings.push(PrivilegeFinding {
             file: "crates/k\"s.rs".to_owned(),
             line: 1,

@@ -1,6 +1,6 @@
 //! Criterion: the fleet-scale serving campaign — hundreds of concurrent
 //! sandboxes, a six-figure request stream, and kill/redeploy churn —
-//! on the keyed backend with coalesced shootdowns.
+//! on the keyed backend.
 //!
 //! The headline numbers land in the JSON `meta` block so CI
 //! (`scripts/ci.sh --fleet`) can assert them from the persisted
@@ -66,7 +66,6 @@ fn boot_fleet_platform() -> Platform {
         ..BootConfig::default()
     };
     let mut p = Platform::boot_with(cfg).expect("fleet boot");
-    p.cvm.monitor.coalesce_shootdowns = true;
     // Scope the allocator counters to the campaign.
     p.cvm.machine.mem.alloc_stats = Default::default();
     p

@@ -122,7 +122,7 @@ fn bench_migrate(c: &mut Criterion) {
     g.bench_function("full_transfer", |b| {
         b.iter(|| {
             let (records, report) = src.migrate_to(&src_key, &offer).expect("out");
-            assert!(!records.is_empty() && report.sections == 9);
+            assert!(!records.is_empty() && report.sections == 7);
             records.len()
         })
     });
@@ -145,7 +145,7 @@ fn bench_migrate(c: &mut Criterion) {
     // Meta asserts (the ISSUE's acceptance floors). CI re-asserts the
     // same floors from the persisted BENCH_migrate.json.
     assert_eq!(import_ok, 1.0, "timed stream must import byte-identically");
-    assert_eq!(report.sections, 9, "all state sections must travel");
+    assert_eq!(report.sections, 7, "all state sections must travel");
     assert_eq!(
         report.records_sealed,
         pages + report.sections + 2,

@@ -13,9 +13,9 @@ use erebor_bench::{fig9, table6};
 /// LibOS only, LibOS + MMU, LibOS + exits, full Erebor).
 #[rustfmt::skip]
 const FIG9: [(&str, [u64; 5]); 5] = [
-    ("llama.cpp", [497789585, 519249861, 565072062, 522533889, 567574807]),
-    ("yolo", [824749035, 830230866, 902097326, 834315366, 905938990]),
-    ("drugbank", [248463340, 250611121, 272837239, 252243419, 274065654]),
+    ("llama.cpp", [497789585, 519249861, 564930112, 522391939, 567249643]),
+    ("yolo", [824749035, 830230866, 902088656, 834306696, 905930320]),
+    ("drugbank", [248463340, 250611121, 272819538, 252222944, 274048095]),
     ("graphchi", [397789296, 404945335, 439437974, 406475214, 441297720]),
     ("unicorn", [176419914, 177932669, 193146667, 178641906, 193889097]),
 ];
@@ -27,9 +27,9 @@ type Table6Pin = (&'static str, [f64; 4], f64, u64, u64, f64);
 
 #[rustfmt::skip]
 const TABLE6: [Table6Pin; 5] = [
-    ("llama.cpp", [1561.380084299619, 669.6914579578935, 355.19546941413137, 70188.10473735491], 0.2702737176190476, 501, 4096, 0.6601626798784257),
-    ("yolo", [259.62013181483667, 667.5946246667229, 18.54429512963119, 70097.4355900059], 0.43139951904761903, 757, 132, 1.4768268613090698),
-    ("drugbank", [1992.2233670330688, 674.2909857650386, 153.24795131023606, 70264.18567574323], 0.13050745428571428, 814, 400, 0.9849687855608462),
+    ("llama.cpp", [1562.2751127936804, 666.3732708598637, 355.3990777919273, 69969.19344028569], 0.2701188776190476, 501, 4096, 0.6601626798784257),
+    ("yolo", [259.6226164502365, 667.6010137291795, 18.54447260358832, 70098.10644156385], 0.43139539047619047, 757, 132, 1.4768268613090698),
+    ("drugbank", [1992.3510141531908, 674.3341894056953, 153.2577703194762, 70268.68769147985], 0.13049909285714287, 814, 400, 0.9849687855608462),
     ("graphchi", [0.0, 666.2169022763136, 152.2781490917288, 69952.77473901292], 0.21014177142857143, 1340, 0, 2.2507371658171387),
     ("unicorn", [0.0, 660.6869699331262, 64.98560359997963, 69751.21453064481], 0.09232814142857143, 1254, 0, 2.2507371658171387),
 ];

@@ -84,13 +84,6 @@ pub struct Monitor {
     /// keys (≤16 domains) or TME-MK keyed memory (≤4096). Selected by
     /// [`ExecConfig::backend`].
     pub backend: Backend,
-    /// Run the post-teardown isolation fence in [`Monitor::kill_sandbox`]
-    /// (alias retag-back, domain revocation, MMU-epoch bump, cpuid-MRU
-    /// drop). Always on in production; the stale-decision regression
-    /// test ablates it to reproduce the bug class. Host-side: it never
-    /// travels in the migration stream, and an imported monitor starts
-    /// with the fence on.
-    pub kill_fence: bool,
     /// EMC gate state.
     pub gate: EmcGate,
     /// Deterministic randomness for channel keys.
@@ -107,12 +100,6 @@ pub struct Monitor {
     pub sandboxes: SandboxTable,
     /// All common regions.
     pub common_regions: BTreeMap<u32, CommonRegion>,
-    /// Coalesce the teardown/seal/reclaim shootdown traffic into one
-    /// IPI per (core, mm) maintenance window instead of per-page
-    /// round trips. Off by default: this changes the *modeled* IPI cost
-    /// (fewer interrupt deliveries), so it is an explicit fleet-mode
-    /// modelling choice and travels with the migrated monitor.
-    pub coalesce_shootdowns: bool,
     kernel_text: Option<(VirtAddr, Vec<Frame>)>,
     kernel_syscall_entry: Option<VirtAddr>,
     vec_handlers: Vec<Option<VirtAddr>>,
@@ -154,7 +141,6 @@ impl Monitor {
             stats: MonitorStats::default(),
             frames,
             backend: Backend::new(cfg.backend, RESERVED_PKEYS, PK_MONITOR),
-            kill_fence: true,
             gate,
             rng: DetRng::new(rng_seed),
             kernel_root,
@@ -163,7 +149,6 @@ impl Monitor {
             idt_base,
             sandboxes: SandboxTable::new(),
             common_regions: BTreeMap::new(),
-            coalesce_shootdowns: false,
             kernel_text: None,
             kernel_syscall_entry: None,
             vec_handlers: vec![None; 256],
@@ -1364,41 +1349,23 @@ impl Monitor {
                     .collect();
                 (s.root, pages)
             };
+            // Downgrade every materialized leaf, then one shootdown for
+            // the sandbox's whole window.
             let guard = PrivGuard::enter(machine, cpu).map_err(EmcError::Fault)?;
             let mut seal_res = Ok(());
-            if self.coalesce_shootdowns {
-                // Downgrade every materialized leaf, then one coalesced
-                // shootdown for the sandbox's whole window.
-                let mut downgraded: Vec<VirtAddr> = Vec::with_capacity(pages.len());
-                for page in pages {
-                    if let Err(e) =
-                        mmu_guard::checked_update_leaf(machine, cpu, root, page, Pte::read_only)
-                    {
-                        seal_res = Err(map_err(e));
-                        break;
-                    }
-                    downgraded.push(page);
-                    self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
+            let mut downgraded: Vec<VirtAddr> = Vec::with_capacity(pages.len());
+            for page in pages {
+                if let Err(e) =
+                    mmu_guard::checked_update_leaf(machine, cpu, root, page, Pte::read_only)
+                {
+                    seal_res = Err(map_err(e));
+                    break;
                 }
-                if !downgraded.is_empty() {
-                    if let Err(e) = machine.tlb_shootdown_mm(cpu, root, &downgraded) {
-                        seal_res = seal_res.and(Err(EmcError::Fault(e)));
-                    }
-                }
-            } else {
-                for page in pages {
-                    if let Err(e) =
-                        mmu_guard::checked_update_leaf(machine, cpu, root, page, Pte::read_only)
-                    {
-                        seal_res = Err(map_err(e));
-                        break;
-                    }
-                    if let Err(e) = machine.tlb_shootdown_mm(cpu, root, &[page]) {
-                        seal_res = Err(EmcError::Fault(e));
-                        break;
-                    }
-                    self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-                }
+                downgraded.push(page);
+                self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
+            }
+            if let Err(e) = machine.tlb_shootdown_mm(cpu, root, &downgraded) {
+                seal_res = seal_res.and(Err(EmcError::Fault(e)));
             }
             guard.exit(machine, cpu);
             seal_res?;
@@ -1442,67 +1409,39 @@ impl Monitor {
                 let victims: Vec<(u32, VirtAddr)> = s.common_mapped.drain(..take).collect();
                 (s.root, victims)
             };
+            // Clear every victim leaf, one shootdown for the address
+            // space, then the per-page mapcount bookkeeping.
             let Ok(guard) = PrivGuard::enter(machine, cpu) else {
                 return reclaimed;
             };
-            if self.coalesce_shootdowns {
-                // Clear all victim leaves, one coalesced shootdown for the
-                // address space, then the per-page mapcount bookkeeping.
-                let mut cleared: Vec<(u32, VirtAddr)> = Vec::with_capacity(victims.len());
-                for (rid, page) in victims {
-                    if mmu_guard::checked_update_leaf(machine, cpu, root, page, |_| Pte::empty())
+            let cleared: Vec<(u32, VirtAddr)> = victims
+                .into_iter()
+                .filter(|&(_, page)| {
+                    mmu_guard::checked_update_leaf(machine, cpu, root, page, |_| Pte::empty())
                         .is_ok()
-                    {
-                        cleared.push((rid, page));
-                    }
+                })
+                .collect();
+            let vas: Vec<VirtAddr> = cleared.iter().map(|&(_, p)| p).collect();
+            machine.tlb_shootdown_mm(cpu, root, &vas).ok();
+            for (rid, page) in cleared {
+                if let Some(f) = self.common_frame(rid, id, page) {
+                    self.frames.dec_map(f);
                 }
-                if !cleared.is_empty() {
-                    let vas: Vec<VirtAddr> = cleared.iter().map(|&(_, p)| p).collect();
-                    machine.tlb_shootdown_mm(cpu, root, &vas).ok();
-                }
-                for (rid, page) in cleared {
-                    if let Some(region) = self.common_regions.get(&rid) {
-                        let idx = region
-                            .attached
-                            .iter()
-                            .find(|(sid, _)| sid.0 == id)
-                            .map(|(_, base)| ((page.0 - base.0) / PAGE_SIZE as u64) as usize);
-                        if let Some(idx) = idx {
-                            if let Some(f) = region.frames.get(idx) {
-                                self.frames.dec_map(*f);
-                            }
-                        }
-                    }
-                    reclaimed += 1;
-                    self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-                }
-                guard.exit(machine, cpu);
-                continue;
-            }
-            for (rid, page) in victims {
-                if mmu_guard::checked_update_leaf(machine, cpu, root, page, |_| Pte::empty())
-                    .is_ok()
-                {
-                    machine.tlb_shootdown_mm(cpu, root, &[page]).ok();
-                    if let Some(region) = self.common_regions.get(&rid) {
-                        let idx = region
-                            .attached
-                            .iter()
-                            .find(|(sid, _)| sid.0 == id)
-                            .map(|(_, base)| ((page.0 - base.0) / PAGE_SIZE as u64) as usize);
-                        if let Some(idx) = idx {
-                            if let Some(f) = region.frames.get(idx) {
-                                self.frames.dec_map(*f);
-                            }
-                        }
-                    }
-                    reclaimed += 1;
-                    self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-                }
+                reclaimed += 1;
+                self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
             }
             guard.exit(machine, cpu);
         }
         reclaimed
+    }
+
+    /// The common-region frame sandbox `sid` maps at `page`, located
+    /// through the sandbox's attachment base in region `rid`.
+    fn common_frame(&self, rid: u32, sid: u32, page: VirtAddr) -> Option<Frame> {
+        let region = self.common_regions.get(&rid)?;
+        let (_, base) = region.attached.iter().find(|(s, _)| s.0 == sid)?;
+        let idx = page.0.checked_sub(base.0)? / PAGE_SIZE as u64;
+        region.frames.get(usize::try_from(idx).ok()?).copied()
     }
 
     /// Kill a sandbox: unmap and scrub every confined frame, release them,
@@ -1541,67 +1480,30 @@ impl Monitor {
         let Ok(guard) = PrivGuard::enter(machine, 0) else {
             return;
         };
-        if self.coalesce_shootdowns {
-            // Two-phase teardown: clear every leaf first, then close the
-            // whole stale-translation window with a single coalesced
-            // shootdown (one IPI per remote core; past the full-flush
-            // ceiling each core takes one full flush instead of per-page
-            // invalidations). Frames are still scrubbed/freed only
-            // *after* the shootdown — same safety order as the per-page
-            // path below.
-            let mut vas: Vec<VirtAddr> = Vec::with_capacity(confined.len() + commons.len());
-            for (va, _) in &confined {
-                mmu_guard::checked_update_leaf(machine, 0, root, *va, |_| Pte::empty()).ok();
-                vas.push(*va);
-            }
-            for (_, page) in &commons {
-                mmu_guard::checked_update_leaf(machine, 0, root, *page, |_| Pte::empty()).ok();
-                vas.push(*page);
-            }
-            if !vas.is_empty() {
-                machine.tlb_shootdown_mm(0, root, &vas).ok();
-            }
-            for (_, frame) in &confined {
-                self.frames.dec_map(*frame);
-                machine.mem.zero_frame(*frame).ok();
-                machine.mem.free_frame(*frame).ok();
-                self.frames.release(*frame).ok();
-            }
-            for (rid, page) in &commons {
-                if let Some(region) = self.common_regions.get(rid) {
-                    if let Some((_, base)) = region.attached.iter().find(|(sid, _)| sid.0 == id.0)
-                    {
-                        let idx = ((page.0 - base.0) / PAGE_SIZE as u64) as usize;
-                        if let Some(f) = region.frames.get(idx) {
-                            self.frames.dec_map(*f);
-                        }
-                    }
-                }
-            }
-            self.kill_fence_epilogue(machine, &confined, domain);
-            guard.exit(machine, 0);
-            return;
+        // Two-phase teardown: clear every leaf, then close the whole
+        // stale-translation window with one shootdown (one IPI per remote
+        // core; past the full-flush ceiling each core takes one full
+        // flush instead of per-page invalidations). Frames are scrubbed
+        // and freed only *after* the shootdown: a stale translation to a
+        // freed frame is a cross-tenant leak.
+        let vas: Vec<VirtAddr> = confined
+            .iter()
+            .map(|&(va, _)| va)
+            .chain(commons.iter().map(|&(_, page)| page))
+            .collect();
+        for &va in &vas {
+            mmu_guard::checked_update_leaf(machine, 0, root, va, |_| Pte::empty()).ok();
         }
-        for (va, frame) in &confined {
-            mmu_guard::checked_update_leaf(machine, 0, root, *va, |_| Pte::empty()).ok();
-            // Shoot down *before* scrub/free: a stale translation to a
-            // freed frame is a cross-tenant leak.
-            machine.tlb_shootdown_mm(0, root, &[*va]).ok();
-            self.frames.dec_map(*frame);
-            machine.mem.zero_frame(*frame).ok();
-            machine.mem.free_frame(*frame).ok();
-            self.frames.release(*frame).ok();
+        machine.tlb_shootdown_mm(0, root, &vas).ok();
+        for &(_, frame) in &confined {
+            self.frames.dec_map(frame);
+            machine.mem.zero_frame(frame).ok();
+            machine.mem.free_frame(frame).ok();
+            self.frames.release(frame).ok();
         }
         for (rid, page) in commons {
-            mmu_guard::checked_update_leaf(machine, 0, root, page, |_| Pte::empty()).ok();
-            machine.tlb_shootdown_mm(0, root, &[page]).ok();
-            if let Some(region) = self.common_regions.get(&rid) {
-                if let Some((_, base)) = region.attached.iter().find(|(sid, _)| sid.0 == id.0) {
-                    let idx = ((page.0 - base.0) / PAGE_SIZE as u64) as usize;
-                    if let Some(f) = region.frames.get(idx) {
-                        self.frames.dec_map(*f);
-                    }
-                }
+            if let Some(f) = self.common_frame(rid, id.0, page) {
+                self.frames.dec_map(f);
             }
         }
         self.kill_fence_epilogue(machine, &confined, domain);
@@ -1620,21 +1522,15 @@ impl Monitor {
     ///    reuse it.
     /// 3. Bump the machine MMU epoch and drop the cpuid MRU: no core
     ///    may serve a cached permission decision (or cpuid answer) for
-    ///    the dead sandbox's (CR3, domain) pair. The per-VA shootdowns
-    ///    above close the TLB, but a zero-confined-page sandbox issues
-    ///    none — the epoch bump is what makes the fence unconditional.
-    ///
-    /// `kill_fence = false` ablates all of it; the stale-decision
-    /// regression test reproduces the bug class that way.
+    ///    the dead sandbox's (CR3, domain) pair. The teardown shootdown
+    ///    closes the TLB, but a sandbox with nothing mapped issues none —
+    ///    the epoch bump is what makes the fence unconditional.
     fn kill_fence_epilogue(
         &mut self,
         machine: &mut Machine,
         confined: &[(VirtAddr, Frame)],
         domain: DomainId,
     ) {
-        if !self.kill_fence {
-            return;
-        }
         for (_, frame) in confined {
             mmu_guard::retag_direct_map_tagged(machine, 0, self.kernel_root, *frame, PK_DEFAULT, 0)
                 .ok();
@@ -2069,11 +1965,10 @@ impl std::error::Error for LoadError {}
 /// position, interposer layout, every sandbox (including sealed channels
 /// mid-stream), and every common region.
 ///
-/// Host-side state stays home: the kill-fence switch, the cpuid MRU slot
-/// and the lookup indexes are rebuilt on import, never trusted from the
-/// wire. Everything is parsed and validated before the monitor is
-/// assembled, so a torn or hostile stream never yields a half-imported
-/// monitor.
+/// Host-side state stays home: the cpuid MRU slot and the lookup
+/// indexes are rebuilt on import, never trusted from the wire.
+/// Everything is parsed and validated before the monitor is assembled,
+/// so a torn or hostile stream never yields a half-imported monitor.
 impl Wire for Monitor {
     fn encode(&self, w: &mut WireWriter) {
         w.nested(&self.cfg);
@@ -2088,7 +1983,6 @@ impl Wire for Monitor {
         w.put(&self.idt_base);
         w.nested_seq(self.sandboxes.values());
         w.nested_seq(self.common_regions.values());
-        w.put(&self.coalesce_shootdowns);
         w.put(&self.kernel_text);
         w.put(&self.kernel_syscall_entry);
         w.put(&self.vec_handlers);
@@ -2125,7 +2019,6 @@ impl Wire for Monitor {
             });
         }
         let common_regions = index_by(r.nested_seq()?, |region: &CommonRegion| region.id)?;
-        let coalesce_shootdowns = r.get()?;
         let kernel_text = r.get()?;
         let kernel_syscall_entry = r.get()?;
         let vec_handlers: Vec<Option<VirtAddr>> = r.get()?;
@@ -2162,7 +2055,6 @@ impl Wire for Monitor {
             stats,
             frames,
             backend,
-            kill_fence: true,
             gate,
             rng: DetRng::from_parts(rng_key, rng_ctr),
             kernel_root,
@@ -2171,7 +2063,6 @@ impl Wire for Monitor {
             idt_base,
             sandboxes,
             common_regions,
-            coalesce_shootdowns,
             kernel_text,
             kernel_syscall_entry,
             vec_handlers,
@@ -2236,7 +2127,6 @@ mod migration_tests {
         m.as_index = m.address_spaces.iter().map(|(&k, &v)| (k, v)).collect();
         m.cpuid_cache.insert(1, [0xa, 0xb, 0xc, 0xd]);
         m.cpuid_mru = Some((1, [0xa, 0xb, 0xc, 0xd]));
-        m.coalesce_shootdowns = true;
 
         let mut sb = Sandbox::new(SandboxId(1), Frame(50), 8);
         sb.domain = DomainId(3);
@@ -2295,15 +2185,6 @@ mod migration_tests {
         let chan = sb.session.as_ref().expect("session survives");
         let (_, _, send_ctr, _) = chan.to_parts();
         assert_eq!(send_ctr, 1, "send counter resumes, never rewinds");
-        Ok(())
-    }
-
-    #[test]
-    fn kill_fence_does_not_travel() -> Result<(), erebor_wire::WireError> {
-        let mut m = busy_monitor();
-        m.kill_fence = false;
-        let imported = Monitor::from_wire(&m.to_wire())?;
-        assert!(imported.kill_fence, "an imported monitor starts fenced");
         Ok(())
     }
 

@@ -215,7 +215,7 @@ mod tests {
     use crate::paging::Pte;
     use crate::phys::PhysAddr;
 
-    fn entry_for(root: Frame, va: VirtAddr, frame: Frame, dirty: bool) -> Translation {
+    fn entry_for(va: VirtAddr, frame: Frame, dirty: bool) -> Translation {
         let flags = crate::paging::PteFlags {
             present: true,
             writable: true,
@@ -243,7 +243,7 @@ mod tests {
     fn lookup_is_keyed_by_root_and_page() {
         let mut tlb = Tlb::new();
         let va = VirtAddr(0xffff_8000_0000_3000);
-        let t = entry_for(Frame(1), va, Frame(9), false);
+        let t = entry_for(va, Frame(9), false);
         tlb.insert(Frame(1), va, AccessKind::Read, &t);
         assert!(tlb.lookup(Frame(1), va, AccessKind::Read).is_some());
         assert!(
@@ -262,7 +262,7 @@ mod tests {
     fn instruction_and_data_classes_are_separate() {
         let mut tlb = Tlb::new();
         let va = VirtAddr(0x40_0000);
-        let t = entry_for(Frame(1), va, Frame(9), false);
+        let t = entry_for(va, Frame(9), false);
         tlb.insert(Frame(1), va, AccessKind::Execute, &t);
         assert!(tlb.lookup(Frame(1), va, AccessKind::Execute).is_some());
         assert!(tlb.lookup(Frame(1), va, AccessKind::Read).is_none());
@@ -277,8 +277,8 @@ mod tests {
         let mut tlb = Tlb::new();
         let a = VirtAddr(0x40_0000);
         let b = VirtAddr(a.0 + (TLB_ENTRIES as u64) * 0x1000); // same index
-        tlb.insert(Frame(1), a, AccessKind::Read, &entry_for(Frame(1), a, Frame(7), false));
-        tlb.insert(Frame(1), b, AccessKind::Read, &entry_for(Frame(1), b, Frame(8), false));
+        tlb.insert(Frame(1), a, AccessKind::Read, &entry_for(a, Frame(7), false));
+        tlb.insert(Frame(1), b, AccessKind::Read, &entry_for(b, Frame(8), false));
         assert!(tlb.lookup(Frame(1), a, AccessKind::Read).is_none(), "evicted");
         assert!(tlb.lookup(Frame(1), b, AccessKind::Read).is_some());
     }
@@ -287,8 +287,8 @@ mod tests {
     fn invalidate_page_drops_both_classes_any_root() {
         let mut tlb = Tlb::new();
         let va = VirtAddr(0x40_0000);
-        tlb.insert(Frame(1), va, AccessKind::Read, &entry_for(Frame(1), va, Frame(7), false));
-        tlb.insert(Frame(2), va, AccessKind::Execute, &entry_for(Frame(2), va, Frame(8), false));
+        tlb.insert(Frame(1), va, AccessKind::Read, &entry_for(va, Frame(7), false));
+        tlb.insert(Frame(2), va, AccessKind::Execute, &entry_for(va, Frame(8), false));
         assert_eq!(tlb.occupancy(), 2);
         tlb.invalidate_page(VirtAddr(va.0 + 0xabc));
         assert_eq!(tlb.occupancy(), 0);
@@ -299,7 +299,7 @@ mod tests {
         let mut tlb = Tlb::new();
         for i in 0..10u64 {
             let va = VirtAddr(0x40_0000 + i * 0x1000);
-            tlb.insert(Frame(1), va, AccessKind::Read, &entry_for(Frame(1), va, Frame(7), false));
+            tlb.insert(Frame(1), va, AccessKind::Read, &entry_for(va, Frame(7), false));
         }
         assert_eq!(tlb.occupancy(), 10);
         tlb.flush_all();

@@ -14,7 +14,7 @@
 use erebor_hw::cpu::{Domain, Machine};
 use erebor_hw::fault::AccessKind;
 use erebor_hw::paging::{self, Pte, PteFlags};
-use erebor_hw::regs::{Cr0, Cr4, Msr, PkrsPerms, Rflags};
+use erebor_hw::regs::{Cr0, Cr4, Msr, Rflags};
 use erebor_hw::{CpuMode, VirtAddr};
 use erebor_testkit::collection;
 use erebor_testkit::prelude::*;
@@ -80,7 +80,7 @@ fn step(m: &mut Machine, op: (u8, u8, u8, u32)) -> Option<Result<(), erebor_hw::
     let va = VirtAddr(VAS[va_idx as usize % VAS.len()] + u64::from(seed) % 4096);
     let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Execute][kind_idx as usize % 3];
     match sel % 8 {
-        0 | 1 | 2 => return Some(m.probe(0, va, kind)),
+        0..=2 => return Some(m.probe(0, va, kind)),
         3 => {
             // Random PKRS — only meaningful (and legal) in supervisor mode.
             if m.cpus[0].mode == CpuMode::Supervisor {

@@ -38,11 +38,11 @@ use erebor_wire::{Wire, WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Version stamped into the `Begin` record; the destination refuses a
-/// stream from a different protocol generation. Version 2 streams carry
-/// only architectural state: host-side switches (allocator scan mode,
-/// monitor lookup mode, fast-path switch, kill fence, cpuid MRU slot)
-/// left the `MACHINE`, `PHYS_META` and `MONITOR` sections.
-pub const MIGRATION_VERSION: u32 = 2;
+/// stream from a different protocol generation. Version 2 dropped the
+/// host-side switches from the sections. Version 3 drops the
+/// `PHYS_META` and `BACKEND` sections, whose bytes `MACHINE` and
+/// `MONITOR` already carry, and the monitor's shootdown-coalescing byte.
+pub const MIGRATION_VERSION: u32 = 3;
 
 /// Record type tags (the cleartext frame-type byte).
 pub mod record {
@@ -56,17 +56,16 @@ pub mod record {
     pub const FINISH: u8 = 4;
 }
 
-/// Well-known section identifiers the platform layer streams.
+/// Well-known section identifiers the platform layer streams. Ids 2 and
+/// 4 carried `PHYS_META` and `BACKEND` before version 3 and are retired.
 pub mod section {
-    /// The `erebor-hw` machine blob (CPUs, MSRs, TLBs, trace, ledgers).
+    /// The `erebor-hw` machine blob (CPUs, MSRs, TLBs, trace, ledgers,
+    /// physical-memory metadata).
     pub const MACHINE: u8 = 1;
-    /// Physical-memory metadata (allocator words, frame tags, regions).
-    pub const PHYS_META: u8 = 2;
     /// The TDX module (sEPT, measurements, host log, counters).
     pub const TDX: u8 = 3;
-    /// The isolation backend (domain pool live set + recycle list).
-    pub const BACKEND: u8 = 4;
-    /// The monitor (EMC ledger, sandbox table, gate state, sessions).
+    /// The monitor (EMC ledger, sandbox table, gate state, sessions,
+    /// isolation-backend domain pool).
     pub const MONITOR: u8 = 5;
     /// The deprivileged kernel (tasks, VFS, scheduler).
     pub const KERNEL: u8 = 6;
@@ -79,6 +78,10 @@ pub mod section {
     /// migration requires the execution driver to resume mid-quantum
     /// exactly where the source stopped.
     pub const PLATFORM: u8 = 9;
+
+    /// Every section a stream carries, in stream order. The destination
+    /// refuses any other id.
+    pub const ALL: [u8; 7] = [MACHINE, TDX, MONITOR, KERNEL, LIBOS, ROOT_SEED, PLATFORM];
 }
 
 /// Typed migration failure. Every mid-flight fault must surface as one
@@ -436,6 +439,9 @@ impl MigrationDest {
             }
             (DestPhase::Receiving, record::SECTION) => {
                 let (id, payload): (u8, Vec<u8>) = Wire::from_wire(&payload)?;
+                if !section::ALL.contains(&id) {
+                    return Err(MigrationError::Protocol("unknown section"));
+                }
                 if self.sections.insert(id, payload).is_some() {
                     return Err(MigrationError::Protocol("duplicate section"));
                 }
@@ -584,15 +590,34 @@ mod tests {
 
     #[test]
     fn begin_from_previous_version_is_refused() -> Result<(), MigrationError> {
+        for old in 1..MIGRATION_VERSION {
+            let (mut src, mut dst) = attested_pair();
+            let begin_old = src.tx.seal(record::BEGIN, &old.to_wire())?;
+            assert_eq!(
+                dst.feed(&begin_old),
+                Err(MigrationError::Protocol("begin: version mismatch")),
+                "version {old}"
+            );
+            assert!(!dst.is_finished());
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn unknown_and_retired_section_ids_are_refused() -> Result<(), MigrationError> {
         let (mut src, mut dst) = attested_pair();
-        let mut w = WireWriter::new();
-        w.u32(1);
-        let begin_v1 = src.tx.seal(record::BEGIN, &w.finish())?;
-        assert_eq!(
-            dst.feed(&begin_v1),
-            Err(MigrationError::Protocol("begin: version mismatch"))
-        );
-        assert!(!dst.is_finished());
+        dst.feed(&src.begin()?)?;
+        // 2 and 4 are the retired PHYS_META and BACKEND ids.
+        for id in [2, 4, 200] {
+            assert_eq!(
+                dst.feed(&src.section(id, b"stray")?),
+                Err(MigrationError::Protocol("unknown section")),
+                "section id {id}"
+            );
+        }
+        assert!(dst.sections.is_empty(), "nothing staged");
+        dst.feed(&src.section(section::TDX, b"module state")?)?;
+        assert_eq!(dst.sections.len(), 1, "a known id still lands");
         Ok(())
     }
 

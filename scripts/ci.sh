@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the Erebor reproduction — fully offline.
 #
-#   scripts/ci.sh          build + clippy + test (the tier-1 gate)
+#   scripts/ci.sh          build + workspace clippy + test (the tier-1
+#                          gate)
 #   scripts/ci.sh --smoke  additionally run the benchmark package's own
 #                          tests (it is a separate workspace that reads
 #                          Snapshot and the counter structs, so nothing
@@ -47,7 +48,7 @@
 #                          gate: the fleet reference-model suite
 #                          (monitor lookups checked against a model
 #                          sandbox table after every op), the
-#                          coalesced-shootdown chaos campaign, and the
+#                          teardown-shootdown chaos campaign, and the
 #                          fleet bench in smoke shape, persisting its
 #                          JSON to BENCH_fleet.json and re-asserting the
 #                          meta floors (determinism == 1, a measured
@@ -56,7 +57,7 @@
 #   scripts/ci.sh --keyed  additionally run the isolation-backend gate:
 #                          the keyed integration suite (PKS exhaustion
 #                          boundary, 256-sandbox TME-MK confinement,
-#                          the kill-fence ablation) and the keyed bench,
+#                          the kill fence) and the keyed bench,
 #                          persisting BENCH_keyed.json and re-asserting
 #                          its floors (>= 256 concurrently-live keyed
 #                          domains; TME-MK gate cost within the JSON's
@@ -115,8 +116,8 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test -q"
 cargo test -q
@@ -418,9 +419,11 @@ if [[ "$FLEET" == 1 ]]; then
     # Fleet-scale serving gate (see DESIGN.md §11). Three halves:
     #   1. the fleet reference-model suite — seeded campaigns keep the
     #      monitor's O(1) lookups in step with a model sandbox table,
-    #      and the coalesced mode must be same-seed deterministic;
-    #   2. the coalesced-shootdown chaos campaign — dropped/spurious
-    #      IPIs under churn, staleness accounted in the per-ASID ledger;
+    #      and the fleet schedule must be same-seed deterministic;
+    #   2. the fleet chaos campaign — churn kills issue one coalesced
+    #      teardown shootdown each while the injector drops and
+    #      spuriously delivers IPIs; staleness is accounted in the
+    #      per-ASID ledger;
     #   3. the fleet bench in smoke shape — persists BENCH_fleet.json
     #      and re-asserts the meta floors here from the persisted
     #      document (the bench itself panics below its own floors).
@@ -483,7 +486,7 @@ if [[ "$KEYED" == 1 ]]; then
     #   1. the keyed integration suite — the PKS exhaustion boundary
     #      (typed DomainsExhausted at capacity, domain recycling), the
     #      256-sandbox TME-MK confinement run with a clean audit, and
-    #      the kill-teardown fence with its ablation;
+    #      the kill-teardown fence;
     #   2. the keyed bench — gate cost vs resident-sandbox count per
     #      backend, persisting BENCH_keyed.json; floors re-asserted here
     #      from the persisted document (the bench panics below its own
@@ -573,7 +576,7 @@ assert pps >= floor, \
     f"migration throughput below floor: {pps:,.0f} < {floor:,.0f} pages/sec"
 assert pause <= ceiling, \
     f"stop-and-copy pause above ceiling: {pause:,.0f} > {ceiling:,.0f} ns"
-assert meta["migrate_sections"] == 9, "state sections missing from the stream"
+assert meta["migrate_sections"] == 7, "state sections missing from the stream"
 assert meta["migrate_records_sealed"] == (
     meta["migrate_precopy_pages"] + meta["migrate_stopcopy_pages"]
     + meta["migrate_sections"] + 2

@@ -1020,11 +1020,9 @@ impl Platform {
         }
         self.cvm.machine.mem.set_dirty_tracking(false);
 
-        let sections: [(u8, Vec<u8>); 9] = [
+        let sections: [(u8, Vec<u8>); 7] = [
             (section::MACHINE, self.cvm.machine.export_state()),
-            (section::PHYS_META, self.cvm.machine.mem.export_meta()),
             (section::TDX, self.cvm.tdx.export_state()),
-            (section::BACKEND, self.cvm.monitor.backend.export_state()),
             (section::MONITOR, self.cvm.monitor.to_wire()),
             (section::KERNEL, self.kernel.to_wire()),
             (section::LIBOS, self.registry.to_wire()),
@@ -1091,9 +1089,6 @@ impl Platform {
             snap.section(section::MACHINE, "missing machine section")?,
             &snap.pages,
         )?;
-        if snap.section(section::PHYS_META, "missing phys meta")? != machine.mem.export_meta() {
-            return Err(MigrationError::Protocol("phys metadata mismatch").into());
-        }
         let tdx = erebor_tdx::TdxModule::import_state(
             root_seed,
             snap.section(section::TDX, "missing tdx section")?,
@@ -1102,11 +1097,6 @@ impl Platform {
         let monitor = erebor_core::monitor::Monitor::from_wire(
             snap.section(section::MONITOR, "missing monitor section")?,
         )?;
-        if snap.section(section::BACKEND, "missing backend section")?
-            != monitor.backend.export_state()
-        {
-            return Err(MigrationError::Protocol("backend section mismatch").into());
-        }
         let kernel = Kernel::from_wire(snap.section(section::KERNEL, "missing kernel section")?)?;
         let registry =
             CommonRegistry::from_wire(snap.section(section::LIBOS, "missing libos section")?)?;

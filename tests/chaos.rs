@@ -734,13 +734,13 @@ impl Injector for FleetIpiChaos {
     }
 }
 
-/// Fleet-scale chaos campaign body (coalesced shootdowns on),
-/// parameterized over the isolation backend and fleet size: kill/redeploy
-/// churn issues full-mm coalesced batches while the injector drops IPIs
-/// and delivers spurious flushes. The dropped full-flush batches must
-/// land in the per-ASID pending ledger, the TLB-coherence invariant and
-/// the full audit must stay green (every stale window is accounted), and
-/// every race-detector finding must be explained by an injected drop —
+/// Fleet-scale chaos campaign body, parameterized over the isolation
+/// backend and fleet size: kill/redeploy churn issues full-mm coalesced
+/// teardown batches while the injector drops IPIs and delivers spurious
+/// flushes. The dropped full-flush batches must land in the per-ASID
+/// pending ledger, the TLB-coherence invariant and the full audit must
+/// stay green (every stale window is accounted), and every
+/// race-detector finding must be explained by an injected drop —
 /// identical findings semantics under PKS and TME-MK.
 fn run_fleet_chaos_campaign(backend: erebor::ehw::isolation::BackendKind, slots: usize) {
     use erebor::ehw::inject::handle as inject_handle;
@@ -755,7 +755,6 @@ fn run_fleet_chaos_campaign(backend: erebor::ehw::isolation::BackendKind, slots:
     };
     cfg.config.backend = backend;
     let mut p = Platform::boot_with(cfg).unwrap();
-    p.cvm.monitor.coalesce_shootdowns = true;
     p.install_injector(inject_handle(FleetIpiChaos::new(0xf1ee_7caf)));
 
     // 40 confined pages per server: past the full-flush ceiling (32),

@@ -10,9 +10,9 @@
 //! page. The frame allocator's reference model lives in
 //! `crates/hw/tests/alloc_model.rs`.
 //!
-//! Shootdown coalescing changes modeled cycles by design (fewer,
-//! batched IPIs), so its claim here is same-seed determinism; its
-//! race-detector and audit claims live in tests/chaos.rs.
+//! The fleet schedule's own claim is same-seed determinism; the
+//! teardown shootdowns' race-detector and audit claims live in
+//! tests/chaos.rs.
 //!
 //! Reproducible via `EREBOR_PT_SEED` like every other property test.
 
@@ -302,17 +302,16 @@ fn fleet_schedule_matches_reference_model() -> Result<(), CaseError> {
     Ok(())
 }
 
-/// Coalesced shootdowns change the modeled IPI stream, so their claim
-/// is same-seed determinism: two identical coalesced campaigns produce
-/// byte-identical traces.
+/// Same-seed determinism of the fleet schedule, churn and its coalesced
+/// teardown shootdowns included: two identical campaigns produce
+/// byte-identical replies, traces and snapshots.
 #[test]
 fn coalesced_campaign_is_deterministic() {
     let cfg = tiny_fleet_config();
     let run = || {
         let mut p = Platform::boot(Mode::Full).expect("boot");
-        p.cvm.monitor.coalesce_shootdowns = true;
         let replies = run_fleet_schedule(&mut p, cfg, None).expect("no model to disagree");
-        assert!(p.audit().is_clean(), "coalesced campaign audit dirty");
+        assert!(p.audit().is_clean(), "fleet campaign audit dirty");
         (replies, p.trace_json(), format!("{:?}", p.snapshot()))
     };
     let (r1, t1, s1) = run();

@@ -1,8 +1,8 @@
 //! Integration tests for the isolation-backend seam: the PKS capacity
 //! boundary (typed exhaustion, domain recycling), the TME-MK keyed
 //! backend confining hundreds of sandboxes in one address space, and the
-//! kill-teardown fence (epoch bump + domain revocation) with its
-//! ablation showing exactly what breaks without it.
+//! kill-teardown fence (epoch bump + domain revocation), with the
+//! stale-decision window it closes shown by reviving the pre-kill epoch.
 
 use erebor::ecore::emc::{EmcError, EmcRequest};
 use erebor::ehw::cpu::Domain;
@@ -161,16 +161,20 @@ fn keyed_backend_confines_256_sandboxes() {
 }
 
 // ====================================================================
-// Satellite: the kill-teardown fence and its ablation
+// Satellite: the kill-teardown fence
 // ====================================================================
 
 /// Create a sandbox with *zero* confined pages (so teardown issues no
-/// per-VA shootdowns — the worst case for the fence), park victim core 1
-/// on the sandbox's CR3, warm its permission-decision cache, then kill
-/// the sandbox. Returns the observables the fence is responsible for.
-fn kill_with_fence(kill_fence: bool) -> (u64, u64, usize, u16, u16) {
+/// shootdown — the worst case for the fence), park victim core 1 on the
+/// sandbox's CR3, warm its permission-decision cache, then kill the
+/// sandbox. The kill leaves that cache in place, still keyed to the dead
+/// sandbox's CR3 and the pre-kill epoch: revive that epoch and the
+/// batch layer would serve the stale decisions without a walk. The
+/// fence's unconditional epoch bump is what closes the window, and the
+/// fence revokes the domain.
+#[test]
+fn kill_fence_closes_the_decision_window_and_frees_the_domain() {
     let mut p = booted_with(BackendKind::Pks);
-    p.cvm.monitor.kill_fence = kill_fence;
     p.enter_kernel_mode();
     let id = p
         .cvm
@@ -191,76 +195,34 @@ fn kill_with_fence(kill_fence: bool) -> (u64, u64, usize, u16, u16) {
     }; 2];
     let out = p.cvm.machine.run_batch(1, &ops);
     assert!(out.fault.is_none(), "{out:?}");
-    assert!(p.cvm.machine.decision_cache(1).occupancy() > 0, "cache warmed");
+    let cache = p.cvm.machine.decision_cache(1);
+    assert!(cache.occupancy() > 0, "cache warmed");
+    let ctx = cache.ctx().expect("cache keyed to the sandbox's CR3");
+    let pre_kill_epoch = p.cvm.machine.mmu_epoch();
+    assert!(cache.valid_for(&ctx, pre_kill_epoch));
 
-    let pre_epoch = p.cvm.machine.mmu_epoch();
     let live_before = p.cvm.monitor.backend.live_domains();
-    p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, id, "fence test");
-    (
-        pre_epoch,
-        p.cvm.machine.mmu_epoch(),
-        p.cvm.machine.decision_cache(1).occupancy(),
-        live_before,
-        p.cvm.monitor.backend.live_domains(),
-    )
-}
-
-/// Red half: with the fence ablated, a zero-confined-page kill issues no
-/// shootdown and no epoch bump — the victim core's cached decisions for
-/// the dead sandbox's CR3 are *still valid* (same ctx, same epoch: the
-/// batch layer would serve them without a walk), and the isolation
-/// domain is never revoked.
-#[test]
-fn kill_without_fence_leaves_stale_decisions_and_leaks_the_domain() {
-    let (pre_epoch, post_epoch, occupancy, live_before, live_after) = kill_with_fence(false);
-    assert_eq!(
-        post_epoch, pre_epoch,
-        "ablated fence: nothing bumped the epoch"
+    p.cvm
+        .monitor
+        .kill_sandbox(&mut p.cvm.machine, id, "fence test");
+    let cache = p.cvm.machine.decision_cache(1);
+    assert!(
+        cache.occupancy() > 0 && cache.valid_for(&ctx, pre_kill_epoch),
+        "the stale decisions survive the kill, valid under the pre-kill epoch"
     );
     assert!(
-        occupancy > 0,
-        "stale decisions for the dead sandbox's CR3 survive, still epoch-valid"
-    );
-    assert_eq!(live_after, live_before, "the domain leaked");
-}
-
-/// Green half: the fence unconditionally bumps the MMU epoch (closing
-/// the decision window even with no shootdowns in flight) and revokes
-/// the domain.
-#[test]
-fn kill_fence_closes_the_decision_window_and_frees_the_domain() {
-    let (pre_epoch, post_epoch, _occupancy, live_before, live_after) = kill_with_fence(true);
-    assert_ne!(
-        post_epoch, pre_epoch,
+        !cache.valid_for(&ctx, p.cvm.machine.mmu_epoch()),
         "fence bumps the epoch even with zero confined pages"
     );
-    assert_eq!(live_after, live_before - 1, "domain revoked");
+    assert_eq!(
+        p.cvm.monitor.backend.live_domains(),
+        live_before - 1,
+        "domain revoked"
+    );
 }
 
-/// The leak compounds: without the fence, PKS create/kill churn runs the
-/// key space dry even though at most one sandbox is ever alive. With the
-/// fence, the same churn runs indefinitely.
-#[test]
-fn churn_without_fence_exhausts_pks_domains() {
-    let mut p = booted_with(BackendKind::Pks);
-    p.cvm.monitor.kill_fence = false;
-    p.enter_kernel_mode();
-    for _ in 0..10 {
-        let id = p
-            .cvm
-            .monitor
-            .create_sandbox(&mut p.cvm.machine, 0, 4)
-            .expect("pre-exhaustion create");
-        p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, id, "churn");
-    }
-    let err = p
-        .cvm
-        .monitor
-        .create_sandbox(&mut p.cvm.machine, 0, 4)
-        .expect_err("leaked domains exhaust the key space");
-    assert!(matches!(err, EmcError::DomainsExhausted { .. }));
-}
-
+/// Every kill's fence returns the domain, so PKS create/kill churn runs
+/// indefinitely even though the key space holds only ten sandboxes.
 #[test]
 fn churn_with_fence_never_exhausts_pks_domains() {
     let mut p = booted_with(BackendKind::Pks);
