@@ -1,11 +1,12 @@
-//! Criterion: cost of the static analysis passes, plus the audit-work
-//! meta counters the CI smoke stage budgets.
+//! Criterion: cost of the static analysis passes, plus their work
+//! counters under declared budgets.
 //!
 //! The auditor is meant to run after boot and inside every chaos case,
 //! so its cost must stay bounded: the `audit_*` meta entries pin the
 //! amount of state it walks on a freshly booted Full platform (PTE
-//! reads, TLB entries, IDT entries), and CI asserts the total stays
-//! under a fixed budget with zero findings.
+//! reads, TLB entries, IDT entries), and the bench fails unless the
+//! total stays under a fixed budget with zero findings. The privilege
+//! scan is held to zero findings, zero waivers and its own budget.
 
 use erebor::eanalyze::detect_races;
 use erebor::eanalyze::privilege::{scan_workspace, WaiverPolicy};
@@ -14,20 +15,24 @@ use erebor_testkit::bench::Criterion;
 use erebor_testkit::{criterion_group, criterion_main};
 use std::path::PathBuf;
 
+/// Ceiling on the state auditor's work metric over the boot snapshot,
+/// so the audit each chaos case runs stays cheap.
+const AUDIT_WORK_BUDGET: f64 = 120_000.0;
+
 /// Ceiling on the privilege scan's work metric (lines of workspace
 /// source scanned). The workspace sits well under half of this; growth
 /// past the ceiling means the scan (which CI runs on every `--analyze`)
 /// stopped being cheap and the budget needs a deliberate revisit.
-const PRIVILEGE_WORK_BUDGET: u64 = 200_000;
+const PRIVILEGE_WORK_BUDGET: f64 = 200_000.0;
 
 fn bench_audit(c: &mut Criterion) {
     let p = Platform::boot(Mode::Full).expect("boot");
     let report = p.audit();
-    c.meta("audit_findings", report.findings.len() as f64);
-    c.meta("audit_roots_walked", report.roots_walked as f64);
+    c.ceiling("audit_findings", report.findings.len() as f64, 0.0);
+    c.floor("audit_roots_walked", report.roots_walked as f64, 1.0);
     c.meta("audit_leaf_mappings", report.leaf_mappings as f64);
     c.meta("audit_pte_reads", report.pte_reads as f64);
-    c.meta("audit_work", report.work() as f64);
+    c.ceiling("audit_work", report.work() as f64, AUDIT_WORK_BUDGET);
     c.bench_function("audit_boot_snapshot", |b| {
         b.iter(|| p.audit());
     });
@@ -64,7 +69,7 @@ fn bench_race_detector(c: &mut Criterion) {
             event,
         });
     }
-    c.meta("race_trace_records", records.len() as f64);
+    c.floor("race_trace_records", records.len() as f64, 1.0);
     c.bench_function("race_detect_4k_records", |b| {
         b.iter(|| detect_races(&records, cores));
     });
@@ -78,21 +83,15 @@ fn bench_privilege(c: &mut Criterion) {
         .map(PathBuf::from)
         .expect("workspace root");
     let report = scan_workspace(&root, WaiverPolicy::Refuse);
-    assert!(
-        report.is_clean(),
-        "privilege boundary violated in-bench: {:?}",
-        report.findings
-    );
-    assert!(
-        report.work() <= PRIVILEGE_WORK_BUDGET,
-        "privilege scan over budget: {} > {PRIVILEGE_WORK_BUDGET} lines",
-        report.work()
-    );
-    c.meta("privilege_findings", report.findings.len() as f64);
-    c.meta("privilege_waivers", report.waivers_seen as f64);
+    c.ceiling("privilege_findings", report.findings.len() as f64, 0.0);
+    c.ceiling("privilege_waivers", report.waivers_seen as f64, 0.0);
     c.meta("privilege_files_scanned", report.files_scanned as f64);
     c.meta("privilege_modules", report.privileged_modules as f64);
-    c.meta("privilege_work", report.work() as f64);
+    c.ceiling(
+        "privilege_work",
+        report.work() as f64,
+        PRIVILEGE_WORK_BUDGET,
+    );
     c.bench_function("privilege_scan_workspace", |b| {
         b.iter(|| scan_workspace(&root, WaiverPolicy::Refuse));
     });

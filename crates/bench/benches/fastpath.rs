@@ -1,17 +1,17 @@
 //! Criterion: the batched execution fast path vs the slow permission
 //! pipeline on a paging-heavy workload.
 //!
-//! The headline numbers land in the JSON `meta` block so CI
-//! (`scripts/ci.sh --fastpath`) can assert them from the persisted
-//! `BENCH_fastpath.json`:
+//! The headline numbers land in the JSON `meta` block (persisted as
+//! `BENCH_fastpath.json`), each bound declared once here; the bench
+//! exits non-zero when one breaks:
 //!
 //! - `fastpath_events_per_sec` / `slowpath_events_per_sec` — wall-clock
 //!   batch-op throughput with the decision cache on vs off (same
 //!   machine shape, same op program, `mmu_trace` off so hits take the
 //!   deferred-side-effect path);
-//! - `fastpath_speedup` — the ratio, asserted ≥ 5 here *and* in CI;
+//! - `fastpath_speedup` — the ratio, floor 5;
 //! - `decision_hit_rate` — fraction of batch ops served from the
-//!   decision cache on the cached run, asserted ≥ 0.9.
+//!   decision cache on the cached run, floor 0.9.
 //!
 //! The equivalence of the two paths is not this bench's job — the
 //! differential suite (`tests/fastpath_equivalence.rs`) proves the
@@ -164,30 +164,18 @@ fn bench_fastpath(c: &mut Criterion) {
     let (mut slow, _) = build();
     slow.fastpath_enabled = false;
     let slow_eps = events_per_sec(&mut slow, &ops, reps);
-    let speedup = fast_eps / slow_eps;
-    let hit_rate = stats.hit_rate();
 
     c.meta("fastpath_events_per_sec", fast_eps);
     c.meta("slowpath_events_per_sec", slow_eps);
-    c.meta("fastpath_speedup", speedup);
-    c.meta("decision_hit_rate", hit_rate);
+    c.floor("fastpath_speedup", fast_eps / slow_eps, 5.0);
+    c.floor("decision_hit_rate", stats.hit_rate(), 0.9);
     c.meta("fastpath_batches", stats.batches as f64);
     c.meta("fastpath_slow_ops", stats.slow_ops as f64);
 
-    // Meta asserts (the ISSUE's acceptance floors). The ablated run must
-    // also be a true ablation — zero cached decisions served.
+    // The ablated run must be a true ablation — zero cached decisions.
     assert_eq!(
         slow.fastpath.decision_hits, 0,
         "ablated machine must never serve a cached decision"
-    );
-    assert!(
-        hit_rate >= 0.9,
-        "decision-cache hit rate too low on the paging workload: {hit_rate}"
-    );
-    assert!(
-        speedup >= 5.0,
-        "fast path must be >=5x the slow path on the paging workload: \
-         {fast_eps:.0} vs {slow_eps:.0} events/sec ({speedup:.2}x)"
     );
 }
 

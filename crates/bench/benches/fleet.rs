@@ -2,19 +2,20 @@
 //! sandboxes, a six-figure request stream, and kill/redeploy churn —
 //! on the keyed backend.
 //!
-//! The headline numbers land in the JSON `meta` block so CI
-//! (`scripts/ci.sh --fleet`) can assert them from the persisted
-//! `BENCH_fleet.json`:
+//! The headline numbers land in the JSON `meta` block (persisted as
+//! `BENCH_fleet.json`), each bound declared once here; the bench exits
+//! non-zero when one breaks:
 //!
 //! - `fleet_sandboxes` / `fleet_requests` — campaign scale (768 and
 //!   100k for the full run);
-//! - `fleet_determinism` — 1.0 iff two same-seed fleet runs produced
-//!   byte-identical trace documents and counter snapshots;
+//! - `fleet_determinism` — 1.0: two same-seed fleet runs must produce
+//!   byte-identical trace documents and counter snapshots (the bench
+//!   panics otherwise);
 //! - `fleet_throughput_rps` vs `fleet_throughput_rps_floor` —
-//!   serve-phase requests per wall-clock second, asserted against the
-//!   *self-described* floor here *and* in CI;
+//!   serve-phase requests per wall-clock second;
 //! - `fleet_gate_p50_cycles` / `_p99_` / `_p999_` — per-request
-//!   monitor-bucket (gate + interposition) cycle deltas;
+//!   monitor-bucket (gate + interposition) cycle deltas; the p999 has a
+//!   floor of 1 so an unmeasured tail fails;
 //! - `fleet_wall_secs` — the faster of the two campaigns, boot to last
 //!   op (the post-campaign audit is excluded);
 //! - `fleet_allocated_frames` / `fleet_words_scanned` — frames live at
@@ -164,9 +165,6 @@ fn bench_fleet(c: &mut Criterion) {
         run1.snapshot, run2.snapshot,
         "same-seed fleet campaigns must produce identical counter snapshots"
     );
-    let deterministic = f64::from(u8::from(
-        run1.trace_digest == run2.trace_digest && run1.snapshot == run2.snapshot,
-    ));
 
     // Best-of-two: the first campaign of the process pays one-time host
     // warmup (page faults, allocator pools).
@@ -194,30 +192,19 @@ fn bench_fleet(c: &mut Criterion) {
     c.meta("fleet_sandboxes", cfg.sandboxes as f64);
     c.meta("fleet_requests", run1.requests as f64);
     c.meta("fleet_churn", cfg.churn as f64);
-    c.meta("fleet_determinism", deterministic);
+    c.meta("fleet_determinism", 1.0);
     c.meta("fleet_wall_secs", wall_secs);
-    c.meta("fleet_throughput_rps", throughput);
-    c.meta("fleet_throughput_rps_floor", THROUGHPUT_RPS_FLOOR);
+    c.floor("fleet_throughput_rps", throughput, THROUGHPUT_RPS_FLOOR);
     c.meta("fleet_gate_p50_cycles", run1.latency.quantile(0.5) as f64);
     c.meta("fleet_gate_p99_cycles", run1.latency.quantile(0.99) as f64);
-    c.meta("fleet_gate_p999_cycles", run1.latency.quantile(0.999) as f64);
+    c.floor(
+        "fleet_gate_p999_cycles",
+        run1.latency.quantile(0.999) as f64,
+        1.0,
+    );
     c.meta("fleet_gate_mean_cycles", run1.latency.mean() as f64);
     c.meta("fleet_allocated_frames", run1.allocated_frames as f64);
     c.meta("fleet_words_scanned", run1.words_scanned as f64);
-
-    assert!(
-        (deterministic - 1.0).abs() < f64::EPSILON,
-        "fleet campaign must be deterministic"
-    );
-    assert!(
-        throughput >= THROUGHPUT_RPS_FLOOR,
-        "fleet serve phase must sustain >={THROUGHPUT_RPS_FLOOR} req/s: \
-         {throughput:.0} req/s"
-    );
-    assert!(
-        run1.latency.quantile(0.999) > 0,
-        "gate latency tail must be measured"
-    );
 }
 
 criterion_group!(benches, bench_fleet);

@@ -1,18 +1,18 @@
 //! Criterion: TD live-migration throughput and stop-and-copy pause.
 //!
-//! The headline numbers land in the JSON `meta` block so CI
-//! (`scripts/ci.sh --migrate`) can assert them from the persisted
-//! `BENCH_migrate.json`:
+//! The headline numbers land in the JSON `meta` block (persisted as
+//! `BENCH_migrate.json`), each bound declared once here; the bench
+//! exits non-zero when one breaks:
 //!
 //! - `migrate_pages_per_sec` — end-to-end sealed-page throughput of a
 //!   full outbound transfer (resident sweep + stop-and-copy), wall
-//!   clock, asserted ≥ 1 000 pages/sec here *and* in CI;
+//!   clock, floor 1 000 pages/sec;
 //! - `migrate_stopcopy_pause_ns` — wall-clock length of the
 //!   stop-and-copy window (quiesce → final dirty drain → sections →
-//!   finish record), the time the TD is actually paused; asserted
-//!   under an absolute ceiling (the *bounded* stop-and-copy claim —
-//!   the pause carries residual dirt plus fixed section exports, never
-//!   the resident sweep);
+//!   finish record), the time the TD is actually paused; under an
+//!   absolute ceiling (the *bounded* stop-and-copy claim — the pause
+//!   carries residual dirt plus fixed section exports, never the
+//!   resident sweep);
 //! - `migrate_stopcopy_pause_cycles` — simulated guest cycles consumed
 //!   inside that window (shootdown draining is charged to the machine);
 //! - `migrate_records_sealed` / `migrate_sections` /
@@ -128,9 +128,9 @@ fn bench_migrate(c: &mut Criterion) {
     });
     g.finish();
 
-    c.meta("migrate_pages_per_sec", pages_per_sec);
+    c.floor("migrate_pages_per_sec", pages_per_sec, 1_000.0);
     c.meta("migrate_precopy_ns", precopy_ns);
-    c.meta("migrate_stopcopy_pause_ns", stopcopy_ns);
+    c.ceiling("migrate_stopcopy_pause_ns", stopcopy_ns, PAUSE_CEILING_NS);
     c.meta("migrate_stopcopy_pause_cycles", stopcopy_cycles as f64);
     c.meta("migrate_records_sealed", report.records_sealed as f64);
     c.meta("migrate_sections", report.sections as f64);
@@ -139,26 +139,13 @@ fn bench_migrate(c: &mut Criterion) {
     c.meta("migrate_precopy_rounds", report.precopy_rounds as f64);
     c.meta("migrate_sandboxes", sandboxes as f64);
     c.meta("migrate_import_ok", import_ok);
-    c.meta("migrate_pages_per_sec_floor", 1_000.0);
-    c.meta("migrate_stopcopy_pause_ceiling_ns", PAUSE_CEILING_NS);
 
-    // Meta asserts (the ISSUE's acceptance floors). CI re-asserts the
-    // same floors from the persisted BENCH_migrate.json.
     assert_eq!(import_ok, 1.0, "timed stream must import byte-identically");
     assert_eq!(report.sections, 7, "all state sections must travel");
     assert_eq!(
         report.records_sealed,
         pages + report.sections + 2,
         "record count must be pages + sections + begin + finish"
-    );
-    assert!(
-        pages_per_sec >= 1_000.0,
-        "migration throughput below floor: {pages_per_sec:.0} pages/sec"
-    );
-    assert!(
-        stopcopy_ns <= PAUSE_CEILING_NS,
-        "stop-and-copy pause above its ceiling: {stopcopy_ns:.0} ns \
-         (transfer total {total_ns:.0} ns)"
     );
     assert!(
         report.stopcopy_pages <= report.precopy_pages,

@@ -29,8 +29,8 @@ fn bench_paging(c: &mut Criterion) {
 
     // Simulator-side translation cost, deterministic (cycle-model, not
     // wall-clock): one probe served from the TLB vs one after a flush.
-    // These land in the JSON `meta` block so CI can assert the TLB is
-    // actually short-circuiting the four-level walk.
+    // The floor on their ratio checks the TLB actually short-circuits the
+    // four-level walk.
     let m = &mut p.cvm.machine;
     m.probe(0, VirtAddr(va), AccessKind::Read).expect("warm");
     let before = m.cycles.total();
@@ -42,6 +42,11 @@ fn bench_paging(c: &mut Criterion) {
     let cold_cycles = m.cycles.total() - before;
     c.meta("sim_cycles_per_probe_tlb_hit", hit_cycles as f64);
     c.meta("sim_cycles_per_probe_tlb_cold", cold_cycles as f64);
+    c.floor(
+        "tlb_hit_speedup",
+        cold_cycles as f64 / hit_cycles as f64,
+        5.0,
+    );
 
     c.bench_function("mmu_probe_tlb_hit", |b| {
         // The first probe fills; every timed iteration after it hits.
@@ -81,7 +86,7 @@ fn bench_paging(c: &mut Criterion) {
 
     // Aggregate translation-path counters over the whole bench run.
     let stats = p.cvm.machine.stats;
-    c.meta("tlb_hit_rate", stats.hit_rate());
+    c.floor("tlb_hit_rate", stats.hit_rate(), 0.5);
     c.meta("tlb_hits", stats.tlb_hits as f64);
     c.meta("tlb_misses", stats.tlb_misses as f64);
     c.meta("tlb_flushes", stats.tlb_flushes as f64);

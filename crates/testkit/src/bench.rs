@@ -6,12 +6,21 @@
 //! files use: [`Criterion::bench_function`], [`Criterion::benchmark_group`],
 //! [`Throughput`], `criterion_group!`, `criterion_main!`, [`black_box`].
 //!
+//! A bench declares each bound on a headline number exactly once, where
+//! the number is computed: [`Criterion::floor`] and
+//! [`Criterion::ceiling`]. [`Criterion::final_summary`] checks every
+//! declared bound against the value the document prints; a broken bound
+//! is named on stderr, the document is not persisted, and the process
+//! exits non-zero.
+//!
 //! Environment knobs:
 //! - `EREBOR_BENCH_SMOKE=1` — smoke mode: minimal warmup/samples, for CI.
-//! - `EREBOR_BENCH_JSON=<path>` — also write the JSON document to a file.
+//! - `EREBOR_BENCH_JSON=<path>` — also write the JSON document to a file
+//!   (only when every declared bound holds; a failed write exits non-zero).
 //! - `EREBOR_BENCH_SAMPLES=<n>` — override the per-benchmark sample count.
 
 use crate::json::Json;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -165,10 +174,71 @@ impl Bencher {
     }
 }
 
+/// Which side of its limit a bounded meta value must stay on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Side {
+    Floor,
+    Ceiling,
+}
+
+impl Side {
+    fn name(self) -> &'static str {
+        match self {
+            Side::Floor => "floor",
+            Side::Ceiling => "ceiling",
+        }
+    }
+}
+
+/// A declared bound on the meta value recorded under `key`.
+#[derive(Clone, Debug)]
+struct Bound {
+    key: String,
+    side: Side,
+    limit: f64,
+}
+
+impl Bound {
+    /// Edges are inclusive; a NaN or infinite value never holds.
+    fn holds(&self, value: f64) -> bool {
+        value.is_finite()
+            && match self.side {
+                Side::Floor => value >= self.limit,
+                Side::Ceiling => value <= self.limit,
+            }
+    }
+}
+
+/// Why a finished run fails.
+#[derive(Debug)]
+enum SummaryError {
+    /// Declared bounds the recorded values break, one description each
+    /// (`key = value (floor limit)`). Nothing was persisted.
+    Violated(Vec<String>),
+    /// The document could not be written to the requested path.
+    Write(PathBuf, std::io::Error),
+}
+
+impl core::fmt::Display for SummaryError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            SummaryError::Violated(lines) => {
+                write!(f, "{} bound(s) violated, nothing persisted:", lines.len())?;
+                for line in lines {
+                    write!(f, "\n  {line}")?;
+                }
+                Ok(())
+            }
+            SummaryError::Write(path, e) => write!(f, "could not write {}: {e}", path.display()),
+        }
+    }
+}
+
 /// Global benchmark driver (criterion-compatible subset).
 pub struct Criterion {
     records: Vec<Record>,
     meta: Vec<(String, Json)>,
+    bounds: Vec<Bound>,
     warmup: Duration,
     sample_target: Duration,
     samples: usize,
@@ -192,6 +262,7 @@ impl Default for Criterion {
         Criterion {
             records: Vec::new(),
             meta: Vec::new(),
+            bounds: Vec::new(),
             warmup: Duration::from_millis(if smoke { 2 } else { 150 }),
             sample_target: Duration::from_millis(if smoke { 1 } else { 10 }),
             samples,
@@ -213,6 +284,44 @@ impl Criterion {
         let key = key.into();
         self.meta.retain(|(k, _)| *k != key);
         self.meta.push((key, value.into()));
+    }
+
+    /// Record `key = value` in `meta` together with `{key}_floor`; the
+    /// run fails unless `value >= floor` (see [`Criterion::final_summary`]).
+    /// Re-declaring a key's floor replaces the earlier one.
+    pub fn floor(&mut self, key: impl Into<String>, value: f64, floor: f64) {
+        self.bound(key.into(), value, Side::Floor, floor);
+    }
+
+    /// Record `key = value` in `meta` together with `{key}_ceiling`; the
+    /// run fails unless `value <= ceiling`. Re-declaring a key's ceiling
+    /// replaces the earlier one.
+    pub fn ceiling(&mut self, key: impl Into<String>, value: f64, ceiling: f64) {
+        self.bound(key.into(), value, Side::Ceiling, ceiling);
+    }
+
+    fn bound(&mut self, key: String, value: f64, side: Side, limit: f64) {
+        self.meta(format!("{key}_{}", side.name()), limit);
+        self.meta(key.clone(), value);
+        self.bounds.retain(|b| b.key != key || b.side != side);
+        self.bounds.push(Bound { key, side, limit });
+    }
+
+    /// Each declared bound checked against the value the document
+    /// prints for its key (a non-numeric value reads as NaN), with a
+    /// one-line description.
+    fn checked_bounds(&self) -> Vec<(bool, String)> {
+        self.bounds
+            .iter()
+            .map(|b| {
+                let value = match self.meta.iter().find(|(k, _)| *k == b.key) {
+                    Some((_, Json::Num(v))) => *v,
+                    _ => f64::NAN,
+                };
+                let line = format!("{} = {value} ({} {})", b.key, b.side.name(), b.limit);
+                (b.holds(value), line)
+            })
+            .collect()
     }
 
     /// Open a named group (for throughput / sample-size annotations).
@@ -264,9 +373,50 @@ impl Criterion {
         self.records.push(rec);
     }
 
-    /// Emit the JSON document (stdout, plus `EREBOR_BENCH_JSON` if set).
-    /// Called by `criterion_main!` after all groups run.
+    /// Print the JSON document on stdout, then check every declared
+    /// bound: each one is reported on stderr, and a broken bound or a
+    /// failed `EREBOR_BENCH_JSON` write exits the process non-zero
+    /// (nothing is persisted when a bound is broken). Called by
+    /// `criterion_main!` after all groups run.
     pub fn final_summary(&self) {
+        // The `EREBOR_JSON:` marker lets CI extract the document with a
+        // grep instead of assuming it is the last stdout line (which
+        // breaks silently the moment anything prints after it).
+        println!("EREBOR_JSON:{}", self.document());
+        for (_, line) in self.checked_bounds().iter().filter(|(held, _)| *held) {
+            eprintln!("bench: bound held: {line}");
+        }
+        let path = std::env::var_os("EREBOR_BENCH_JSON")
+            .filter(|p| !p.is_empty())
+            .map(PathBuf::from);
+        if let Err(e) = self.conclude(path.as_deref()) {
+            eprintln!("bench: {e}");
+            std::process::exit(1);
+        }
+    }
+
+    /// Check every declared bound; when all hold, write the document to
+    /// `path` (if given). A broken bound writes nothing.
+    fn conclude(&self, path: Option<&Path>) -> Result<(), SummaryError> {
+        let violated: Vec<String> = self
+            .checked_bounds()
+            .into_iter()
+            .filter_map(|(held, line)| (!held).then_some(line))
+            .collect();
+        if !violated.is_empty() {
+            return Err(SummaryError::Violated(violated));
+        }
+        match path {
+            Some(path) => std::fs::write(path, self.document())
+                .map_err(|e| SummaryError::Write(path.to_path_buf(), e)),
+            None => Ok(()),
+        }
+    }
+
+    /// The JSON document: harness, smoke flag, per-benchmark records and
+    /// the `meta` block.
+    #[must_use]
+    pub fn document(&self) -> String {
         let mut doc = Json::obj()
             .field("harness", "erebor-testkit")
             .field("smoke", smoke())
@@ -281,18 +431,7 @@ impl Criterion {
             }
             doc = doc.field("meta", m);
         }
-        let text = doc.to_string();
-        // The `EREBOR_JSON:` marker lets CI extract the document with a
-        // grep instead of assuming it is the last stdout line (which
-        // breaks silently the moment anything prints after it).
-        println!("EREBOR_JSON:{text}");
-        if let Ok(path) = std::env::var("EREBOR_BENCH_JSON") {
-            if !path.is_empty() {
-                if let Err(e) = std::fs::write(&path, &text) {
-                    eprintln!("bench: could not write {path}: {e}");
-                }
-            }
-        }
+        doc.to_string()
     }
 }
 
@@ -353,5 +492,110 @@ mod tests {
         assert_eq!(s.mean_ns, 7.0);
         assert_eq!(s.p50_ns, 7.0);
         assert_eq!(s.p99_ns, 7.0);
+    }
+
+    /// The names of the bounds `c` breaks, or an empty list.
+    fn violated(c: &Criterion) -> Vec<String> {
+        match c.conclude(None) {
+            Ok(()) => Vec::new(),
+            Err(SummaryError::Violated(lines)) => lines,
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+
+    /// A file path under the system temp dir that no other test uses.
+    fn scratch_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("erebor-bench-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn bound_edges_are_inclusive_and_recorded_in_meta() {
+        let mut c = Criterion::default();
+        c.floor("speedup", 5.0, 5.0);
+        c.ceiling("overhead", 1.1, 1.1);
+        assert!(violated(&c).is_empty());
+        let doc = c.document();
+        for field in [
+            "\"speedup\":5",
+            "\"speedup_floor\":5",
+            "\"overhead\":1.1",
+            "\"overhead_ceiling\":1.1",
+        ] {
+            assert!(doc.contains(field), "{field} missing from {doc}");
+        }
+        c.floor("speedup", 4.999, 5.0);
+        c.ceiling("overhead", 1.1001, 1.1);
+        let lines = violated(&c);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(
+            lines[0].starts_with("speedup = 4.999 (floor 5)"),
+            "{lines:?}"
+        );
+        assert!(
+            lines[1].starts_with("overhead = 1.1001 (ceiling 1.1)"),
+            "{lines:?}"
+        );
+    }
+
+    #[test]
+    fn non_finite_values_violate_either_side() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = Criterion::default();
+            c.floor("lo", v, f64::MIN);
+            c.ceiling("hi", v, f64::MAX);
+            assert_eq!(violated(&c).len(), 2, "{v} must break both bounds");
+        }
+        // A bounded key later overwritten by a non-number reads as NaN.
+        let mut c = Criterion::default();
+        c.floor("rate", 0.9, 0.5);
+        c.meta("rate", "n/a");
+        assert_eq!(violated(&c).len(), 1);
+    }
+
+    #[test]
+    fn redeclared_bound_overwrites_the_earlier_one() {
+        let mut c = Criterion::default();
+        c.floor("rate", 0.1, 0.5);
+        c.floor("rate", 0.7, 0.5);
+        assert!(violated(&c).is_empty(), "the earlier value must not linger");
+        c.floor("rate", 0.7, 0.8);
+        assert_eq!(violated(&c), vec!["rate = 0.7 (floor 0.8)".to_string()]);
+        assert_eq!(c.bounds.len(), 1);
+        assert_eq!(c.document().matches("\"rate_floor\"").count(), 1);
+        // A floor and a ceiling on one key are two bounds.
+        c.ceiling("rate", 0.7, 0.6);
+        assert_eq!(violated(&c).len(), 2);
+    }
+
+    #[test]
+    fn violating_document_is_not_persisted() {
+        let path = scratch_path("violating.json");
+        let _ = std::fs::remove_file(&path);
+        let mut c = Criterion::default();
+        c.floor("throughput", 1.0, 2.0);
+        match c.conclude(Some(&path)) {
+            Err(SummaryError::Violated(lines)) => {
+                assert!(lines[0].starts_with("throughput = 1"), "{lines:?}");
+            }
+            other => panic!("expected a violation, got {other:?}"),
+        }
+        assert!(!path.exists(), "a failing document must not be written");
+        c.floor("throughput", 3.0, 2.0);
+        c.conclude(Some(&path)).expect("passing document persists");
+        let written = std::fs::read_to_string(&path).expect("read back");
+        std::fs::remove_file(&path).expect("clean up");
+        assert_eq!(written, c.document());
+    }
+
+    #[test]
+    fn unwritable_path_is_an_error() {
+        let path = scratch_path("missing-dir").join("BENCH.json");
+        let c = Criterion::default();
+        match c.conclude(Some(&path)) {
+            Err(e @ SummaryError::Write(..)) => {
+                assert!(e.to_string().contains("missing-dir"), "{e}");
+            }
+            other => panic!("expected a write error, got {other:?}"),
+        }
     }
 }

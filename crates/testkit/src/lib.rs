@@ -9,8 +9,10 @@
 //! * [`prop`] — seeded property testing with greedy byte-stream
 //!   shrinking; `EREBOR_PT_SEED` / `EREBOR_PT_CASES` overrides.
 //! * [`bench`] — criterion-compatible micro-bench harness with warmup,
-//!   calibrated iteration counts, mean/p50/p99 stats and JSON output.
-//! * [`json`] — a tiny JSON writer for machine-readable stat dumps.
+//!   calibrated iteration counts, mean/p50/p99 stats, JSON output and
+//!   declared floors/ceilings that fail the run.
+//! * [`json`] — a tiny JSON writer for machine-readable stat dumps, and
+//!   a syntax validator tests run over every emitted document.
 //!
 //! Migrated proptest suites keep their source shape: import
 //! `use erebor_testkit::prelude::*;` and alias

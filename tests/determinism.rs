@@ -163,7 +163,10 @@ fn trace_json_is_byte_identical_and_buckets_sum_to_total() {
     let a = run(0xeb07);
     let b = run(0xeb07);
     assert_eq!(a, b, "same-seed trace JSON must be byte-identical");
-    assert!(a.contains("\"gate_enter\""), "trace must hold gate events");
+    assert!(
+        a.contains("\"gate_enter\"") && a.contains("\"gate_exit\""),
+        "trace must hold both gate events"
+    );
     // Negative control: the trace reflects scheduling, not key material —
     // a different seed reproduces the same schedule.
     let c = run(0xeb08);
