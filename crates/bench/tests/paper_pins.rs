@@ -168,11 +168,11 @@ fn memsave_is_pinned() {
 /// LibOS only, LibOS + MMU, LibOS + exits, full Erebor).
 #[rustfmt::skip]
 const FIG9: [(&str, [u64; 5]); 5] = [
-    ("llama.cpp", [497789585, 519249861, 564930112, 522391939, 567249643]),
-    ("yolo", [824749035, 830230866, 902088656, 834306696, 905930320]),
-    ("drugbank", [248463340, 250611121, 272819538, 252222944, 274048095]),
-    ("graphchi", [397789296, 404945335, 439437974, 406475214, 441297720]),
-    ("unicorn", [176419914, 177932669, 193146667, 178641906, 193889097]),
+    ("llama.cpp", [497789585, 519249861, 564923925, 522384261, 567246443]),
+    ("yolo", [824749035, 830230866, 902088656, 834287770, 905747106]),
+    ("drugbank", [248463340, 250611121, 272813351, 252220241, 274050225]),
+    ("graphchi", [397789296, 404945335, 439445554, 406494209, 441305300]),
+    ("unicorn", [176419914, 177932669, 193154318, 178641975, 193896748]),
 ];
 
 /// One Table 6 row: the rates (#PF/s, #Timer/s, #VE/s, EMC/s), the
@@ -182,11 +182,11 @@ type Table6Pin = (&'static str, [f64; 4], f64, u64, u64, f64);
 
 #[rustfmt::skip]
 const TABLE6: [Table6Pin; 5] = [
-    ("llama.cpp", [1562.2751127936804, 666.3732708598637, 355.3990777919273, 69969.19344028569], 0.2701188776190476, 501, 4096, 0.6601626798784257),
-    ("yolo", [259.6226164502365, 667.6010137291795, 18.54447260358832, 70098.10644156385], 0.43139539047619047, 757, 132, 1.4768268613090698),
-    ("drugbank", [1992.3510141531908, 674.3341894056953, 153.2577703194762, 70268.68769147985], 0.13049909285714287, 814, 400, 0.9849687855608462),
-    ("graphchi", [0.0, 666.2169022763136, 152.2781490917288, 69952.77473901292], 0.21014177142857143, 1340, 0, 2.2507371658171387),
-    ("unicorn", [0.0, 660.6869699331262, 64.98560359997963, 69751.21453064481], 0.09232814142857143, 1254, 0, 2.2507371658171387),
+    ("llama.cpp", [1558.5818314245473, 666.3770300627518, 355.4010827001343, 69969.58815658894], 0.2701173538095238, 501, 4096, 0.43309804520286854),
+    ("yolo", [259.67513276272064, 667.7360556755673, 18.54822376876576, 69949.98888795786], 0.4313081457142857, 757, 132, 0.43713454898088044),
+    ("drugbank", [1992.3355290075021, 674.3289482794622, 153.25657915442324, 70268.14154230306], 0.13050010714285715, 814, 400, 0.4524072092638971),
+    ("graphchi", [0.0, 666.2054591231966, 152.2755335138735, 69951.57320793564], 0.21014538095238094, 1340, 0, 0.3343592403535447),
+    ("unicorn", [0.0, 671.4914063437516, 64.98303932358886, 69748.4622073187], 0.09233178476190476, 1254, 0, 0.3343592403535447),
 ];
 
 #[test]

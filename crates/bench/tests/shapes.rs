@@ -97,3 +97,17 @@ fn memsave_shape() {
     assert_eq!(r.common_frames, 1024);
     assert!(r.confined_frames >= 8 * 512);
 }
+
+#[test]
+fn table6_init_overhead_in_paper_band() {
+    // Paper: pre-allocating confined memory costs +11.5…+52.7 % over a
+    // native init, across the five programs.
+    for r in erebor_bench::table6::run() {
+        assert!(
+            (0.115..=0.527).contains(&r.init_overhead),
+            "{} init overhead {:+.1} % outside the paper's +11.5…+52.7 %",
+            r.workload,
+            r.init_overhead * 100.0
+        );
+    }
+}

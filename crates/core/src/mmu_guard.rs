@@ -46,30 +46,33 @@ pub fn retag_direct_map(
     frame: Frame,
     kind: FrameKind,
 ) -> Result<(), Fault> {
-    retag_direct_map_tagged(machine, cpu, kernel_root, frame, pkey_for(kind), 0)
+    retag_direct_maps(machine, cpu, kernel_root, &[frame], pkey_for(kind), 0)
 }
 
-/// Rewrite the direct-map leaf for `frame` with an *explicit* isolation
-/// tag — protection key plus TME-MK key-ID — rather than one derived
-/// from a frame kind. Confined-memory aliases use this: under the PKS
+/// Rewrite the direct-map leaves of a run of frames with one *explicit*
+/// isolation tag — protection key plus TME-MK key-ID — then close the
+/// stale-translation window with one broadcast shootdown for every alias
+/// whose tag changed. Confined-memory aliases use this: under the PKS
 /// backend the tag is the owning sandbox's pkey (key-ID 0), under the
-/// TME-MK backend it is `PK_MONITOR` plus the sandbox's key-ID.
+/// TME-MK backend it is `PK_MONITOR` plus the sandbox's key-ID; a kill
+/// returns them all to `(PK_DEFAULT, 0)`.
+///
+/// One flush covers the run: an EMC runs to completion on one core, so
+/// no core can use a stale alias between the rewrites and the flush.
+/// Past [`Machine::SHOOTDOWN_FULL_FLUSH_CEILING`] changed aliases every
+/// core full-flushes, a superset of the per-page invalidations.
 ///
 /// # Errors
-/// Propagates checked-write faults.
-pub fn retag_direct_map_tagged(
+/// Propagates checked-write faults. The aliases rewritten before the
+/// fault are still shot down.
+pub fn retag_direct_maps(
     machine: &mut Machine,
     cpu: usize,
     kernel_root: Frame,
-    frame: Frame,
+    frames: &[Frame],
     pkey: u8,
     keyid: u16,
 ) -> Result<(), Fault> {
-    let dm_va = direct_map(frame.base());
-    let slot = paging::leaf_slot(&machine.mem, kernel_root, dm_va)
-        .map_err(|_| Fault::Unrecoverable("direct-map walk left DRAM"))?
-        .ok_or(Fault::Unrecoverable("direct map incomplete"))?;
-    let old = pte_read_raw(machine, slot);
     let flags = PteFlags {
         present: true,
         writable: true,
@@ -77,19 +80,36 @@ pub fn retag_direct_map_tagged(
         pkey,
         ..PteFlags::default()
     };
-    pte_write(machine, cpu, slot, Pte::encode(frame, flags).with_keyid(keyid))?;
-    if old.present() && (old.pkey() != pkey || old.keyid() != keyid) {
-        // The retype changed the frame's isolation tag: a cached
-        // direct-map translation carrying the old tag on any core would
-        // let the kernel keep writing a frame that just became trusted
-        // (PTP/monitor/confined) state — the stale-sEPT hazard class.
-        // Shoot it down everywhere. Tag-preserving retypes (e.g. free →
-        // user data, both PK_DEFAULT) need no flush: the cached
-        // permissions are still exact. A key-ID change is the PCONFIG
-        // reprogramming case and needs the same flush discipline.
-        machine.tlb_shootdown(cpu, dm_va)?;
+    let mut changed = Vec::new();
+    let rewritten = frames.iter().try_for_each(|&frame| {
+        let dm_va = direct_map(frame.base());
+        let slot = paging::leaf_slot(&machine.mem, kernel_root, dm_va)
+            .map_err(|_| Fault::Unrecoverable("direct-map walk left DRAM"))?
+            .ok_or(Fault::Unrecoverable("direct map incomplete"))?;
+        let old = pte_read_raw(machine, slot);
+        pte_write(
+            machine,
+            cpu,
+            slot,
+            Pte::encode(frame, flags).with_keyid(keyid),
+        )?;
+        if old.present() && (old.pkey() != pkey || old.keyid() != keyid) {
+            // The retype changed the frame's isolation tag: a cached
+            // direct-map translation carrying the old tag on any core
+            // would let the kernel keep writing a frame that just became
+            // trusted (PTP/monitor/confined) state — the stale-sEPT
+            // hazard class. Tag-preserving retypes (e.g. free → user
+            // data, both PK_DEFAULT) need no flush: the cached
+            // permissions are still exact. A key-ID change is the PCONFIG
+            // reprogramming case and needs the same flush discipline.
+            changed.push(dm_va);
+        }
+        Ok(())
+    });
+    if !changed.is_empty() {
+        machine.tlb_shootdown_batch(cpu, &changed)?;
     }
-    Ok(())
+    rewritten
 }
 
 /// Walk (creating intermediate PTPs as needed) and install `leaf_pte` for
@@ -333,5 +353,26 @@ mod tests {
         m.cpus[0].domain = Domain::Kernel;
         let err = m.read_u64(0, direct_map(f.base())).unwrap_err();
         assert!(err.is_pf(PfReason::PksAccessDisabled));
+    }
+
+    #[test]
+    fn retag_run_flushes_only_the_aliases_whose_tag_changed() {
+        let (mut m, _frames, kroot) = setup();
+        let run: Vec<Frame> = (0..3).map(|_| m.mem.alloc_frame().unwrap()).collect();
+        let monitor = pkey_for(FrameKind::Monitor);
+        retag_direct_maps(&mut m, 0, kroot, &run[..2], monitor, 0).unwrap();
+        let before = m.stats.tlb_page_invalidations;
+        retag_direct_maps(&mut m, 0, kroot, &run, monitor, 0).unwrap();
+        assert_eq!(
+            m.stats.tlb_page_invalidations - before,
+            1,
+            "only the third alias changed its tag"
+        );
+        for f in &run {
+            let leaf = paging::lookup_raw(&m.mem, kroot, direct_map(f.base()))
+                .unwrap()
+                .unwrap();
+            assert_eq!(leaf.pkey(), policy::PK_MONITOR);
+        }
     }
 }

@@ -1051,8 +1051,7 @@ impl Monitor {
             .mem
             .alloc_frames_in(self.cma, pages, &mut arena)
             .map_err(|_| EmcError::NoMemory)?;
-        for (p, frame) in arena.into_iter().enumerate() {
-            let p = p as u64;
+        for &frame in &arena {
             // Single-mapping policy: the frame must be fresh.
             if self.frames.mapcount(frame) != 0 {
                 return Err(EmcError::Denied("confined frame already mapped"));
@@ -1060,21 +1059,17 @@ impl Monitor {
             self.frames
                 .set_kind(frame, FrameKind::Confined { sandbox: id.0 })
                 .map_err(|_| EmcError::Denied("frame kind conflict"))?;
-            // Program the frame's key (TME-MK; no-op key 0 under PKS),
-            // then remove the kernel's direct-map view of the frame by
-            // retagging the alias with the backend's confined tag (the
-            // "not even the kernel" rule, §6.1 — normal-mode PKRS
-            // access-disables the tag's pkey under both backends).
+            // Program the frame's key (TME-MK; no-op key 0 under PKS).
             machine.mem.set_frame_key(frame, frame_key);
-            mmu_guard::retag_direct_map_tagged(
-                machine,
-                cpu,
-                self.kernel_root,
-                frame,
-                tag.pkey,
-                tag.keyid,
-            )?;
-            let page_va = va.add(p * PAGE_SIZE as u64);
+        }
+        // Remove the kernel's direct-map view of the whole arena by
+        // retagging the aliases with the backend's confined tag (the "not
+        // even the kernel" rule, §6.1 — normal-mode PKRS access-disables
+        // the tag's pkey under both backends). One shootdown covers the
+        // run, and it lands before any frame enters the sandbox's tables.
+        mmu_guard::retag_direct_maps(machine, cpu, self.kernel_root, &arena, tag.pkey, tag.keyid)?;
+        for (p, frame) in arena.into_iter().enumerate() {
+            let page_va = va.add(p as u64 * PAGE_SIZE as u64);
             let flags = if executable {
                 PteFlags::user_rx()
             } else {
@@ -1514,10 +1509,10 @@ impl Monitor {
     /// the dead sandbox's frames are scrubbed and freed:
     ///
     /// 1. Retag every confined direct-map alias back to the default tag
-    ///    (pkey 0, key-ID 0). `free_frame` already dropped the frame's
-    ///    programmed key, so a surviving keyed alias would fault the
-    ///    frame's *next* owner; the sandbox-pkey alias would silently
-    ///    pin a now-free pkey under PKS.
+    ///    (pkey 0, key-ID 0), all under one broadcast shootdown.
+    ///    `free_frame` already dropped the frame's programmed key, so a
+    ///    surviving keyed alias would fault the frame's *next* owner; the
+    ///    sandbox-pkey alias would silently pin a now-free pkey under PKS.
     /// 2. Revoke the sandbox's isolation domain so the backend can
     ///    reuse it.
     /// 3. Bump the machine MMU epoch and drop the cpuid MRU: no core
@@ -1531,10 +1526,8 @@ impl Monitor {
         confined: &[(VirtAddr, Frame)],
         domain: DomainId,
     ) {
-        for (_, frame) in confined {
-            mmu_guard::retag_direct_map_tagged(machine, 0, self.kernel_root, *frame, PK_DEFAULT, 0)
-                .ok();
-        }
+        let frames: Vec<Frame> = confined.iter().map(|&(_, frame)| frame).collect();
+        mmu_guard::retag_direct_maps(machine, 0, self.kernel_root, &frames, PK_DEFAULT, 0).ok();
         self.backend.free_domain(domain).ok();
         self.cpuid_mru = None;
         machine.bump_mmu_epoch();

@@ -571,7 +571,7 @@ fn section_bytes_are_pinned_for_this_format_version() {
         (
             BackendKind::Pks,
             [
-                (1, 90424, 15211154507333715918),
+                (1, 23600, 3955799065109147025),
                 (3, 307850, 5416116987153895050),
                 (5, 298657, 9339846144231742895),
                 (6, 1310, 13456845851439787651),
@@ -583,7 +583,7 @@ fn section_bytes_are_pinned_for_this_format_version() {
         (
             BackendKind::TmeMk,
             [
-                (1, 91864, 12069147199447122105),
+                (1, 25040, 9163841353299643438),
                 (3, 307850, 5416116987153895050),
                 (5, 298656, 9157016034126986308),
                 (6, 1310, 13456845851439787651),

@@ -5,12 +5,18 @@
 //! the *old* mapping. The negative tests demonstrate the attack — a PTE
 //! zeroed in DRAM without a shootdown stays readable — and the positive
 //! tests show the monitor's EMC paths close the window, including across
-//! cores.
+//! cores. The same obligation covers the direct-map aliases a sandbox's
+//! confined frames are retagged through when it is deployed and killed.
 
-use erebor::{Mode, Platform};
+use erebor::{BootConfig, ExecConfig, Mode, Platform};
 use erebor_core::emc::{EmcRequest, EmcResponse};
+use erebor_core::policy;
+use erebor_core::sandbox::SandboxId;
 use erebor_hw::cpu::Domain;
 use erebor_hw::fault::{AccessKind, PfReason};
+use erebor_hw::isolation::BackendKind;
+use erebor_hw::layout::direct_map;
+use erebor_hw::regs::Msr;
 use erebor_hw::{paging, CpuMode, Frame, VirtAddr};
 
 const VA: VirtAddr = VirtAddr(0x40_0000);
@@ -207,4 +213,184 @@ fn permission_downgrade_is_visible_without_an_address_space_reload() {
         .machine
         .probe(0, VA, AccessKind::Read)
         .expect("reads still fine");
+}
+
+// ====================================================================
+// Confined direct-map aliases: retagged at deploy and at kill
+// ====================================================================
+
+/// Where the retag tests declare confined memory.
+const CONFINED_VA: VirtAddr = VirtAddr(0x7000_0000);
+
+fn boot_backend(backend: BackendKind) -> Platform {
+    let mut config = ExecConfig::new(Mode::Full);
+    config.backend = backend;
+    Platform::boot_with(BootConfig {
+        config,
+        ..BootConfig::default()
+    })
+    .expect("boot")
+}
+
+fn create_sandbox(p: &mut Platform) -> SandboxId {
+    p.enter_kernel_mode();
+    p.cvm
+        .monitor
+        .create_sandbox(&mut p.cvm.machine, 0, 1024)
+        .expect("create sandbox")
+}
+
+fn declare_confined(p: &mut Platform, id: SandboxId, pages: u64) {
+    p.cvm
+        .monitor
+        .emc(
+            &mut p.cvm.machine,
+            &mut p.cvm.tdx,
+            0,
+            EmcRequest::DeclareConfined {
+                sandbox: id.0,
+                va: CONFINED_VA,
+                pages,
+                executable: false,
+            },
+        )
+        .expect("declare confined");
+}
+
+fn confined_frames(p: &Platform, id: SandboxId) -> Vec<Frame> {
+    let sandbox = p.cvm.monitor.sandboxes.get(&id.0).expect("sandbox");
+    sandbox.confined.iter().map(|&(_, f)| f).collect()
+}
+
+/// The frames a freshly booted platform confines for its first sandbox,
+/// found by a dry run on an identical platform (the simulation is
+/// deterministic, so the real run allocates the same frames).
+fn frames_confined_first(backend: BackendKind, pages: u64) -> Vec<Frame> {
+    let mut p = boot_backend(backend);
+    let id = create_sandbox(&mut p);
+    declare_confined(&mut p, id, pages);
+    confined_frames(&p, id)
+}
+
+/// Every core runs the deprivileged kernel on the kernel root, with the
+/// given PKRS value.
+fn kernel_on_every_core(p: &mut Platform, pkrs: u64) {
+    let root = p.cvm.monitor.kernel_root;
+    for cpu in 0..p.cvm.machine.cpus.len() {
+        let c = &mut p.cvm.machine.cpus[cpu];
+        c.mode = CpuMode::Supervisor;
+        c.domain = Domain::Kernel;
+        c.cr3 = root;
+        p.cvm.machine.restore_msr(cpu, Msr::Pkrs, pkrs);
+    }
+}
+
+/// Read every frame's direct-map alias on every core, through each
+/// core's TLB.
+fn read_aliases(p: &mut Platform, frames: &[Frame]) -> Vec<(usize, Frame, Result<(), String>)> {
+    let mut out = Vec::new();
+    for cpu in 0..p.cvm.machine.cpus.len() {
+        for &f in frames {
+            let r = p
+                .cvm
+                .machine
+                .probe(cpu, direct_map(f.base()), AccessKind::Read)
+                .map_err(|e| format!("{e:?}"));
+            out.push((cpu, f, r));
+        }
+    }
+    out
+}
+
+/// Deploying confined memory retags the kernel's direct-map aliases of
+/// its frames, and killing the sandbox retags them back. Both retags
+/// must reach every core's TLB: a core that cached the old alias would
+/// keep reading confined memory after the deploy, or keep faulting on
+/// freed memory after the kill.
+#[test]
+fn confined_alias_retags_reach_every_core_at_deploy_and_kill() {
+    const PAGES: u64 = 64;
+    for backend in [BackendKind::Pks, BackendKind::TmeMk] {
+        let frames = frames_confined_first(backend, PAGES);
+        let mut p = boot_backend(backend);
+        let id = create_sandbox(&mut p);
+
+        // Warm every core's TLB with the kernel's view of the frames
+        // about to be confined.
+        kernel_on_every_core(&mut p, policy::normal_mode_pkrs().0);
+        for (cpu, f, r) in read_aliases(&mut p, &frames) {
+            assert!(
+                r.is_ok(),
+                "{backend:?}: cpu {cpu} frame {f:?} not yet confined: {r:?}"
+            );
+        }
+        declare_confined(&mut p, id, PAGES);
+        assert_eq!(confined_frames(&p, id), frames, "{backend:?}: dry run");
+        for (cpu, f, r) in read_aliases(&mut p, &frames) {
+            let err = r.expect_err("the kernel must not read confined memory on any core");
+            assert!(
+                err.contains("PksAccessDisabled"),
+                "{backend:?}: cpu {cpu} frame {f:?}: {err}"
+            );
+        }
+        let audit = p.audit();
+        assert!(audit.is_clean(), "{backend:?} after deploy: {audit:?}");
+
+        // Warm every core with the confined aliases under monitor
+        // privileges, then drop back to the kernel and kill.
+        kernel_on_every_core(&mut p, policy::monitor_mode_pkrs().0);
+        for (cpu, f, r) in read_aliases(&mut p, &frames) {
+            assert!(
+                r.is_ok(),
+                "{backend:?}: cpu {cpu} monitor read of {f:?}: {r:?}"
+            );
+        }
+        kernel_on_every_core(&mut p, policy::normal_mode_pkrs().0);
+        p.cvm
+            .monitor
+            .kill_sandbox(&mut p.cvm.machine, id, "retag test");
+        for (cpu, f, r) in read_aliases(&mut p, &frames) {
+            assert!(
+                r.is_ok(),
+                "{backend:?}: cpu {cpu} frame {f:?} freed but still confined: {r:?}"
+            );
+        }
+        let audit = p.audit();
+        assert!(audit.is_clean(), "{backend:?} after kill: {audit:?}");
+    }
+}
+
+/// The retags at deploy and at kill each cost one broadcast shootdown,
+/// not one per page: the IPIs of one deploy and of one kill are the same
+/// at 64 and at 512 confined pages. (Both sizes fit one leaf page-table
+/// page, so the page-table pages the deploy allocates and retags, each
+/// with its own shootdown, are the same too.)
+#[test]
+fn confined_alias_retag_ipis_do_not_grow_with_pages() {
+    for backend in [BackendKind::Pks, BackendKind::TmeMk] {
+        let ipis = |pages: u64| -> (u64, u64) {
+            let mut p = boot_backend(backend);
+            let id = create_sandbox(&mut p);
+            let before = p.cvm.machine.stats.tlb_shootdown_ipis;
+            declare_confined(&mut p, id, pages);
+            let deployed = p.cvm.machine.stats.tlb_shootdown_ipis;
+            p.cvm
+                .monitor
+                .kill_sandbox(&mut p.cvm.machine, id, "retag ipi test");
+            let killed = p.cvm.machine.stats.tlb_shootdown_ipis;
+            (deployed - before, killed - deployed)
+        };
+        let small = ipis(64);
+        let large = ipis(512);
+        assert_eq!(
+            small, large,
+            "{backend:?}: (deploy, kill) IPIs, 64 vs 512 pages"
+        );
+        let remote = (BootConfig::default().cores - 1) as u64;
+        assert!(
+            large.1 <= remote,
+            "{backend:?}: a kill's retag is one IPI round, got {} IPIs",
+            large.1
+        );
+    }
 }
