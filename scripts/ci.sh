@@ -39,8 +39,9 @@
 #                          suite (cache on vs off, byte-identical
 #                          snapshots/traces/attribution across platform
 #                          modes) and the fastpath bench (>=5x events/sec
-#                          over the slow path, >=0.9 decision hit rate,
-#                          a true ablation on the off run).
+#                          over the slow path, the median of interleaved
+#                          rounds on fresh machines; >=0.9 decision hit
+#                          rate; a true ablation on the off run).
 #   scripts/ci.sh --fleet  additionally run the fleet-scale serving
 #                          gate: the fleet reference-model suite
 #                          (monitor lookups checked against a model
@@ -115,8 +116,10 @@ cargo build --release
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+# --no-fail-fast: run every test binary and name every failing one,
+# not just the first.
+echo "==> cargo test -q --workspace --no-fail-fast"
+cargo test -q --workspace --no-fail-fast
 
 # The hermetic source lint is part of the default gate: panic-free
 # library code, saturating counters, no relaxed atomics, EREBOR_JSON:
