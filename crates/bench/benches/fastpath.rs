@@ -196,9 +196,11 @@ fn bench_fastpath(c: &mut Criterion) {
             slow.fastpath.decision_hits, 0,
             "ablated machine must never serve a cached decision"
         );
-        stats.batches += fast.fastpath.batches;
-        stats.decision_hits += fast.fastpath.decision_hits;
-        stats.slow_ops += fast.fastpath.slow_ops;
+        stats.batches = stats.batches.saturating_add(fast.fastpath.batches);
+        stats.decision_hits = stats
+            .decision_hits
+            .saturating_add(fast.fastpath.decision_hits);
+        stats.slow_ops = stats.slow_ops.saturating_add(fast.fastpath.slow_ops);
         fast_eps.push(f);
         slow_eps.push(s);
         ratios.push(f / s);

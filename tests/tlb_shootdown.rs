@@ -13,10 +13,10 @@ use erebor_core::emc::{EmcRequest, EmcResponse};
 use erebor_core::policy;
 use erebor_core::sandbox::SandboxId;
 use erebor_hw::cpu::Domain;
-use erebor_hw::fault::{AccessKind, PfReason};
+use erebor_hw::fault::{AccessKind, Fault, PfReason};
 use erebor_hw::isolation::BackendKind;
 use erebor_hw::layout::direct_map;
-use erebor_hw::regs::Msr;
+use erebor_hw::regs::{Msr, PkrsPerms};
 use erebor_hw::{paging, CpuMode, Frame, VirtAddr};
 
 const VA: VirtAddr = VirtAddr(0x40_0000);
@@ -272,30 +272,29 @@ fn frames_confined_first(backend: BackendKind, pages: u64) -> Vec<Frame> {
     confined_frames(&p, id)
 }
 
-/// Every core runs the deprivileged kernel on the kernel root, with the
-/// given PKRS value.
-fn kernel_on_every_core(p: &mut Platform, pkrs: u64) {
+/// Every core runs supervisor code of `domain` on the kernel root, with
+/// the given PKRS value.
+fn every_core(p: &mut Platform, domain: Domain, pkrs: PkrsPerms) {
     let root = p.cvm.monitor.kernel_root;
     for cpu in 0..p.cvm.machine.cpus.len() {
         let c = &mut p.cvm.machine.cpus[cpu];
         c.mode = CpuMode::Supervisor;
-        c.domain = Domain::Kernel;
+        c.domain = domain;
         c.cr3 = root;
-        p.cvm.machine.restore_msr(cpu, Msr::Pkrs, pkrs);
+        p.cvm.machine.restore_msr(cpu, Msr::Pkrs, pkrs.0);
     }
 }
 
 /// Read every frame's direct-map alias on every core, through each
 /// core's TLB.
-fn read_aliases(p: &mut Platform, frames: &[Frame]) -> Vec<(usize, Frame, Result<(), String>)> {
+fn read_aliases(p: &mut Platform, frames: &[Frame]) -> Vec<(usize, Frame, Result<(), Fault>)> {
     let mut out = Vec::new();
     for cpu in 0..p.cvm.machine.cpus.len() {
         for &f in frames {
             let r = p
                 .cvm
                 .machine
-                .probe(cpu, direct_map(f.base()), AccessKind::Read)
-                .map_err(|e| format!("{e:?}"));
+                .probe(cpu, direct_map(f.base()), AccessKind::Read);
             out.push((cpu, f, r));
         }
     }
@@ -317,7 +316,7 @@ fn confined_alias_retags_reach_every_core_at_deploy_and_kill() {
 
         // Warm every core's TLB with the kernel's view of the frames
         // about to be confined.
-        kernel_on_every_core(&mut p, policy::normal_mode_pkrs().0);
+        every_core(&mut p, Domain::Kernel, policy::normal_mode_pkrs());
         for (cpu, f, r) in read_aliases(&mut p, &frames) {
             assert!(
                 r.is_ok(),
@@ -329,8 +328,8 @@ fn confined_alias_retags_reach_every_core_at_deploy_and_kill() {
         for (cpu, f, r) in read_aliases(&mut p, &frames) {
             let err = r.expect_err("the kernel must not read confined memory on any core");
             assert!(
-                err.contains("PksAccessDisabled"),
-                "{backend:?}: cpu {cpu} frame {f:?}: {err}"
+                err.is_pf(PfReason::PksAccessDisabled),
+                "{backend:?}: cpu {cpu} frame {f:?}: {err:?}"
             );
         }
         let audit = p.audit();
@@ -338,14 +337,14 @@ fn confined_alias_retags_reach_every_core_at_deploy_and_kill() {
 
         // Warm every core with the confined aliases under monitor
         // privileges, then drop back to the kernel and kill.
-        kernel_on_every_core(&mut p, policy::monitor_mode_pkrs().0);
+        every_core(&mut p, Domain::Monitor, policy::monitor_mode_pkrs());
         for (cpu, f, r) in read_aliases(&mut p, &frames) {
             assert!(
                 r.is_ok(),
                 "{backend:?}: cpu {cpu} monitor read of {f:?}: {r:?}"
             );
         }
-        kernel_on_every_core(&mut p, policy::normal_mode_pkrs().0);
+        every_core(&mut p, Domain::Kernel, policy::normal_mode_pkrs());
         p.cvm
             .monitor
             .kill_sandbox(&mut p.cvm.machine, id, "retag test");
