@@ -675,6 +675,47 @@ mod tests {
         dst.import_state(&good).unwrap();
     }
 
+    /// Each fixed-parameter mismatch has its own typed refusal: a
+    /// cross-mechanism transplant in either direction, a different
+    /// reserved-pkey count, a different alias pkey.
+    #[test]
+    fn import_names_each_refusal() {
+        let pks = Backend::new(BackendKind::Pks, 6, 1);
+        let tme = Backend::new(BackendKind::TmeMk, 6, 1);
+        assert_eq!(pks.kind(), BackendKind::Pks);
+        assert_eq!(tme.kind(), BackendKind::TmeMk);
+        assert_eq!(BackendKind::Pks.label(), "pks");
+        assert_eq!(BackendKind::TmeMk.label(), "tmemk");
+        let refusal = |mut dst: Backend, src: &Backend| dst.import_state(&src.export_state());
+        assert_eq!(
+            refusal(Backend::new(BackendKind::TmeMk, 6, 1), &pks),
+            Err(WireError::BadTag {
+                what: "backend kind",
+                tag: 0
+            })
+        );
+        assert_eq!(
+            refusal(Backend::new(BackendKind::Pks, 6, 1), &tme),
+            Err(WireError::BadTag {
+                what: "backend kind",
+                tag: 1
+            })
+        );
+        assert_eq!(
+            refusal(Backend::new(BackendKind::Pks, 5, 1), &pks),
+            Err(WireError::BadValue {
+                what: "reserved pkeys"
+            })
+        );
+        assert_eq!(
+            refusal(Backend::new(BackendKind::TmeMk, 6, 2), &tme),
+            Err(WireError::BadValue { what: "alias pkey" })
+        );
+        // The same parameters import cleanly.
+        assert_eq!(refusal(Backend::new(BackendKind::Pks, 6, 2), &pks), Ok(()));
+        assert_eq!(refusal(Backend::new(BackendKind::TmeMk, 5, 1), &tme), Ok(()));
+    }
+
     #[test]
     fn enum_backend_delegates() {
         let mut b = Backend::new(BackendKind::TmeMk, 6, 1);
