@@ -18,7 +18,6 @@ use erebor_core::gate::EmcGate;
 use erebor_core::monitor::Monitor;
 use erebor_core::policy::{self, FrameKind};
 use erebor_hw::cpu::{Domain, Machine};
-use erebor_hw::isolation::IsolationBackend;
 use erebor_hw::paging::Pte;
 use erebor_hw::phys::PhysMemory;
 use erebor_hw::regs::Msr;

@@ -143,8 +143,9 @@ pub struct ManifestEntry {
 }
 
 /// The declared privileged core. Everything else is unprivileged and may
-/// touch hardware only through the safe APIs (the EMC gate,
-/// `IsolationBackend`, `Platform`, `erebor_hw::native`).
+/// touch hardware only through the safe APIs (the EMC gate, the
+/// isolation [`erebor_hw::isolation::Backend`], `Platform`,
+/// `erebor_hw::native`).
 pub const PRIVILEGE_MANIFEST: &[ManifestEntry] = &[
     ManifestEntry {
         path: "crates/hw/src/",

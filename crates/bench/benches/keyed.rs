@@ -24,7 +24,7 @@
 //!   the remaining population churned through recycled domains), each
 //!   with a floor of 1 so an unmeasured shape fails.
 
-use erebor::ehw::isolation::{BackendKind, IsolationBackend};
+use erebor::ehw::isolation::BackendKind;
 use erebor::{BootConfig, Mode, Platform};
 use erebor_core::emc::EmcRequest;
 use erebor_testkit::bench::{smoke, Criterion};

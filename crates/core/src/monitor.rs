@@ -17,7 +17,7 @@ use crate::stats::MonitorStats;
 use erebor_hw::cpu::Machine;
 use erebor_hw::fault::{Fault, VeReason};
 use erebor_hw::idt;
-use erebor_hw::isolation::{Backend, DomainId, IsolationBackend, IsolationError};
+use erebor_hw::isolation::{Backend, DomainId, IsolationError};
 use erebor_hw::image::{Image, SectionKind};
 use erebor_hw::layout::{self, direct_map};
 use erebor_hw::paging::{self, Pte, PteFlags};
@@ -1020,7 +1020,7 @@ impl Monitor {
     ) -> Result<(), EmcError> {
         let sandbox = self
             .sandboxes
-            .get_mut(&id.0)
+            .get(&id.0)
             .ok_or(EmcError::BadRequest("no such sandbox"))?;
         if sandbox.state != SandboxState::Setup {
             return Err(EmcError::Denied("confined declaration after data install"));
@@ -1031,15 +1031,7 @@ impl Monitor {
         if !layout::is_user(va) || va.page_offset() != 0 {
             return Err(EmcError::BadRequest("unaligned or non-user VA"));
         }
-        let root = sandbox.root;
-        let domain = sandbox.domain;
-        // How this sandbox's confined memory is tagged: under PKS the
-        // alias carries the sandbox's own pkey (access-disabled in
-        // normal mode); under TME-MK it keeps the monitor pkey and adds
-        // the sandbox's key-ID, programmed into the frame table below
-        // (the PCONFIG analogue).
-        let tag = self.backend.frame_tag(domain);
-        let frame_key = self.backend.frame_key(domain);
+        let declared = sandbox.confined.len();
         // Arena path for sandbox boot: grab the whole confined window from
         // the CMA in one batch. `alloc_frames_in` yields exactly the frames
         // the seed's per-page `alloc_frame_in` loop would (CMA frames and
@@ -1047,11 +1039,49 @@ impl Monitor {
         // so hoisting the data-frame allocations cannot renumber either
         // stream), but costs one bitmap pass instead of `pages` rescans.
         let mut arena: Vec<Frame> = Vec::with_capacity(pages as usize);
-        machine
+        let result = machine
             .mem
             .alloc_frames_in(self.cma, pages, &mut arena)
-            .map_err(|_| EmcError::NoMemory)?;
-        for &frame in &arena {
+            .map_err(|_| EmcError::NoMemory)
+            .and_then(|()| self.confine_arena(machine, cpu, id, va, executable, &arena));
+        if result.is_err() {
+            // The sandbox records a page only once it is mapped, and the
+            // arena is mapped in order: everything past the recorded
+            // prefix was taken by this request and is known to no one.
+            let mapped = self
+                .sandboxes
+                .get(&id.0)
+                .map_or(declared, |s| s.confined.len())
+                .saturating_sub(declared);
+            self.release_unmapped(machine, cpu, id, arena.get(mapped..).unwrap_or(&[]));
+        }
+        result
+    }
+
+    /// Confine a freshly allocated arena to sandbox `id` and map it at
+    /// `va`, recording each page in the sandbox as it is mapped.
+    fn confine_arena(
+        &mut self,
+        machine: &mut Machine,
+        cpu: usize,
+        id: SandboxId,
+        va: VirtAddr,
+        executable: bool,
+        arena: &[Frame],
+    ) -> Result<(), EmcError> {
+        let sandbox = self
+            .sandboxes
+            .get(&id.0)
+            .ok_or(EmcError::BadRequest("no such sandbox"))?;
+        let root = sandbox.root;
+        // How this sandbox's confined memory is tagged: under PKS the
+        // alias carries the sandbox's own pkey (access-disabled in
+        // normal mode); under TME-MK it keeps the monitor pkey and adds
+        // the sandbox's key-ID, programmed into the frame table below
+        // (the PCONFIG analogue).
+        let tag = self.backend.frame_tag(sandbox.domain);
+        let frame_key = self.backend.frame_key(sandbox.domain);
+        for &frame in arena {
             // Single-mapping policy: the frame must be fresh.
             if self.frames.mapcount(frame) != 0 {
                 return Err(EmcError::Denied("confined frame already mapped"));
@@ -1067,8 +1097,8 @@ impl Monitor {
         // even the kernel" rule, §6.1 — normal-mode PKRS access-disables
         // the tag's pkey under both backends). One shootdown covers the
         // run, and it lands before any frame enters the sandbox's tables.
-        mmu_guard::retag_direct_maps(machine, cpu, self.kernel_root, &arena, tag.pkey, tag.keyid)?;
-        for (p, frame) in arena.into_iter().enumerate() {
+        mmu_guard::retag_direct_maps(machine, cpu, self.kernel_root, arena, tag.pkey, tag.keyid)?;
+        for (p, &frame) in arena.iter().enumerate() {
             let page_va = va.add(p as u64 * PAGE_SIZE as u64);
             let flags = if executable {
                 PteFlags::user_rx()
@@ -1100,8 +1130,34 @@ impl Monitor {
             sandbox.confined.push((page_va, frame));
             sandbox.logical_confined_bytes += PAGE_SIZE as u64;
         }
-        self.stats.pte_updates = self.stats.pte_updates.saturating_add(pages);
+        self.stats.pte_updates = self.stats.pte_updates.saturating_add(arena.len() as u64);
         Ok(())
+    }
+
+    /// Give back arena frames that a failed declaration took but never
+    /// mapped: the frames this request confined return to
+    /// [`FrameKind::Unused`] and to the default direct-map tag (under
+    /// one shootdown, as the kill fence does), and every frame returns
+    /// to the allocator, which drops its programmed key.
+    fn release_unmapped(
+        &mut self,
+        machine: &mut Machine,
+        cpu: usize,
+        id: SandboxId,
+        frames: &[Frame],
+    ) {
+        let confined: Vec<Frame> = frames
+            .iter()
+            .copied()
+            .filter(|&f| self.frames.kind(f) == FrameKind::Confined { sandbox: id.0 })
+            .collect();
+        for &frame in frames {
+            machine.mem.free_frame(frame).ok();
+        }
+        for &frame in &confined {
+            self.frames.release(frame).ok();
+        }
+        mmu_guard::retag_direct_maps(machine, cpu, self.kernel_root, &confined, PK_DEFAULT, 0).ok();
     }
 
     fn create_common(

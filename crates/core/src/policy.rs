@@ -26,7 +26,7 @@ pub const PK_IDT: u8 = 5;
 /// backend (keys 0..=5 are the monitor's reserved policy keys above).
 pub const PK_SANDBOX_FIRST: u8 = 6;
 /// Number of reserved low pkeys (handed to
-/// [`erebor_hw::isolation::PksBackend::new`]).
+/// [`erebor_hw::isolation::Backend::new`]).
 pub const RESERVED_PKEYS: u16 = PK_SANDBOX_FIRST as u16;
 
 /// The PKRS value the monitor programs for *normal* (deprivileged kernel)

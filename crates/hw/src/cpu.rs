@@ -180,15 +180,12 @@ pub struct Machine {
     /// Per-core bounded ring of cycle-stamped trace events. Recording
     /// charges no cycles, so tracing never perturbs the model it observes.
     pub trace: TraceBuffer,
-    /// Fast-path switch: `false` forces every translation through the
-    /// walker (ablation + the TLB-equivalence property test).
-    pub tlb_enabled: bool,
     /// Batch fast-path switch: `false` forces [`Machine::run_batch`] to
-    /// execute every op through the ordinary slow path (ablation and the
-    /// differential equivalence suite). The decision cache is consulted
-    /// only when both this and [`Machine::tlb_enabled`] are set; either
-    /// way the observable machine state evolves identically. Host-side:
-    /// not migrated, a destination machine starts with it on.
+    /// execute every op through the ordinary slow path (the differential
+    /// equivalence suite and the fastpath bench's baseline). The decision
+    /// cache is consulted only when this is set; either way the
+    /// observable machine state evolves identically. Host-side: not
+    /// migrated, a destination machine starts with it on.
     pub fastpath_enabled: bool,
     /// Fast-path observability counters. Kept outside [`HwStats`] so
     /// fastpath-on and fastpath-off runs produce byte-identical snapshots.
@@ -241,7 +238,6 @@ impl Machine {
             tlbs: (0..cores).map(|_| Tlb::new()).collect(),
             stats: HwStats::default(),
             trace: TraceBuffer::new(cores),
-            tlb_enabled: true,
             fastpath_enabled: true,
             fastpath: FastpathStats::default(),
             mmu_trace: false,
@@ -526,27 +522,25 @@ impl Machine {
         kind: AccessKind,
     ) -> Result<crate::PhysAddr, Fault> {
         let env = self.env(cpu);
-        if self.tlb_enabled {
-            if let Some(entry) = self.tlbs[cpu].lookup(env.root, va, kind) {
-                let needs_dirty_promotion = kind == AccessKind::Write && !entry.dirty;
-                if !needs_dirty_promotion {
-                    if let Err(f) = mmu::check_access(&env, va, kind, entry.eff) {
-                        self.trace_fault(cpu, va, kind);
-                        return Err(f);
-                    }
-                    self.stats.tlb_hits = self.stats.tlb_hits.saturating_add(1);
-                    self.cycles.charge_to(Bucket::PageWalk, self.costs.tlb_hit);
-                    if self.mmu_trace {
-                        self.trace_event(
-                            cpu,
-                            TraceEvent::TlbHit {
-                                root: env.root.0,
-                                page: va.0 >> 12,
-                            },
-                        );
-                    }
-                    return Ok(crate::PhysAddr(entry.frame.base().0 + va.page_offset()));
+        if let Some(entry) = self.tlbs[cpu].lookup(env.root, va, kind) {
+            let needs_dirty_promotion = kind == AccessKind::Write && !entry.dirty;
+            if !needs_dirty_promotion {
+                if let Err(f) = mmu::check_access(&env, va, kind, entry.eff) {
+                    self.trace_fault(cpu, va, kind);
+                    return Err(f);
                 }
+                self.stats.tlb_hits = self.stats.tlb_hits.saturating_add(1);
+                self.cycles.charge_to(Bucket::PageWalk, self.costs.tlb_hit);
+                if self.mmu_trace {
+                    self.trace_event(
+                        cpu,
+                        TraceEvent::TlbHit {
+                            root: env.root.0,
+                            page: va.0 >> 12,
+                        },
+                    );
+                }
+                return Ok(crate::PhysAddr(entry.frame.base().0 + va.page_offset()));
             }
         }
         let t = match mmu::translate(&mut self.mem, &env, va, kind) {
@@ -558,14 +552,12 @@ impl Machine {
         };
         self.cycles
             .charge_to(Bucket::PageWalk, u64::from(t.levels_walked) * self.costs.walk_level);
-        if self.tlb_enabled {
-            self.stats.tlb_misses = self.stats.tlb_misses.saturating_add(1);
-            self.tlbs[cpu].insert(env.root, va, kind, &t);
-            // Slot coupling: no decision may outlive the TLB entry it was
-            // derived from, so the fill clears the decisions its slot backs
-            // (conflict evictions and same-page refills alike).
-            self.decisions[cpu].on_tlb_fill(va, kind);
-        }
+        self.stats.tlb_misses = self.stats.tlb_misses.saturating_add(1);
+        self.tlbs[cpu].insert(env.root, va, kind, &t);
+        // Slot coupling: no decision may outlive the TLB entry it was
+        // derived from, so the fill clears the decisions its slot backs
+        // (conflict evictions and same-page refills alike).
+        self.decisions[cpu].on_tlb_fill(va, kind);
         Ok(t.pa)
     }
 
@@ -671,9 +663,6 @@ impl Machine {
     /// exposed for raw-CR3 boot/ablation paths that bypass
     /// [`Machine::write_cr3`]).
     pub fn flush_tlb(&mut self, cpu: usize) {
-        // Machine-global effects first (epoch, stats, ledgers, trace) —
-        // the core-local mutation itself goes through the core's handle,
-        // the same seam parallel execution will take.
         self.bump_mmu_epoch();
         self.stats.tlb_flushes = self.stats.tlb_flushes.saturating_add(1);
         self.pending_shootdowns.retain(|&(c, _)| c != cpu);
@@ -681,7 +670,7 @@ impl Machine {
         if self.mmu_trace {
             self.trace_event(cpu, TraceEvent::TlbFlush);
         }
-        self.core_split(cpu).tlb.flush_all();
+        self.tlbs[cpu].flush_all();
     }
 
     /// `invlpg`-equivalent: drop `cpu`'s cached translation for `va`'s
@@ -696,7 +685,7 @@ impl Machine {
         }
         self.bump_mmu_epoch();
         self.cycles.charge(self.costs.invlpg);
-        self.core_split(cpu).tlb.invalidate_page(va);
+        self.tlbs[cpu].invalidate_page(va);
         self.stats.tlb_page_invalidations = self.stats.tlb_page_invalidations.saturating_add(1);
         self.pending_shootdowns.remove(&(cpu, va.0 >> 12));
         if self.mmu_trace {
@@ -880,50 +869,6 @@ impl Machine {
             }
         }
         Ok(())
-    }
-
-    // ----- per-core handles ---------------------------------------------
-
-    /// Split out one core's core-local slots ([`CoreHandle`] fields).
-    /// Lives here (not in `core_handle`) because the decision-cache and
-    /// interrupt-depth vectors are module-private.
-    pub(crate) fn core_split(&mut self, cpu: usize) -> crate::core_handle::CoreHandle<'_> {
-        crate::core_handle::CoreHandle {
-            index: cpu,
-            cpu: &mut self.cpus[cpu],
-            tlb: &mut self.tlbs[cpu],
-            sstk: &mut self.sstk[cpu],
-            decisions: &mut self.decisions[cpu],
-            interrupt_depth: &mut self.interrupt_depth[cpu],
-        }
-    }
-
-    /// Element-wise split of every per-core vector into simultaneous
-    /// disjoint handles (see [`Machine::cores`]).
-    pub(crate) fn cores_split(&mut self) -> Vec<crate::core_handle::CoreHandle<'_>> {
-        let cpus = self.cpus.iter_mut();
-        let tlbs = self.tlbs.iter_mut();
-        let sstk = self.sstk.iter_mut();
-        let decisions = self.decisions.iter_mut();
-        let depths = self.interrupt_depth.iter_mut();
-        cpus.zip(tlbs)
-            .zip(sstk)
-            .zip(decisions)
-            .zip(depths)
-            .enumerate()
-            .map(
-                |(index, ((((cpu, tlb), sstk), decisions), interrupt_depth))| {
-                    crate::core_handle::CoreHandle {
-                        index,
-                        cpu,
-                        tlb,
-                        sstk,
-                        decisions,
-                        interrupt_depth,
-                    }
-                },
-            )
-            .collect()
     }
 
     // ----- privileged register writes (sensitive, Table 2) --------------
@@ -1286,7 +1231,7 @@ impl Machine {
     /// op had been issued through its ordinary [`Machine`] method in
     /// sequence, stopping at the first fault.
     ///
-    /// With the fast path enabled (`fastpath_enabled && tlb_enabled`),
+    /// With the fast path enabled ([`Machine::fastpath_enabled`]),
     /// accesses whose allow-verdict is cached in the core's
     /// [`DecisionCache`] are replayed without rebuilding the MMU
     /// environment or re-running the permission pipeline, charging and
@@ -1306,18 +1251,19 @@ impl Machine {
             digest: 0,
             fault: None,
         };
-        let fast = self.fastpath_enabled && self.tlb_enabled;
+        let fast = self.fastpath_enabled;
         // `validated` == the decision cache is known keyed to the live
         // (ctx, epoch). Accesses never change either, so one validation
         // covers a whole run of accesses; privileged ops clear it.
         let mut validated = false;
         // Deferred side effects of decision hits: with MMU tracing off no
-        // hit records a cycle-stamped event, so hit charges and counters
-        // accumulate locally and flush before any slow-path op (slow ops
-        // can record stamped events) and at batch end. Totals commute, so
-        // the final cycles/attribution/stats are byte-identical to the
-        // eager slow path. With tracing on, hits replay eagerly so each
-        // `TlbHit` carries the exact slow-path stamp.
+        // hit records a cycle-stamped event, so the hoisted loop below
+        // accumulates hit charges and counters locally and flushes them
+        // before any slow-path op (slow ops can record stamped events)
+        // and at batch end. Totals commute, so the final
+        // cycles/attribution/stats are byte-identical to the eager slow
+        // path. With tracing on, the generic arms replay hits eagerly so
+        // each `TlbHit` carries the exact slow-path stamp.
         let mut pend_hits = 0u64;
         let mut pend_mem = 0u64;
         let mut i = 0usize;
@@ -1325,10 +1271,12 @@ impl Machine {
             // Deferred-mode hot loop: with tracing off, a run of cached
             // accesses touches only the decision arrays, DRAM and local
             // accumulators — the context validation, cost constants and
-            // field borrows are hoisted out of the per-op path. Every
-            // side effect is the same one the generic arm below would
-            // produce; the loop exits (without consuming the op) the
-            // moment an op needs anything more.
+            // field borrows are hoisted out of the per-op path. The loop
+            // exits (without consuming the op) the moment an op needs
+            // anything more: a decision miss, a cross-page access or a
+            // privileged op. So with tracing off, the generic arms below
+            // never see a decision hit, and only traced runs reach
+            // `fast_hit` with one.
             if fast
                 && !self.mmu_trace
                 && matches!(
@@ -1399,11 +1347,7 @@ impl Machine {
             }
             let step: Result<Option<u64>, Fault> = match ops[i] {
                 BatchOp::Probe { va, kind } => {
-                    if fast
-                        && self
-                            .fast_hit(cpu, &mut validated, va, kind, &mut pend_hits)
-                            .is_some()
-                    {
+                    if fast && self.fast_hit(cpu, &mut validated, va, kind).is_some() {
                         Ok(None)
                     } else {
                         self.flush_pending(&mut pend_hits, &mut pend_mem);
@@ -1418,17 +1362,13 @@ impl Machine {
                 BatchOp::ReadU64 { va } => {
                     let in_page = va.page_offset() + 8 <= crate::PAGE_SIZE as u64;
                     let hit = if fast && in_page {
-                        self.fast_hit(cpu, &mut validated, va, AccessKind::Read, &mut pend_hits)
+                        self.fast_hit(cpu, &mut validated, va, AccessKind::Read)
                     } else {
                         None
                     };
                     if let Some(frame) = hit {
                         let pa = crate::PhysAddr(frame.base().0 + va.page_offset());
-                        if self.mmu_trace {
-                            self.cycles.charge(self.costs.mem_op);
-                        } else {
-                            pend_mem = pend_mem.saturating_add(self.costs.mem_op);
-                        }
+                        self.cycles.charge(self.costs.mem_op);
                         self.mem
                             .read_u64(pa)
                             .map(Some)
@@ -1446,17 +1386,13 @@ impl Machine {
                 BatchOp::WriteU64 { va, v } => {
                     let in_page = va.page_offset() + 8 <= crate::PAGE_SIZE as u64;
                     let hit = if fast && in_page {
-                        self.fast_hit(cpu, &mut validated, va, AccessKind::Write, &mut pend_hits)
+                        self.fast_hit(cpu, &mut validated, va, AccessKind::Write)
                     } else {
                         None
                     };
                     if let Some(frame) = hit {
                         let pa = crate::PhysAddr(frame.base().0 + va.page_offset());
-                        if self.mmu_trace {
-                            self.cycles.charge(self.costs.mem_op);
-                        } else {
-                            pend_mem = pend_mem.saturating_add(self.costs.mem_op);
-                        }
+                        self.cycles.charge(self.costs.mem_op);
                         self.mem
                             .write_u64(pa, v)
                             .map(|()| None)
@@ -1519,17 +1455,17 @@ impl Machine {
     }
 
     /// Try to serve an access from the core's decision cache, replaying
-    /// (or deferring, see [`Machine::run_batch`]) the slow TLB-hit path's
-    /// exact side effects. `None` means "take the slow path" — the cache
-    /// is (re)keyed as a side effect, so the slow path's refill lands in a
-    /// live cache.
+    /// the slow TLB-hit path's exact side effects eagerly (untraced runs
+    /// defer them in [`Machine::run_batch`]'s hoisted loop instead, and
+    /// reach this only on a miss). `None` means "take the slow path" —
+    /// the cache is (re)keyed as a side effect, so the slow path's refill
+    /// lands in a live cache.
     fn fast_hit(
         &mut self,
         cpu: usize,
         validated: &mut bool,
         va: VirtAddr,
         kind: AccessKind,
-        pend_hits: &mut u64,
     ) -> Option<Frame> {
         if !*validated {
             let live = self.live_ctx(cpu);
@@ -1540,10 +1476,10 @@ impl Machine {
             *validated = true;
         }
         let d = self.decisions[cpu].lookup(va, kind)?;
+        self.stats.tlb_hits = self.stats.tlb_hits.saturating_add(1);
+        self.fastpath.decision_hits = self.fastpath.decision_hits.saturating_add(1);
+        self.cycles.charge_to(Bucket::PageWalk, self.costs.tlb_hit);
         if self.mmu_trace {
-            self.stats.tlb_hits = self.stats.tlb_hits.saturating_add(1);
-            self.fastpath.decision_hits = self.fastpath.decision_hits.saturating_add(1);
-            self.cycles.charge_to(Bucket::PageWalk, self.costs.tlb_hit);
             let root = self.cpus[cpu].cr3.0;
             self.trace_event(
                 cpu,
@@ -1552,8 +1488,6 @@ impl Machine {
                     page: va.0 >> 12,
                 },
             );
-        } else {
-            *pend_hits = pend_hits.saturating_add(1);
         }
         Some(d.frame)
     }
@@ -1989,19 +1923,6 @@ mod tests {
         let hits = m.stats.tlb_hits;
         m.probe(0, va, AccessKind::Write).unwrap();
         assert_eq!(m.stats.tlb_hits, hits + 1);
-    }
-
-    #[test]
-    fn tlb_disabled_always_walks() {
-        let mut m = machine();
-        m.tlb_enabled = false;
-        map(&mut m, 0xffff_8000_0000_0000u64, PteFlags::kernel_rw(0));
-        let va = VirtAddr(0xffff_8000_0000_0000);
-        m.probe(0, va, AccessKind::Read).unwrap();
-        m.probe(0, va, AccessKind::Read).unwrap();
-        assert_eq!(m.stats.tlb_hits, 0);
-        assert_eq!(m.stats.tlb_misses, 0, "off means uncounted too");
-        assert_eq!(m.tlbs[0].occupancy(), 0);
     }
 
     // ----- batched fast path --------------------------------------------

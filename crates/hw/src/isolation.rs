@@ -1,6 +1,6 @@
-//! Pluggable isolation backends: how the monitor tags frames with a
-//! protection domain and how the hardware checks an access against the
-//! current CPU's domain-permission state.
+//! Isolation backends: how the monitor tags frames with a protection
+//! domain and how the hardware checks an access against the current
+//! CPU's domain-permission state.
 //!
 //! The paper's mechanism is PKS: a 4-bit supervisor protection key in
 //! every PTE checked against the per-CPU PKRS register — fast domain
@@ -13,12 +13,12 @@
 //! domains, at the cost of a walk-time check and PCONFIG-style key
 //! management.
 //!
-//! Both backends expose the same contract — allocate a domain, tag a
-//! frame, revoke the domain — so the monitor's confinement plumbing, the
-//! C1–C8 auditor and the chaos campaigns run generically over
-//! `Backend = Pks | TmeMk`.
+//! The two mechanisms differ only in their domain-id range and in how a
+//! domain becomes a frame tag, so one [`Backend`] serves both: the
+//! monitor's confinement plumbing, the C1–C8 auditor and the chaos
+//! campaigns allocate a domain, tag a frame and revoke the domain the
+//! same way under either.
 
-use crate::regs::PkrsPerms;
 use erebor_wire::{WireError, WireReader, WireWriter};
 use std::collections::BTreeSet;
 
@@ -94,68 +94,8 @@ pub struct FrameTag {
     pub keyid: u16,
 }
 
-/// The common contract both mechanisms implement: domain lifecycle,
-/// frame tagging, and the access predicate the auditor re-derives.
-pub trait IsolationBackend {
-    /// Which mechanism this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Total domain capacity, reserved domains included.
-    fn capacity(&self) -> u16;
-
-    /// Domains reserved by the platform (monitor/PTP/... for PKS; the
-    /// untagged key-ID 0 for TME-MK). Never allocatable.
-    fn reserved(&self) -> u16;
-
-    /// Currently live (allocated, unrevoked) domains.
-    fn live_domains(&self) -> u16;
-
-    /// Allocate a domain. Revoked domains are reused (most recently
-    /// revoked first); a live domain is never handed out twice.
-    ///
-    /// # Errors
-    /// [`IsolationError::DomainsExhausted`] at capacity.
-    fn alloc_domain(&mut self) -> Result<DomainId, IsolationError>;
-
-    /// Revoke a live domain, returning it to the free pool.
-    ///
-    /// # Errors
-    /// [`IsolationError::InvalidDomain`] unless `d` is live.
-    fn free_domain(&mut self, d: DomainId) -> Result<(), IsolationError>;
-
-    /// How mappings of a frame assigned to domain `d` are tagged.
-    fn frame_tag(&self, d: DomainId) -> FrameTag;
-
-    /// The key programmed into the physical frame table for domain `d`
-    /// (the PCONFIG analogue). Always 0 for PKS.
-    fn frame_key(&self, d: DomainId) -> u16;
-
-    /// The model-level access predicate: would a supervisor data access
-    /// under `pkrs` to a mapping tagged (`pte_pkey`, `pte_keyid`) of a
-    /// frame whose programmed key is `frame_key` be permitted? This is
-    /// exactly the conjunction the MMU walk enforces
-    /// ([`crate::mmu::check_access`] for the PKRS half, the walk's
-    /// key-ID comparison for the keyed half); the auditor uses it to
-    /// state C2/C3 generically over backends.
-    fn access_allowed(
-        &self,
-        pkrs: PkrsPerms,
-        write: bool,
-        pte_pkey: u8,
-        pte_keyid: u16,
-        frame_key: u16,
-    ) -> bool {
-        let pkrs_ok = if write {
-            !pkrs.access_disabled(pte_pkey) && !pkrs.write_disabled(pte_pkey)
-        } else {
-            !pkrs.access_disabled(pte_pkey)
-        };
-        pkrs_ok && pte_keyid == frame_key
-    }
-}
-
-/// Shared domain-pool bookkeeping: dense id range `[first, capacity)`,
-/// fresh ids handed out in ascending order, revoked ids reused LIFO.
+/// Domain-pool bookkeeping: dense id range `[first, capacity)`, fresh
+/// ids handed out in ascending order, revoked ids reused LIFO.
 #[derive(Debug, Clone)]
 struct DomainPool {
     first: u16,
@@ -241,176 +181,141 @@ impl DomainPool {
     }
 }
 
-/// The paper's PKS mechanism: 16 pkeys total, the low 6 reserved by the
-/// monitor (default/monitor/PTP/kernel-text/shadow-stack/IDT), sandbox
-/// domains drawn from pkeys 6..=15. A sandbox's confined direct-map
-/// aliases are retagged to its own pkey, which normal-mode PKRS
-/// access-disables.
-#[derive(Debug, Clone)]
-pub struct PksBackend {
-    pool: DomainPool,
-}
-
 /// Number of PKS protection keys (4-bit field).
 pub const PKS_KEY_COUNT: u16 = 16;
-
-impl PksBackend {
-    /// A PKS backend with `reserved` low pkeys held back for the
-    /// platform (the monitor passes its 6 policy keys).
-    #[must_use]
-    pub fn new(reserved: u16) -> PksBackend {
-        assert!(reserved <= PKS_KEY_COUNT, "more reserved keys than exist");
-        PksBackend {
-            pool: DomainPool::new(reserved, PKS_KEY_COUNT),
-        }
-    }
-}
-
-impl IsolationBackend for PksBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Pks
-    }
-
-    fn capacity(&self) -> u16 {
-        PKS_KEY_COUNT
-    }
-
-    fn reserved(&self) -> u16 {
-        self.pool.first
-    }
-
-    fn live_domains(&self) -> u16 {
-        self.pool.live.len() as u16
-    }
-
-    fn alloc_domain(&mut self) -> Result<DomainId, IsolationError> {
-        self.pool.alloc()
-    }
-
-    fn free_domain(&mut self, d: DomainId) -> Result<(), IsolationError> {
-        self.pool.free(d)
-    }
-
-    fn frame_tag(&self, d: DomainId) -> FrameTag {
-        FrameTag {
-            pkey: (d.0 & 0xf) as u8,
-            keyid: 0,
-        }
-    }
-
-    fn frame_key(&self, _d: DomainId) -> u16 {
-        0
-    }
-}
 
 /// Number of TME-MK key-IDs (12 high PA bits in this model).
 pub const TMEMK_KEY_COUNT: u16 = 4096;
 
-/// TME-MK keyed memory: domains are key-IDs 1..=4095; key-ID 0 is the
-/// untagged kernel default. Confined direct-map aliases keep the
-/// monitor's PKS pkey (so the PKRS grant check still gates them) and
-/// additionally carry the sandbox's key-ID, which the walk compares
-/// against the frame table's programmed key.
+/// A platform's isolation mechanism and its domain pool.
+///
+/// * **PKS** (the paper's mechanism): 16 pkeys, the low `reserved` held
+///   back by the monitor (default/monitor/PTP/kernel-text/shadow-stack/
+///   IDT), sandbox domains drawn from the rest. A sandbox's confined
+///   direct-map aliases carry its own pkey, which normal-mode PKRS
+///   access-disables.
+/// * **TME-MK** keyed memory: domains are key-IDs 1..=4095, key-ID 0
+///   being the untagged kernel default. Confined aliases keep
+///   `alias_pkey` (so the PKRS grant check still gates them) and also
+///   carry the sandbox's key-ID, which the walk compares against the
+///   frame table's programmed key.
 #[derive(Debug, Clone)]
-pub struct TmeMkBackend {
+pub struct Backend {
+    kind: BackendKind,
     pool: DomainPool,
     alias_pkey: u8,
 }
 
-impl TmeMkBackend {
-    /// A TME-MK backend whose confined aliases carry `alias_pkey` (the
-    /// monitor passes its own pkey so normal-mode PKRS still
-    /// access-disables the aliases).
+impl Backend {
+    /// Construct the backend for `kind`. `reserved_pkeys` is the
+    /// platform's reserved low pkey count (PKS); `alias_pkey` tags
+    /// confined aliases (TME-MK; the monitor passes its own pkey so
+    /// normal-mode PKRS still access-disables them).
+    ///
+    /// # Panics
+    /// If `reserved_pkeys` exceeds [`PKS_KEY_COUNT`] under PKS.
     #[must_use]
-    pub fn new(alias_pkey: u8) -> TmeMkBackend {
-        TmeMkBackend {
-            pool: DomainPool::new(1, TMEMK_KEY_COUNT),
+    pub fn new(kind: BackendKind, reserved_pkeys: u16, alias_pkey: u8) -> Backend {
+        let pool = match kind {
+            BackendKind::Pks => {
+                assert!(reserved_pkeys <= PKS_KEY_COUNT, "more reserved keys than exist");
+                DomainPool::new(reserved_pkeys, PKS_KEY_COUNT)
+            }
+            BackendKind::TmeMk => DomainPool::new(1, TMEMK_KEY_COUNT),
+        };
+        Backend {
+            kind,
+            pool,
             alias_pkey,
         }
     }
-}
 
-impl IsolationBackend for TmeMkBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::TmeMk
+    /// Which mechanism this is.
+    #[must_use]
+    pub fn kind(&self) -> BackendKind {
+        self.kind
     }
 
-    fn capacity(&self) -> u16 {
-        TMEMK_KEY_COUNT
+    /// Total domain capacity, reserved domains included.
+    #[must_use]
+    pub fn capacity(&self) -> u16 {
+        self.pool.capacity
     }
 
-    fn reserved(&self) -> u16 {
-        1
+    /// Domains reserved by the platform (the monitor's policy pkeys
+    /// under PKS; the untagged key-ID 0 under TME-MK). Never
+    /// allocatable.
+    #[must_use]
+    pub fn reserved(&self) -> u16 {
+        self.pool.first
     }
 
-    fn live_domains(&self) -> u16 {
+    /// Currently live (allocated, unrevoked) domains.
+    #[must_use]
+    pub fn live_domains(&self) -> u16 {
         self.pool.live.len() as u16
     }
 
-    fn alloc_domain(&mut self) -> Result<DomainId, IsolationError> {
+    /// Allocate a domain. Revoked domains are reused (most recently
+    /// revoked first); a live domain is never handed out twice.
+    ///
+    /// # Errors
+    /// [`IsolationError::DomainsExhausted`] at capacity.
+    pub fn alloc_domain(&mut self) -> Result<DomainId, IsolationError> {
         self.pool.alloc()
     }
 
-    fn free_domain(&mut self, d: DomainId) -> Result<(), IsolationError> {
+    /// Revoke a live domain, returning it to the free pool.
+    ///
+    /// # Errors
+    /// [`IsolationError::InvalidDomain`] unless `d` is live.
+    pub fn free_domain(&mut self, d: DomainId) -> Result<(), IsolationError> {
         self.pool.free(d)
     }
 
-    fn frame_tag(&self, d: DomainId) -> FrameTag {
-        FrameTag {
-            pkey: self.alias_pkey,
-            keyid: d.0,
+    /// How mappings of a frame assigned to domain `d` are tagged.
+    #[must_use]
+    pub fn frame_tag(&self, d: DomainId) -> FrameTag {
+        match self.kind {
+            BackendKind::Pks => FrameTag {
+                pkey: (d.0 & 0xf) as u8,
+                keyid: 0,
+            },
+            BackendKind::TmeMk => FrameTag {
+                pkey: self.alias_pkey,
+                keyid: d.0,
+            },
         }
     }
 
-    fn frame_key(&self, d: DomainId) -> u16 {
-        d.0
-    }
-}
-
-/// Enum dispatch over the two mechanisms (no trait objects: the monitor
-/// stores the backend by value and the chaos/bench suites match on it).
-#[derive(Debug, Clone)]
-pub enum Backend {
-    /// PKS/PKRS protection keys.
-    Pks(PksBackend),
-    /// TME-MK keyed memory.
-    TmeMk(TmeMkBackend),
-}
-
-impl Backend {
-    /// Construct the backend for `kind`. `reserved_pkeys` is the
-    /// platform's reserved low pkey count; `alias_pkey` tags TME-MK
-    /// confined aliases.
+    /// The key programmed into the physical frame table for domain `d`
+    /// (the PCONFIG analogue). Always 0 for PKS.
     #[must_use]
-    pub fn new(kind: BackendKind, reserved_pkeys: u16, alias_pkey: u8) -> Backend {
-        match kind {
-            BackendKind::Pks => Backend::Pks(PksBackend::new(reserved_pkeys)),
-            BackendKind::TmeMk => Backend::TmeMk(TmeMkBackend::new(alias_pkey)),
+    pub fn frame_key(&self, d: DomainId) -> u16 {
+        match self.kind {
+            BackendKind::Pks => 0,
+            BackendKind::TmeMk => d.0,
         }
     }
 
     /// Serialize the domain-pool state (live set, LIFO recycle list,
     /// fresh-id cursor) for migration. The mechanism kind and its fixed
-    /// parameters are included so import can refuse a cross-mechanism
+    /// parameter (the reserved count under PKS, the alias pkey under
+    /// TME-MK) are included so import can refuse a cross-mechanism
     /// transplant.
     #[must_use]
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
-        match self {
-            Backend::Pks(b) => {
-                w.put(&(0u8, b.pool.first));
-                b.pool.export(&mut w);
-            }
-            Backend::TmeMk(b) => {
-                w.put(&(1u8, b.alias_pkey));
-                b.pool.export(&mut w);
-            }
+        match self.kind {
+            BackendKind::Pks => w.put(&(0u8, self.pool.first)),
+            BackendKind::TmeMk => w.put(&(1u8, self.alias_pkey)),
         }
+        self.pool.export(&mut w);
         w.finish()
     }
 
     /// Replace this backend's pool with an exported one. The export must
-    /// be for the same mechanism with the same fixed parameters, and its
+    /// be for the same mechanism with the same fixed parameter, and its
     /// pool state must satisfy the allocator invariants — see
     /// `DomainPool::import`.
     ///
@@ -421,24 +326,18 @@ impl Backend {
     pub fn import_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = WireReader::new(bytes);
         let kind: u8 = r.get()?;
-        match (&mut *self, kind) {
-            (Backend::Pks(b), 0) => {
-                if r.get::<u16>()? != b.pool.first {
+        match (self.kind, kind) {
+            (BackendKind::Pks, 0) => {
+                if r.get::<u16>()? != self.pool.first {
                     return Err(WireError::BadValue {
                         what: "reserved pkeys",
                     });
                 }
-                let pool = DomainPool::import(&mut r, b.pool.first, b.pool.capacity)?;
-                r.finish()?;
-                b.pool = pool;
             }
-            (Backend::TmeMk(b), 1) => {
-                if r.get::<u8>()? != b.alias_pkey {
+            (BackendKind::TmeMk, 1) => {
+                if r.get::<u8>()? != self.alias_pkey {
                     return Err(WireError::BadValue { what: "alias pkey" });
                 }
-                let pool = DomainPool::import(&mut r, b.pool.first, b.pool.capacity)?;
-                r.finish()?;
-                b.pool = pool;
             }
             _ => {
                 return Err(WireError::BadTag {
@@ -447,55 +346,10 @@ impl Backend {
                 });
             }
         }
+        let pool = DomainPool::import(&mut r, self.pool.first, self.pool.capacity)?;
+        r.finish()?;
+        self.pool = pool;
         Ok(())
-    }
-
-    fn inner(&self) -> &dyn IsolationBackend {
-        match self {
-            Backend::Pks(b) => b,
-            Backend::TmeMk(b) => b,
-        }
-    }
-
-    fn inner_mut(&mut self) -> &mut dyn IsolationBackend {
-        match self {
-            Backend::Pks(b) => b,
-            Backend::TmeMk(b) => b,
-        }
-    }
-}
-
-impl IsolationBackend for Backend {
-    fn kind(&self) -> BackendKind {
-        self.inner().kind()
-    }
-
-    fn capacity(&self) -> u16 {
-        self.inner().capacity()
-    }
-
-    fn reserved(&self) -> u16 {
-        self.inner().reserved()
-    }
-
-    fn live_domains(&self) -> u16 {
-        self.inner().live_domains()
-    }
-
-    fn alloc_domain(&mut self) -> Result<DomainId, IsolationError> {
-        self.inner_mut().alloc_domain()
-    }
-
-    fn free_domain(&mut self, d: DomainId) -> Result<(), IsolationError> {
-        self.inner_mut().free_domain(d)
-    }
-
-    fn frame_tag(&self, d: DomainId) -> FrameTag {
-        self.inner().frame_tag(d)
-    }
-
-    fn frame_key(&self, d: DomainId) -> u16 {
-        self.inner().frame_key(d)
     }
 }
 
@@ -505,7 +359,7 @@ mod tests {
 
     #[test]
     fn pks_pool_is_sixteen_minus_reserved() {
-        let mut b = PksBackend::new(6);
+        let mut b = Backend::new(BackendKind::Pks, 6, 1);
         assert_eq!(b.capacity(), 16);
         assert_eq!(b.reserved(), 6);
         let mut got = Vec::new();
@@ -522,7 +376,7 @@ mod tests {
 
     #[test]
     fn freed_domain_is_reused_never_while_live() {
-        let mut b = PksBackend::new(6);
+        let mut b = Backend::new(BackendKind::Pks, 6, 1);
         let a = b.alloc_domain().unwrap();
         let c = b.alloc_domain().unwrap();
         assert_ne!(a, c);
@@ -537,7 +391,7 @@ mod tests {
 
     #[test]
     fn reserved_ids_are_never_handed_out_or_freed() {
-        let mut b = PksBackend::new(6);
+        let mut b = Backend::new(BackendKind::Pks, 6, 1);
         assert_eq!(
             b.free_domain(DomainId(3)),
             Err(IsolationError::InvalidDomain(DomainId(3)))
@@ -553,7 +407,7 @@ mod tests {
 
     #[test]
     fn tmemk_supports_hundreds_of_domains() {
-        let mut b = TmeMkBackend::new(1);
+        let mut b = Backend::new(BackendKind::TmeMk, 6, 1);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..512 {
             let d = b.alloc_domain().unwrap();
@@ -566,7 +420,7 @@ mod tests {
 
     #[test]
     fn tmemk_exhausts_at_capacity_with_typed_error() {
-        let mut b = TmeMkBackend::new(1);
+        let mut b = Backend::new(BackendKind::TmeMk, 6, 1);
         for _ in 0..4095 {
             b.alloc_domain().unwrap();
         }
@@ -578,13 +432,13 @@ mod tests {
 
     #[test]
     fn frame_tags_match_mechanism() {
-        let pks = PksBackend::new(6);
+        let pks = Backend::new(BackendKind::Pks, 6, 1);
         assert_eq!(
             pks.frame_tag(DomainId(7)),
             FrameTag { pkey: 7, keyid: 0 }
         );
         assert_eq!(pks.frame_key(DomainId(7)), 0);
-        let tme = TmeMkBackend::new(1);
+        let tme = Backend::new(BackendKind::TmeMk, 6, 1);
         assert_eq!(
             tme.frame_tag(DomainId(300)),
             FrameTag {
@@ -593,21 +447,6 @@ mod tests {
             }
         );
         assert_eq!(tme.frame_key(DomainId(300)), 300);
-    }
-
-    #[test]
-    fn access_predicate_conjoins_pkrs_and_key() {
-        let pks = PksBackend::new(6);
-        let deny7 = PkrsPerms::GRANT_ALL.with_access_disabled(7);
-        assert!(!pks.access_allowed(deny7, false, 7, 0, 0));
-        assert!(pks.access_allowed(PkrsPerms::GRANT_ALL, false, 7, 0, 0));
-        let wd = PkrsPerms::GRANT_ALL.with_write_disabled(7);
-        assert!(pks.access_allowed(wd, false, 7, 0, 0));
-        assert!(!pks.access_allowed(wd, true, 7, 0, 0));
-        let tme = TmeMkBackend::new(1);
-        // Key mismatch denies even with full PKRS grants.
-        assert!(!tme.access_allowed(PkrsPerms::GRANT_ALL, false, 1, 0, 44));
-        assert!(tme.access_allowed(PkrsPerms::GRANT_ALL, false, 1, 44, 44));
     }
 
     /// Satellite: an imported pool must reuse exactly the ids the source
@@ -714,21 +553,5 @@ mod tests {
         // The same parameters import cleanly.
         assert_eq!(refusal(Backend::new(BackendKind::Pks, 6, 2), &pks), Ok(()));
         assert_eq!(refusal(Backend::new(BackendKind::TmeMk, 5, 1), &tme), Ok(()));
-    }
-
-    #[test]
-    fn enum_backend_delegates() {
-        let mut b = Backend::new(BackendKind::TmeMk, 6, 1);
-        assert_eq!(b.kind(), BackendKind::TmeMk);
-        assert_eq!(b.capacity(), 4096);
-        let d = b.alloc_domain().unwrap();
-        assert_eq!(b.frame_tag(d).keyid, d.0);
-        b.free_domain(d).unwrap();
-        assert_eq!(b.live_domains(), 0);
-        let mut p = Backend::new(BackendKind::Pks, 6, 1);
-        assert_eq!(p.kind(), BackendKind::Pks);
-        assert_eq!(p.alloc_domain().unwrap().0, 6);
-        assert_eq!(BackendKind::Pks.label(), "pks");
-        assert_eq!(BackendKind::TmeMk.label(), "tmemk");
     }
 }

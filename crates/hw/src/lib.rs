@@ -21,7 +21,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cet;
-pub mod core_handle;
 pub mod cpu;
 pub mod cycles;
 pub mod decision;
@@ -40,13 +39,12 @@ pub mod phys;
 pub mod regs;
 pub mod tlb;
 
-pub use core_handle::CoreHandle;
 pub use cpu::{BatchOp, BatchOutcome, Cpu, CpuMode};
 pub use cycles::{Costs, CycleCounter};
 pub use decision::{CachedCtx, Decision, DecisionCache, FastpathStats};
 pub use fault::{AccessKind, Fault, PfReason};
 pub use inject::{CoreView, InjectionPoint, Injector, InjectorHandle};
-pub use isolation::{Backend, BackendKind, DomainId, FrameTag, IsolationBackend, IsolationError};
+pub use isolation::{Backend, BackendKind, DomainId, FrameTag, IsolationError};
 pub use paging::{Pte, PteFlags};
 // `PhysMemory` is deliberately NOT re-exported: raw DRAM access is
 // privileged, and requiring the full `erebor_hw::phys::PhysMemory` path

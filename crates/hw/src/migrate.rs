@@ -33,8 +33,9 @@ use crate::cpu::{Cpu, Domain, Machine};
 /// Format version stamped at the head of every export; import refuses
 /// anything else (a silent cross-version decode would be state confusion
 /// by construction). Version 2 dropped the host-side `fastpath_enabled`
-/// and allocator scan-mode flags from the blob.
-pub const MACHINE_STATE_VERSION: u32 = 2;
+/// and allocator scan-mode flags from the blob; version 3 dropped the
+/// `tlb_enabled` ablation switch, which no longer exists.
+pub const MACHINE_STATE_VERSION: u32 = 3;
 
 impl Machine {
     /// Serialize every architectural field except page contents (see
@@ -62,7 +63,7 @@ impl Machine {
         }
         w.put(&self.stats);
         w.put(&self.trace.to_parts());
-        w.put(&(self.tlb_enabled, self.mmu_trace));
+        w.put(&self.mmu_trace);
         w.put(self.sensitive_domains());
         w.put(self.pending_shootdowns());
         w.put(self.pending_asid_shootdowns());
@@ -157,7 +158,7 @@ impl Machine {
         }
         let trace = TraceBuffer::from_parts(capacity, seq, dropped, rings);
 
-        let (tlb_enabled, mmu_trace) = r.get()?;
+        let mmu_trace = r.get()?;
         let sensitive_domains: BTreeSet<Domain> = r.get()?;
         let pending_shootdowns: BTreeSet<(usize, u64)> = r.get()?;
         if pending_shootdowns.iter().any(|&(cpu, _)| cpu >= cores) {
@@ -185,7 +186,6 @@ impl Machine {
             tlbs,
             stats,
             trace,
-            tlb_enabled,
             fastpath_enabled: true,
             fastpath: FastpathStats::default(),
             mmu_trace,
@@ -302,7 +302,7 @@ mod tests {
     }
 
     /// A blob from another format generation — including the previous
-    /// one, which still carried host-side switches — and a corrupted TLB
+    /// two, which still carried host-side switches — and a corrupted TLB
     /// slot placement (entry in the wrong direct-mapped slot) are both
     /// refused: import never accepts a TLB the hardware could not have
     /// built.
@@ -318,14 +318,17 @@ mod tests {
         let mut wrong_ver = blob.clone();
         wrong_ver[0] ^= 0xff;
         assert!(Machine::import_state(&wrong_ver, &pages).is_err());
-        let mut v1 = blob.clone();
-        v1[..4].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            Machine::import_state(&v1, &pages).err(),
-            Some(WireError::BadValue {
-                what: "machine state version"
-            })
-        );
+        for old in [1u32, 2] {
+            let mut stale = blob.clone();
+            stale[..4].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                Machine::import_state(&stale, &pages).err(),
+                Some(WireError::BadValue {
+                    what: "machine state version"
+                }),
+                "version {old}"
+            );
+        }
 
         // Re-home one live TLB entry onto a page that indexes a
         // different slot, in place in the blob.

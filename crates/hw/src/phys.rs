@@ -32,12 +32,6 @@ impl PhysAddr {
     pub fn frame(self) -> Frame {
         Frame(self.0 >> PAGE_SHIFT)
     }
-
-    /// Byte offset within the containing frame.
-    #[must_use]
-    pub fn frame_offset(self) -> usize {
-        (self.0 & (PAGE_SIZE as u64 - 1)) as usize
-    }
 }
 
 impl core::fmt::Debug for PhysAddr {

@@ -232,11 +232,6 @@ impl Kernel {
         self.tasks.get(&pid.0)
     }
 
-    /// Mutable task lookup.
-    pub fn task_mut(&mut self, pid: Pid) -> Option<&mut Task> {
-        self.tasks.get_mut(&pid.0)
-    }
-
     /// Make `pid` the running task on `hw.cpu` (address-space switch).
     ///
     /// # Errors

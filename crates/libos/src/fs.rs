@@ -59,12 +59,6 @@ impl MemFs {
         self.sealed = true;
     }
 
-    /// Whether preloading is over.
-    #[must_use]
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
     /// Read a file (preloaded or temporary).
     ///
     /// # Errors

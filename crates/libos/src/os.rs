@@ -409,11 +409,6 @@ impl LibOs {
         self.heap.alloc(len).map_err(|_| LibOsError::OutOfHeap)
     }
 
-    /// Free confined memory.
-    pub fn mfree(&mut self, va: u64, len: u64) {
-        self.heap.free(va, len);
-    }
-
     /// Handle to a common region.
     ///
     /// # Errors

@@ -117,19 +117,6 @@ impl HostVmm {
             .map_err(|_| HostAccessError::OutOfRange)
     }
 
-    /// Device DMA read — same IOMMU restriction.
-    ///
-    /// # Errors
-    /// [`HostAccessError::PrivateMemory`] for private frames.
-    pub fn dma_read(
-        &mut self,
-        mem: &PhysMemory,
-        sept: &Sept,
-        frame: Frame,
-    ) -> Result<Vec<u8>, HostAccessError> {
-        self.read_guest(mem, sept, frame)
-    }
-
     /// Whether any observed byte string contains `needle` — the leak-test
     /// predicate.
     #[must_use]

@@ -39,10 +39,12 @@ use std::collections::BTreeMap;
 
 /// Version stamped into the `Begin` record; the destination refuses a
 /// stream from a different protocol generation. Version 2 dropped the
-/// host-side switches from the sections. Version 3 drops the
+/// host-side switches from the sections. Version 3 dropped the
 /// `PHYS_META` and `BACKEND` sections, whose bytes `MACHINE` and
 /// `MONITOR` already carry, and the monitor's shootdown-coalescing byte.
-pub const MIGRATION_VERSION: u32 = 3;
+/// Version 4 drops the TLB ablation switch from `MACHINE` (machine-state
+/// version 3).
+pub const MIGRATION_VERSION: u32 = 4;
 
 /// Record type tags (the cleartext frame-type byte).
 pub mod record {
@@ -253,12 +255,6 @@ impl MigrationSource {
         self.tx.sealed_count()
     }
 
-    /// Page records sealed so far (pre-copy re-sends included).
-    #[must_use]
-    pub fn pages_sealed(&self) -> u64 {
-        self.pages
-    }
-
     /// Seal the `Begin` record and enter pre-copy.
     ///
     /// # Errors
@@ -391,12 +387,6 @@ impl MigrationDest {
             sections: BTreeMap::new(),
             section_records: 0,
         }
-    }
-
-    /// Records verified so far.
-    #[must_use]
-    pub fn records_verified(&self) -> u64 {
-        self.rx.opened_count()
     }
 
     /// Whether `Finish` has verified.

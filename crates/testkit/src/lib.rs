@@ -8,7 +8,7 @@
 //!   as the monitor's boot DRBG) with integer/float range helpers.
 //! * [`prop`] — seeded property testing with greedy byte-stream
 //!   shrinking; `EREBOR_PT_SEED` / `EREBOR_PT_CASES` overrides.
-//! * [`bench`] — criterion-compatible micro-bench harness with warmup,
+//! * [`mod@bench`] — criterion-compatible micro-bench harness with warmup,
 //!   calibrated iteration counts, mean/p50/p99 stats, JSON output and
 //!   declared floors/ceilings that fail the run.
 //! * [`json`] — a tiny JSON writer for machine-readable stat dumps, and

@@ -1,7 +1,7 @@
 //! The testkit's deterministic random generator.
 //!
 //! A ChaCha20-keystream DRBG (the same construction as the monitor's
-//! boot-time [`erebor_core`]-style `DetRng`), extended with the integer
+//! boot-time `erebor_core`-style `DetRng`), extended with the integer
 //! and float range helpers that property generation and workload traces
 //! need. Same seed → same stream, on every platform.
 

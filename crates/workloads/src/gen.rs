@@ -36,7 +36,7 @@ impl TraceGen {
         n
     }
 
-    /// A batch of retrieval queries: "q=<count>;<seed>" with a fresh
+    /// A batch of retrieval queries: `q=<count>;<seed>` with a fresh
     /// sub-seed so batches differ but reproducibly.
     pub fn retrieval_batch(&mut self, count: u64) -> Vec<u8> {
         let sub: u32 = self.rng.next_u32();

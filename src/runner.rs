@@ -151,16 +151,3 @@ pub fn run_workload_on(
         params,
     })
 }
-
-/// The standard request each Table 5 workload uses for Fig. 9 / Table 6
-/// measurements (sized for runs of a few hundred simulated milliseconds).
-#[must_use]
-pub fn standard_request(workload: &str) -> &'static [u8] {
-    match workload {
-        "llama.cpp" => b"gen=12;translate the following text into french",
-        "yolo" => b"n=2;7",
-        "drugbank" => b"q=20000;3",
-        "graphchi" => b"iters=4;9",
-        _ => b"",
-    }
-}

@@ -1,16 +1,20 @@
 //! Integration tests for the isolation-backend seam: the PKS capacity
 //! boundary (typed exhaustion, domain recycling), the TME-MK keyed
-//! backend confining hundreds of sandboxes in one address space, and the
+//! backend confining hundreds of sandboxes in one address space, the
 //! kill-teardown fence (epoch bump + domain revocation), with the
-//! stale-decision window it closes shown by reviving the pre-kill epoch.
+//! stale-decision window it closes shown by reviving the pre-kill epoch,
+//! and a confined declaration that fails part-way giving its arena back.
 
 use erebor::ecore::emc::{EmcError, EmcRequest};
+use erebor::ecore::policy::FrameKind;
+use erebor::ecore::sandbox::SandboxId;
 use erebor::ehw::cpu::Domain;
 use erebor::ehw::fault::AccessKind;
-use erebor::ehw::isolation::{BackendKind, IsolationBackend};
+use erebor::ehw::inject::{self, Injector};
+use erebor::ehw::isolation::BackendKind;
 use erebor::ehw::layout::KERNEL_BASE;
 use erebor::ehw::paging;
-use erebor::ehw::{BatchOp, CpuMode, VirtAddr};
+use erebor::ehw::{BatchOp, CpuMode, Frame, VirtAddr};
 use erebor::Platform;
 
 /// Where each sandbox declares its confined page (sandbox-private
@@ -236,4 +240,112 @@ fn churn_with_fence_never_exhausts_pks_domains() {
         p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, id, "churn");
     }
     assert_eq!(p.cvm.monitor.backend.live_domains(), 0);
+}
+
+// ====================================================================
+// A failed declaration gives its arena back
+// ====================================================================
+
+/// Fails exactly the `n`th frame allocation after it is installed.
+struct FailNthAlloc {
+    n: u64,
+    seen: u64,
+}
+
+impl Injector for FailNthAlloc {
+    fn fail_alloc(&mut self) -> bool {
+        self.seen += 1;
+        self.seen == self.n
+    }
+}
+
+fn declare(p: &mut Platform, id: SandboxId, pages: u64) -> Result<(), EmcError> {
+    p.cvm
+        .monitor
+        .emc(
+            &mut p.cvm.machine,
+            &mut p.cvm.tdx,
+            0,
+            EmcRequest::DeclareConfined {
+                sandbox: id.0,
+                va: CONFINED_VA,
+                pages,
+                executable: false,
+            },
+        )
+        .map(|_| ())
+}
+
+/// A declaration allocates its whole arena first, then the page-table
+/// pages of the first page's leaf path. Failing the first or the second
+/// of those table allocations leaves the arena kinded, tagged and
+/// keyed but unmapped. The failed EMC must give back what it never
+/// mapped, so after the kill no frame is kinded `Confined` for the dead
+/// sandbox and every arena frame is free. What remains is page-table
+/// pages only — the sandbox root plus each table linked before the
+/// failure — which the kill does not free yet.
+#[test]
+fn failed_declaration_gives_its_arena_back() {
+    const PAGES: u64 = 64;
+    for backend in [BackendKind::Pks, BackendKind::TmeMk] {
+        // The arena a clean declaration gets, by a dry run on an
+        // identical platform (the simulation is deterministic).
+        let arena: Vec<Frame> = {
+            let mut p = booted_with(backend);
+            p.enter_kernel_mode();
+            let id = p
+                .cvm
+                .monitor
+                .create_sandbox(&mut p.cvm.machine, 0, PAGES)
+                .expect("create");
+            declare(&mut p, id, PAGES).expect("dry run");
+            let s = p.cvm.monitor.sandboxes.get(&id.0).expect("live");
+            s.confined.iter().map(|&(_, f)| f).collect()
+        };
+        assert_eq!(arena.len() as u64, PAGES);
+
+        for (nth_table, tables_linked) in [(1, 0), (2, 1)] {
+            let mut p = booted_with(backend);
+            p.enter_kernel_mode();
+            let before = p.cvm.machine.mem.allocated_frames();
+            let id = p
+                .cvm
+                .monitor
+                .create_sandbox(&mut p.cvm.machine, 0, PAGES)
+                .expect("create");
+            p.cvm.machine.set_injector(inject::handle(FailNthAlloc {
+                n: PAGES + nth_table,
+                seen: 0,
+            }));
+            let err = declare(&mut p, id, PAGES).expect_err("table allocation fails");
+            p.cvm.machine.clear_injector();
+            assert_eq!(err, EmcError::NoMemory, "{backend:?} table {nth_table}");
+            let s = p.cvm.monitor.sandboxes.get(&id.0).expect("live");
+            assert!(s.confined.is_empty(), "{backend:?}: nothing was mapped");
+
+            p.cvm
+                .monitor
+                .kill_sandbox(&mut p.cvm.machine, id, "failed declaration");
+            let confined = p
+                .cvm
+                .monitor
+                .frames
+                .count_kind(|k| k == FrameKind::Confined { sandbox: id.0 });
+            assert_eq!(confined, 0, "{backend:?} table {nth_table}: Confined frames left");
+            for &f in &arena {
+                assert!(
+                    !p.cvm.machine.mem.is_allocated(f),
+                    "{backend:?} table {nth_table}: arena frame {f:?} still allocated"
+                );
+                assert_eq!(p.cvm.machine.mem.frame_key(f), 0, "{backend:?}: key left");
+            }
+            assert_eq!(
+                p.cvm.machine.mem.allocated_frames() - before,
+                1 + tables_linked,
+                "{backend:?} table {nth_table}: only the root and the linked tables remain"
+            );
+            let report = p.audit();
+            assert!(report.is_clean(), "{}", report.json());
+        }
+    }
 }

@@ -571,7 +571,7 @@ fn section_bytes_are_pinned_for_this_format_version() {
         (
             BackendKind::Pks,
             [
-                (1, 23600, 3955799065109147025),
+                (1, 23599, 6265135062494131369),
                 (3, 307850, 5416116987153895050),
                 (5, 298657, 9339846144231742895),
                 (6, 1310, 13456845851439787651),
@@ -583,7 +583,7 @@ fn section_bytes_are_pinned_for_this_format_version() {
         (
             BackendKind::TmeMk,
             [
-                (1, 25040, 9163841353299643438),
+                (1, 25039, 1613332399758098244),
                 (3, 307850, 5416116987153895050),
                 (5, 298656, 9157016034126986308),
                 (6, 1310, 13456845851439787651),
@@ -593,8 +593,8 @@ fn section_bytes_are_pinned_for_this_format_version() {
             ],
         ),
     ];
-    assert_eq!(erebor::etdx::migrate::MIGRATION_VERSION, 3);
-    assert_eq!(erebor::ehw::migrate::MACHINE_STATE_VERSION, 2);
+    assert_eq!(erebor::etdx::migrate::MIGRATION_VERSION, 4);
+    assert_eq!(erebor::ehw::migrate::MACHINE_STATE_VERSION, 3);
     for (backend, pinned) in cases {
         let mut src = busy(0x9124, backend);
         let (_, snap) = open_stream(&mut src, 0x9124, backend);
