@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the Erebor reproduction — fully offline.
 #
-#   scripts/ci.sh          build + workspace clippy + every workspace
-#                          crate's tests + the source lint (the tier-1
-#                          gate)
+#   scripts/ci.sh          build + workspace clippy + warning-free
+#                          rustdoc + every workspace crate's tests +
+#                          the source lint (the tier-1 gate)
 #   scripts/ci.sh --smoke  additionally run the benchmark package's own
 #                          tests (it is a separate workspace that reads
 #                          Snapshot and the counter structs, so nothing
@@ -115,6 +115,11 @@ cargo build --release
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Docs build warning-free, so a deleted or renamed item cannot leave a
+# dangling intra-doc link behind.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # --no-fail-fast: run every test binary and name every failing one,
 # not just the first.
