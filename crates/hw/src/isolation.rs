@@ -218,7 +218,10 @@ impl Backend {
     pub fn new(kind: BackendKind, reserved_pkeys: u16, alias_pkey: u8) -> Backend {
         let pool = match kind {
             BackendKind::Pks => {
-                assert!(reserved_pkeys <= PKS_KEY_COUNT, "more reserved keys than exist");
+                assert!(
+                    reserved_pkeys <= PKS_KEY_COUNT,
+                    "more reserved keys than exist"
+                );
                 DomainPool::new(reserved_pkeys, PKS_KEY_COUNT)
             }
             BackendKind::TmeMk => DomainPool::new(1, TMEMK_KEY_COUNT),
@@ -552,6 +555,9 @@ mod tests {
         );
         // The same parameters import cleanly.
         assert_eq!(refusal(Backend::new(BackendKind::Pks, 6, 2), &pks), Ok(()));
-        assert_eq!(refusal(Backend::new(BackendKind::TmeMk, 5, 1), &tme), Ok(()));
+        assert_eq!(
+            refusal(Backend::new(BackendKind::TmeMk, 5, 1), &tme),
+            Ok(())
+        );
     }
 }

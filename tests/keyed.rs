@@ -331,7 +331,10 @@ fn failed_declaration_gives_its_arena_back() {
                 .monitor
                 .frames
                 .count_kind(|k| k == FrameKind::Confined { sandbox: id.0 });
-            assert_eq!(confined, 0, "{backend:?} table {nth_table}: Confined frames left");
+            assert_eq!(
+                confined, 0,
+                "{backend:?} table {nth_table}: Confined frames left"
+            );
             for &f in &arena {
                 assert!(
                     !p.cvm.machine.mem.is_allocated(f),
