@@ -1048,12 +1048,23 @@ impl Monitor {
             // The sandbox records a page only once it is mapped, and the
             // arena is mapped in order: everything past the recorded
             // prefix was taken by this request and is known to no one.
+            // Give it back now; frames this request never confined (a
+            // batch that failed mid-allocation, a kind conflict) only
+            // go back to the allocator.
             let mapped = self
                 .sandboxes
                 .get(&id.0)
                 .map_or(declared, |s| s.confined.len())
                 .saturating_sub(declared);
-            self.release_unmapped(machine, cpu, id, arena.get(mapped..).unwrap_or(&[]));
+            let (confined, unconfined): (Vec<Frame>, Vec<Frame>) = arena
+                .get(mapped..)
+                .unwrap_or(&[])
+                .iter()
+                .partition(|&&f| self.frames.kind(f) == FrameKind::Confined { sandbox: id.0 });
+            for &frame in &unconfined {
+                machine.mem.free_frame(frame).ok();
+            }
+            self.release_confined(machine, cpu, &confined);
         }
         result
     }
@@ -1134,30 +1145,20 @@ impl Monitor {
         Ok(())
     }
 
-    /// Give back arena frames that a failed declaration took but never
-    /// mapped: the frames this request confined return to
-    /// [`FrameKind::Unused`] and to the default direct-map tag (under
-    /// one shootdown, as the kill fence does), and every frame returns
-    /// to the allocator, which drops its programmed key.
-    fn release_unmapped(
-        &mut self,
-        machine: &mut Machine,
-        cpu: usize,
-        id: SandboxId,
-        frames: &[Frame],
-    ) {
-        let confined: Vec<Frame> = frames
-            .iter()
-            .copied()
-            .filter(|&f| self.frames.kind(f) == FrameKind::Confined { sandbox: id.0 })
-            .collect();
+    /// Give confined frames that no sandbox maps any more back: scrub,
+    /// free and release each to [`FrameKind::Unused`], then retag every
+    /// direct-map alias back to the default tag (pkey 0, key-ID 0), all
+    /// under one broadcast shootdown. `free_frame` already dropped the
+    /// frame's programmed key, so a surviving keyed alias would fault
+    /// the frame's *next* owner; a sandbox-pkey alias would silently pin
+    /// a now-free pkey under PKS. Runs with monitor privileges on `cpu`.
+    fn release_confined(&mut self, machine: &mut Machine, cpu: usize, frames: &[Frame]) {
         for &frame in frames {
+            machine.mem.zero_frame(frame).ok();
             machine.mem.free_frame(frame).ok();
-        }
-        for &frame in &confined {
             self.frames.release(frame).ok();
         }
-        mmu_guard::retag_direct_maps(machine, cpu, self.kernel_root, &confined, PK_DEFAULT, 0).ok();
+        mmu_guard::retag_direct_maps(machine, cpu, self.kernel_root, frames, PK_DEFAULT, 0).ok();
     }
 
     fn create_common(
@@ -1546,44 +1547,29 @@ impl Monitor {
             mmu_guard::checked_update_leaf(machine, 0, root, va, |_| Pte::empty()).ok();
         }
         machine.tlb_shootdown_mm(0, root, &vas).ok();
-        for &(_, frame) in &confined {
-            self.frames.dec_map(frame);
-            machine.mem.zero_frame(frame).ok();
-            machine.mem.free_frame(frame).ok();
-            self.frames.release(frame).ok();
-        }
         for (rid, page) in commons {
             if let Some(f) = self.common_frame(rid, id.0, page) {
                 self.frames.dec_map(f);
             }
         }
-        self.kill_fence_epilogue(machine, &confined, domain);
+        let frames: Vec<Frame> = confined.iter().map(|&(_, frame)| frame).collect();
+        self.release_confined(machine, 0, &frames);
+        self.kill_fence_epilogue(machine, domain);
         guard.exit(machine, 0);
     }
 
     /// Post-teardown isolation fence, run with monitor privileges after
-    /// the dead sandbox's frames are scrubbed and freed:
+    /// the dead sandbox's frames are released (and their aliases
+    /// retagged, see [`Monitor::release_confined`]):
     ///
-    /// 1. Retag every confined direct-map alias back to the default tag
-    ///    (pkey 0, key-ID 0), all under one broadcast shootdown.
-    ///    `free_frame` already dropped the frame's programmed key, so a
-    ///    surviving keyed alias would fault the frame's *next* owner; the
-    ///    sandbox-pkey alias would silently pin a now-free pkey under PKS.
-    /// 2. Revoke the sandbox's isolation domain so the backend can
+    /// 1. Revoke the sandbox's isolation domain so the backend can
     ///    reuse it.
-    /// 3. Bump the machine MMU epoch and drop the cpuid MRU: no core
+    /// 2. Bump the machine MMU epoch and drop the cpuid MRU: no core
     ///    may serve a cached permission decision (or cpuid answer) for
     ///    the dead sandbox's (CR3, domain) pair. The teardown shootdown
     ///    closes the TLB, but a sandbox with nothing mapped issues none —
     ///    the epoch bump is what makes the fence unconditional.
-    fn kill_fence_epilogue(
-        &mut self,
-        machine: &mut Machine,
-        confined: &[(VirtAddr, Frame)],
-        domain: DomainId,
-    ) {
-        let frames: Vec<Frame> = confined.iter().map(|&(_, frame)| frame).collect();
-        mmu_guard::retag_direct_maps(machine, 0, self.kernel_root, &frames, PK_DEFAULT, 0).ok();
+    fn kill_fence_epilogue(&mut self, machine: &mut Machine, domain: DomainId) {
         self.backend.free_domain(domain).ok();
         self.cpuid_mru = None;
         machine.bump_mmu_epoch();

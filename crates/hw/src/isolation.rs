@@ -1,6 +1,5 @@
-//! Isolation backends: how the monitor tags frames with a protection
-//! domain and how the hardware checks an access against the current
-//! CPU's domain-permission state.
+//! Isolation backends: how the monitor allocates protection domains and
+//! tags frames with them. The MMU enforces the tags ([`crate::mmu`]).
 //!
 //! The paper's mechanism is PKS: a 4-bit supervisor protection key in
 //! every PTE checked against the per-CPU PKRS register — fast domain
@@ -189,8 +188,8 @@ pub const TMEMK_KEY_COUNT: u16 = 4096;
 
 /// A platform's isolation mechanism and its domain pool.
 ///
-/// * **PKS** (the paper's mechanism): 16 pkeys, the low `reserved` held
-///   back by the monitor (default/monitor/PTP/kernel-text/shadow-stack/
+/// * **PKS** (the paper's mechanism): 16 pkeys, the low `reserved_pkeys`
+///   held back by the monitor (default/monitor/PTP/kernel-text/shadow-stack/
 ///   IDT), sandbox domains drawn from the rest. A sandbox's confined
 ///   direct-map aliases carry its own pkey, which normal-mode PKRS
 ///   access-disables.
