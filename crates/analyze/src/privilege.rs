@@ -113,8 +113,6 @@ pub const PRIVILEGED_SYMBOLS: &[PrivSymbol] = &[
     sym("tlb_shootdown", true, "tlb-ipi", "cross-core invalidation IPIs"),
     sym("flush_tlb", true, "tlb-ipi", "full TLB flushes"),
     sym("invalidate_page", true, "tlb-ipi", "targeted TLB invalidation"),
-    sym("bump_mmu_epoch", true, "tlb-ipi", "decision-cache epoch maintenance"),
-    sym("force_mmu_epoch", true, "tlb-ipi", "decision-cache epoch override"),
     sym("pending_shootdowns", true, "tlb-ipi", "the dropped-IPI staleness ledger"),
     sym("pending_asid_shootdowns", true, "tlb-ipi", "the coalesced staleness ledger"),
 ];

@@ -353,11 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_accesses_register_individually() {
-        // A batch fast path replays one TlbHit per access — never a
-        // coalesced summary event — so distinct stale pages touched by
-        // the same batch each produce their own finding, and the access
-        // sequence numbers identify the individual ops inside the batch.
+    fn stale_accesses_register_individually() {
+        // Every access records its own TlbHit — never a coalesced
+        // summary event — so distinct stale pages touched in a row each
+        // produce their own finding, and the access sequence numbers
+        // identify the individual accesses.
         let t = vec![
             rec(0, 0, TraceEvent::TlbShootdown { root: 7, page: 0x40 }),
             rec(1, 0, TraceEvent::TlbShootdown { root: 7, page: 0x41 }),
@@ -367,7 +367,7 @@ mod tests {
         ];
         let f = detect_races(&t, 2);
         assert_eq!(f.len(), 2, "one finding per stale page, none hidden");
-        assert_eq!(f[0].access_seq, 2, "first batched access, not a summary");
+        assert_eq!(f[0].access_seq, 2, "first stale access, not a summary");
         assert_eq!(f[1].access_seq, 3);
     }
 

@@ -51,7 +51,9 @@ pub(crate) struct PrivGuard {
 }
 
 impl PrivGuard {
-    /// Raise to monitor privileges on `cpu`.
+    /// Raise to monitor privileges on `cpu`. Transactional, like the EMC
+    /// gate's entry: if the PKRS grant faults, the core is put back in the
+    /// caller's domain and mode (a faulted `wrmsr` leaves PKRS as it was).
     pub(crate) fn enter(machine: &mut Machine, cpu: usize) -> Result<PrivGuard, Fault> {
         let g = PrivGuard {
             domain: machine.cpus[cpu].domain,
@@ -60,7 +62,11 @@ impl PrivGuard {
         };
         machine.cpus[cpu].domain = erebor_hw::cpu::Domain::Monitor;
         machine.cpus[cpu].mode = erebor_hw::CpuMode::Supervisor;
-        machine.wrmsr(cpu, Msr::Pkrs, crate::policy::monitor_mode_pkrs().0)?;
+        if let Err(f) = machine.wrmsr(cpu, Msr::Pkrs, crate::policy::monitor_mode_pkrs().0) {
+            machine.cpus[cpu].domain = g.domain;
+            machine.cpus[cpu].mode = g.mode;
+            return Err(f);
+        }
         Ok(g)
     }
 
@@ -665,10 +671,6 @@ impl Monitor {
         .map_err(map_err)?;
         self.frames.inc_map(f);
         self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-        // EMC mapping lifecycle: a fresh PTE install needs no shootdown
-        // (faults are never cached), but it still pins an MMU epoch so
-        // batch fast paths revalidate at the next opportunity.
-        machine.bump_mmu_epoch();
         Ok(f)
     }
 
@@ -1496,10 +1498,13 @@ impl Monitor {
         region.frames.get(usize::try_from(idx).ok()?).copied()
     }
 
-    /// Kill a sandbox: unmap and scrub every confined frame, release them,
-    /// mark dead (§6.3 cleanup). Unmapping *before* freeing is essential:
-    /// a stale PTE in the dead container's page table must never alias a
-    /// frame later granted to another tenant.
+    /// Kill a sandbox: mark it dead, unmap and scrub every confined frame,
+    /// release them and revoke its domain (§6.3 cleanup). Unmapping
+    /// *before* freeing is essential: a stale PTE in the dead container's
+    /// page table must never alias a frame later granted to another
+    /// tenant. A kill whose privilege raise faults leaves the sandbox dead
+    /// but not torn down, and a later kill finishes the teardown; a kill
+    /// of a torn-down sandbox changes nothing it owned.
     pub fn kill_sandbox(&mut self, machine: &mut Machine, id: SandboxId, reason: &'static str) {
         let prev_bucket = machine.cycles.set_bucket(Bucket::Monitor);
         self.kill_sandbox_body(machine, id, reason);
@@ -1525,13 +1530,20 @@ impl Monitor {
         sandbox.pending_input.clear();
         sandbox.session = None;
         let root = sandbox.root;
-        let domain = sandbox.domain;
-        let confined: Vec<(VirtAddr, Frame)> = sandbox.confined.drain(..).collect();
-        let commons: Vec<(u32, VirtAddr)> = sandbox.common_mapped.drain(..).collect();
         self.root_index.remove(&root.0);
+        // A torn-down sandbox holds no domain. Its old one may already
+        // belong to a newer sandbox, so it must never be revoked twice.
+        if sandbox.domain == DomainId::DEFAULT {
+            return;
+        }
+        // Raise before draining anything: a faulted raise must leave the
+        // confined list intact for the kill that retries the teardown.
         let Ok(guard) = PrivGuard::enter(machine, 0) else {
             return;
         };
+        let domain = core::mem::replace(&mut sandbox.domain, DomainId::DEFAULT);
+        let confined: Vec<(VirtAddr, Frame)> = sandbox.confined.drain(..).collect();
+        let commons: Vec<(u32, VirtAddr)> = sandbox.common_mapped.drain(..).collect();
         // Two-phase teardown: clear every leaf, then close the whole
         // stale-translation window with one shootdown (one IPI per remote
         // core; past the full-flush ceiling each core takes one full
@@ -1554,25 +1566,11 @@ impl Monitor {
         }
         let frames: Vec<Frame> = confined.iter().map(|&(_, frame)| frame).collect();
         self.release_confined(machine, 0, &frames);
-        self.kill_fence_epilogue(machine, domain);
-        guard.exit(machine, 0);
-    }
-
-    /// Post-teardown isolation fence, run with monitor privileges after
-    /// the dead sandbox's frames are released (and their aliases
-    /// retagged, see [`Monitor::release_confined`]):
-    ///
-    /// 1. Revoke the sandbox's isolation domain so the backend can
-    ///    reuse it.
-    /// 2. Bump the machine MMU epoch and drop the cpuid MRU: no core
-    ///    may serve a cached permission decision (or cpuid answer) for
-    ///    the dead sandbox's (CR3, domain) pair. The teardown shootdown
-    ///    closes the TLB, but a sandbox with nothing mapped issues none —
-    ///    the epoch bump is what makes the fence unconditional.
-    fn kill_fence_epilogue(&mut self, machine: &mut Machine, domain: DomainId) {
+        // Fence, once the frames and their aliases are back: revoke the
+        // domain so the backend can reuse it, and drop the cpuid MRU.
         self.backend.free_domain(domain).ok();
         self.cpuid_mru = None;
-        machine.bump_mmu_epoch();
+        guard.exit(machine, 0);
     }
 
     // ==================================================================

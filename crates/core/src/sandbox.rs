@@ -71,7 +71,8 @@ pub struct Sandbox {
     /// The sandbox's page-table root.
     pub root: Frame,
     /// Isolation domain the backend allocated for this sandbox (a pkey
-    /// under PKS, a TME-MK key-ID under keyed memory). Freed on kill.
+    /// under PKS, a TME-MK key-ID under keyed memory). The kill's teardown
+    /// frees it and leaves [`DomainId::DEFAULT`] here.
     pub domain: DomainId,
     /// Lifecycle state.
     pub state: SandboxState,

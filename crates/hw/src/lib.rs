@@ -23,7 +23,6 @@
 pub mod cet;
 pub mod cpu;
 pub mod cycles;
-pub mod decision;
 pub mod fault;
 pub mod idt;
 pub mod image;
@@ -39,9 +38,8 @@ pub mod phys;
 pub mod regs;
 pub mod tlb;
 
-pub use cpu::{BatchOp, BatchOutcome, Cpu, CpuMode};
+pub use cpu::{Cpu, CpuMode};
 pub use cycles::{Costs, CycleCounter};
-pub use decision::{CachedCtx, Decision, DecisionCache, FastpathStats};
 pub use fault::{AccessKind, Fault, PfReason};
 pub use inject::{CoreView, InjectionPoint, Injector, InjectorHandle};
 pub use isolation::{Backend, BackendKind, DomainId, FrameTag, IsolationError};

@@ -12,15 +12,13 @@
 //! staged page set, validating every length, tag and cross-field
 //! invariant so a truncated, reordered or bit-flipped blob lands as a
 //! typed [`WireError`] — never a half-imported machine. Host-side
-//! state that is *not* architectural (the permission decision caches
-//! and the `fastpath_enabled` switch that selects them, fast-path
-//! counters, allocator scan stats, the chaos injector) never enters the
-//! blob: the destination starts it fresh, so its counters read zero
-//! while its architectural state is byte-identical.
+//! state that is *not* architectural (the cost table, allocator scan
+//! stats, the chaos injector) never enters the blob: the destination
+//! starts it fresh, so its counters read zero while its architectural
+//! state is byte-identical.
 
 use crate::cet::{EndbrRegistry, ShadowStack};
 use crate::cycles::{Costs, CycleCounter};
-use crate::decision::{DecisionCache, FastpathStats};
 use crate::phys::PhysMemory;
 use crate::regs::Msr;
 use crate::tlb::{HwStats, Tlb};
@@ -34,8 +32,10 @@ use crate::cpu::{Cpu, Domain, Machine};
 /// anything else (a silent cross-version decode would be state confusion
 /// by construction). Version 2 dropped the host-side `fastpath_enabled`
 /// and allocator scan-mode flags from the blob; version 3 dropped the
-/// `tlb_enabled` ablation switch, which no longer exists.
-pub const MACHINE_STATE_VERSION: u32 = 3;
+/// `tlb_enabled` ablation switch and version 4 the `mmu_epoch` that
+/// keyed the batch fast path's decision caches. Neither field exists
+/// any more.
+pub const MACHINE_STATE_VERSION: u32 = 4;
 
 impl Machine {
     /// Serialize every architectural field except page contents (see
@@ -70,14 +70,12 @@ impl Machine {
         for cpu in 0..cores {
             w.put(&self.interrupt_depth(cpu));
         }
-        w.put(&self.mmu_epoch());
         w.finish()
     }
 
     /// Rebuild a machine from [`Machine::export_state`] bytes plus the
-    /// staged page set. Non-architectural state (decision caches and
-    /// their switch, fast-path counters, allocator scan stats, injector)
-    /// starts fresh.
+    /// staged page set. Non-architectural state (cost table, allocator
+    /// scan stats, injector) starts fresh.
     ///
     /// # Errors
     /// [`WireError`] on any truncation, unknown tag, version mismatch,
@@ -173,7 +171,6 @@ impl Machine {
             });
         }
         let interrupt_depth: Vec<u32> = r.items(cores)?;
-        let mmu_epoch = r.get()?;
         r.finish()?;
 
         Ok(Machine {
@@ -186,16 +183,12 @@ impl Machine {
             tlbs,
             stats,
             trace,
-            fastpath_enabled: true,
-            fastpath: FastpathStats::default(),
             mmu_trace,
             sensitive_domains,
             injector: None,
             pending_shootdowns,
             pending_asid_shootdowns,
             interrupt_depth,
-            decisions: (0..cores).map(|_| DecisionCache::new()).collect(),
-            mmu_epoch,
         })
     }
 }
@@ -203,7 +196,6 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::AccessKind;
     use crate::paging::{map_raw, Pte, PteFlags};
     use crate::regs::{Cr0, Cr4};
     use crate::tlb::TlbEntry;
@@ -259,7 +251,6 @@ mod tests {
         assert_eq!(dst.cycles.total(), src.cycles.total());
         assert_eq!(dst.cycles.attribution(), src.cycles.attribution());
         assert_eq!(dst.stats, src.stats);
-        assert_eq!(dst.mmu_epoch(), src.mmu_epoch());
         assert_eq!(dst.cpus[0].msr(Msr::Pkrs), 0b1100);
         assert_eq!(dst.cpus[0].domain, Domain::Monitor);
         for cpu in 0..2 {
@@ -302,7 +293,7 @@ mod tests {
     }
 
     /// A blob from another format generation — including the previous
-    /// two, which still carried host-side switches — and a corrupted TLB
+    /// three, which still carried host-side state — and a corrupted TLB
     /// slot placement (entry in the wrong direct-mapped slot) are both
     /// refused: import never accepts a TLB the hardware could not have
     /// built.
@@ -318,7 +309,7 @@ mod tests {
         let mut wrong_ver = blob.clone();
         wrong_ver[0] ^= 0xff;
         assert!(Machine::import_state(&wrong_ver, &pages).is_err());
-        for old in [1u32, 2] {
+        for old in 1..MACHINE_STATE_VERSION {
             let mut stale = blob.clone();
             stale[..4].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
@@ -388,25 +379,14 @@ mod tests {
 
     #[test]
     fn import_resets_nonarchitectural_counters() {
-        let mut src = busy_machine();
-        // Drive the batch fast path so fastpath counters are nonzero.
-        let ops = [
-            crate::cpu::BatchOp::Probe {
-                va: VirtAddr(0xffff_8000_0000_0010),
-                kind: AccessKind::Read,
-            };
-            4
-        ];
-        src.run_batch(0, &ops);
-        assert!(src.fastpath.batches > 0);
+        let src = busy_machine();
+        assert_ne!(src.mem.alloc_stats, Default::default());
         let pages: Vec<(u64, Vec<u8>)> = src
             .mem
             .resident_pages()
             .map(|(f, p)| (f, p.to_vec()))
             .collect();
         let dst = Machine::import_state(&src.export_state(), &pages).unwrap();
-        assert_eq!(dst.fastpath, Default::default());
         assert_eq!(dst.mem.alloc_stats, Default::default());
-        assert_eq!(dst.decision_cache(0).occupancy(), 0, "decision caches start cold");
     }
 }

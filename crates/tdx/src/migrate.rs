@@ -43,8 +43,9 @@ use std::collections::BTreeMap;
 /// `PHYS_META` and `BACKEND` sections, whose bytes `MACHINE` and
 /// `MONITOR` already carry, and the monitor's shootdown-coalescing byte.
 /// Version 4 drops the TLB ablation switch from `MACHINE` (machine-state
-/// version 3).
-pub const MIGRATION_VERSION: u32 = 4;
+/// version 3). Version 5 drops the MMU epoch from `MACHINE` (machine-state
+/// version 4).
+pub const MIGRATION_VERSION: u32 = 5;
 
 /// Record type tags (the cleartext frame-type byte).
 pub mod record {

@@ -34,14 +34,6 @@
 #                          suite, and a 100-case chaos campaign with the
 #                          auditor and the happens-before race detector
 #                          as per-case invariants.
-#   scripts/ci.sh --fastpath  additionally run the batched-execution
-#                          fast-path gate: the differential equivalence
-#                          suite (cache on vs off, byte-identical
-#                          snapshots/traces/attribution across platform
-#                          modes) and the fastpath bench (>=5x events/sec
-#                          over the slow path, the median of interleaved
-#                          rounds on fresh machines; >=0.9 decision hit
-#                          rate; a true ablation on the off run).
 #   scripts/ci.sh --fleet  additionally run the fleet-scale serving
 #                          gate: the fleet reference-model suite
 #                          (monitor lookups checked against a model
@@ -87,7 +79,6 @@ SMOKE=0
 CHAOS=0
 TRACE=0
 ANALYZE=0
-FASTPATH=0
 FLEET=0
 KEYED=0
 MIGRATE=0
@@ -97,12 +88,11 @@ for arg in "$@"; do
         --chaos) CHAOS=1 ;;
         --trace) TRACE=1 ;;
         --analyze) ANALYZE=1 ;;
-        --fastpath) FASTPATH=1 ;;
         --fleet) FLEET=1 ;;
         --keyed) KEYED=1 ;;
         --migrate) MIGRATE=1 ;;
         *)
-            echo "usage: scripts/ci.sh [--smoke] [--chaos] [--trace] [--analyze] [--fastpath] [--fleet] [--keyed] [--migrate]" >&2
+            echo "usage: scripts/ci.sh [--smoke] [--chaos] [--trace] [--analyze] [--fleet] [--keyed] [--migrate]" >&2
             exit 2
             ;;
     esac
@@ -239,19 +229,6 @@ if [[ "$ANALYZE" == 1 ]]; then
     echo "==> analyze: cargo test --release --test analyze (red team + campaign)"
     EREBOR_CHAOS_CASES="${EREBOR_CHAOS_CASES:-100}" \
         cargo test --release -q --test analyze
-fi
-
-if [[ "$FASTPATH" == 1 ]]; then
-    # Batched-execution fast-path gate (see DESIGN.md §10). Two halves:
-    #   1. the differential equivalence suite — cache on vs off must be
-    #      byte-identical in snapshots, traces and attribution across
-    #      platform modes (the soundness proof for the memoization);
-    #   2. the fastpath bench — its speedup and hit-rate floors.
-    echo "==> fastpath: cargo test --release --test fastpath_equivalence"
-    cargo test --release -q --test fastpath_equivalence
-
-    echo "==> fastpath: cargo bench fastpath"
-    EREBOR_BENCH_SMOKE=1 cargo bench -p erebor-bench --bench fastpath >/dev/null
 fi
 
 if [[ "$FLEET" == 1 ]]; then

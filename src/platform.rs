@@ -14,7 +14,7 @@ use erebor_hw::cycles::CLOCK_HZ;
 use erebor_hw::fault::{AccessKind, Fault, PfReason, VeReason};
 use erebor_hw::idt::vector;
 use erebor_hw::inject::InjectorHandle;
-use erebor_hw::{BatchOp, BatchOutcome, FastpathStats, HwStats, VirtAddr};
+use erebor_hw::{HwStats, VirtAddr};
 use erebor_kernel::image::benign_kernel;
 use erebor_kernel::kernel::KernelStats;
 use erebor_kernel::{Hw, Kernel, Pid};
@@ -291,37 +291,12 @@ impl Platform {
         self.cvm.machine.clear_injector();
     }
 
-    /// Enable or disable the batched-execution permission-decision cache
-    /// (on by default). The differential equivalence suite runs identical
-    /// programs both ways and asserts byte-identical snapshots, traces
-    /// and attribution; disabling is also the ablation baseline for the
-    /// fastpath bench.
-    pub fn set_fastpath(&mut self, enabled: bool) {
-        self.cvm.machine.fastpath_enabled = enabled;
-    }
-
-    /// Fast-path observability counters (hits, slow ops, re-keys). These
-    /// live outside [`Snapshot`] by design: they differ between
-    /// fastpath-on and fastpath-off runs that are otherwise identical.
-    #[must_use]
-    pub fn fastpath_stats(&self) -> FastpathStats {
-        self.cvm.machine.fastpath
-    }
-
     /// Frame-allocator scan counters (host-side work, outside
     /// [`Snapshot`]: they describe the simulator's search effort, not
     /// simulated cycles, and start at zero on a migration destination).
     #[must_use]
     pub fn alloc_stats(&self) -> erebor_hw::phys::AllocStats {
         self.cvm.machine.mem.alloc_stats
-    }
-
-    /// Execute a straight-line access batch on the active vCPU through
-    /// the machine's batched fast path
-    /// ([`erebor_hw::cpu::Machine::run_batch`]). Stops at the first
-    /// fault, exactly like issuing the ops one by one.
-    pub fn run_batch(&mut self, ops: &[BatchOp]) -> BatchOutcome {
-        self.cvm.machine.run_batch(self.cpu, ops)
     }
 
     /// Enter kernel execution context on the driving core (ring 0, kernel
@@ -1062,11 +1037,11 @@ impl Platform {
     /// truncated records — yields a typed error and leaves this platform
     /// exactly as it booted: there is no half-imported destination.
     ///
-    /// Non-architectural counters (frame-allocator scan stats, monitor
-    /// lookup stats, permission-decision caches, batch fast-path
-    /// counters) start fresh on the imported machine; architectural
-    /// state — registers, MSRs, TLBs, sEPT, the EMC ledger, sandbox
-    /// table, sessions, tasks — is byte-identical to the source.
+    /// Host-side state (frame-allocator scan stats, the monitor's cpuid
+    /// MRU slot and lookup indexes) starts fresh on the imported
+    /// platform; architectural state — registers, MSRs, TLBs, sEPT, the
+    /// EMC ledger, sandbox table, sessions, tasks — is byte-identical to
+    /// the source.
     ///
     /// # Errors
     /// [`PlatformError::Migration`] naming the first fault.

@@ -15,7 +15,7 @@ use erebor::ehw::isolation::BackendKind;
 use erebor::ehw::layout;
 use erebor::ehw::paging::{self, intermediate_for, map_raw, Pte, PteFlags};
 use erebor::ehw::regs::Cr0;
-use erebor::ehw::{BatchOp, CpuMode, Frame, VirtAddr};
+use erebor::ehw::{CpuMode, Frame, VirtAddr};
 use erebor::{Mode, Platform, TraceEvent, TraceRecord};
 
 /// A kernel-half VA far from anything boot maps (text, data, direct map).
@@ -297,58 +297,6 @@ fn c7_shared_device_frame_still_private_is_flagged() {
     });
 }
 
-/// The decision-cache red test: after an honest downgrade (delegated
-/// unmap, shootdown delivered, epoch bumped) the audit is clean; if an
-/// adversary could revive the pre-downgrade MMU epoch, the victim core's
-/// permission-decision cache would come back to life with entries whose
-/// backing TLB state is gone — and C9 flags every one of them
-/// individually rather than trusting the batch layer's own validity
-/// check.
-#[test]
-fn c9_revived_stale_decision_cache_is_flagged() {
-    for backend in [BackendKind::Pks, BackendKind::TmeMk] {
-        c9_revived_stale_decision_cache_body(backend);
-    }
-}
-
-fn c9_revived_stale_decision_cache_body(backend: BackendKind) {
-    let (mut p, root) = platform_with_user_page_on(backend);
-    run_user(&mut p, 1, root);
-    // Warm the decision cache on the victim core: the first probe walks
-    // and fills, the second is served from the cached decision.
-    let ops = [BatchOp::Probe {
-        va: USER_VA,
-        kind: AccessKind::Read,
-    }; 2];
-    let out = p.cvm.machine.run_batch(1, &ops);
-    assert!(out.fault.is_none(), "{out:?}");
-    assert!(p.cvm.machine.decision_cache(1).occupancy() > 0, "cache warmed");
-    let pre_downgrade_epoch = p.cvm.machine.mmu_epoch();
-
-    // Honest downgrade: the monitor unmaps the page, the shootdown lands
-    // on every core, and the epoch moves on.
-    p.enter_kernel_mode();
-    p.cvm
-        .monitor
-        .emc(
-            &mut p.cvm.machine,
-            &mut p.cvm.tdx,
-            0,
-            EmcRequest::UnmapUserPage { root, va: USER_VA },
-        )
-        .expect("delegated unmap");
-    p.cvm.machine.cpus[1].mode = CpuMode::User;
-    p.cvm.machine.cpus[1].domain = Domain::User;
-    assert_ne!(p.cvm.machine.mmu_epoch(), pre_downgrade_epoch);
-    let report = p.audit();
-    assert!(report.is_clean(), "honest downgrade audits clean: {}", report.json());
-
-    // Epoch revival: the stale decisions survive the downgrade without a
-    // flush, and the auditor catches them.
-    p.cvm.machine.force_mmu_epoch(pre_downgrade_epoch);
-    only_check(&p.audit().findings, "decision-consistency");
-}
-
 #[test]
 fn c8_stale_tlb_entry_after_backdoor_unmap_is_flagged() {
     for backend in [BackendKind::Pks, BackendKind::TmeMk] {
@@ -506,81 +454,6 @@ fn race_detector_reproduces_dropped_ipi_stale_read_unprompted() {
     assert_eq!(hit.root, root.0, "window names the revoked address space");
     assert!(hit.dropped, "attributed to the dropped shootdown IPI");
     assert!(hit.access_seq > hit.revoke_seq);
-}
-
-/// Batched accesses are individual events to the detector: a `run_batch`
-/// straight-line read sequence through a revoked-but-stale mapping emits
-/// one `tlb_hit` per access (never a coalesced summary), so the
-/// happens-before pass sees the full stale window — including the
-/// accesses the decision cache replayed without touching the TLB.
-#[test]
-fn race_detector_sees_individual_batched_accesses() {
-    struct DropAllIpis;
-    impl erebor::ehw::inject::Injector for DropAllIpis {
-        fn drop_shootdown_ipi(&mut self, _initiator: usize, _target: usize) -> bool {
-            true
-        }
-    }
-
-    let (mut p, root) = platform_with_user_page();
-    p.cvm.machine.mmu_trace = true;
-    run_user(&mut p, 1, root);
-    p.cvm
-        .machine
-        .probe(1, USER_VA, AccessKind::Read)
-        .expect("mapped page readable on core 1");
-
-    p.enter_kernel_mode();
-    p.install_injector(erebor::ehw::inject::handle(DropAllIpis));
-    p.cvm
-        .monitor
-        .emc(
-            &mut p.cvm.machine,
-            &mut p.cvm.tdx,
-            0,
-            EmcRequest::UnmapUserPage { root, va: USER_VA },
-        )
-        .expect("delegated unmap");
-    p.clear_injector();
-
-    // The victim batches three reads through the dead mapping. The first
-    // takes the slow path (the shootdown bumped the MMU epoch) and hits
-    // the stale TLB entry; the rest replay the refilled decision.
-    p.cvm.machine.cpus[1].mode = CpuMode::User;
-    p.cvm.machine.cpus[1].domain = Domain::User;
-    let ops = [BatchOp::Probe {
-        va: USER_VA,
-        kind: AccessKind::Read,
-    }; 3];
-    let out = p.cvm.machine.run_batch(1, &ops);
-    assert!(out.fault.is_none(), "stale entry still serves: {out:?}");
-    assert_eq!(out.executed, 3);
-
-    let records = p.cvm.machine.trace.last_n(usize::MAX);
-    let page = USER_VA.0 >> 12;
-    let revoke_seq = records
-        .iter()
-        .find_map(|r| match r.event {
-            TraceEvent::TlbShootdown { page: pg, .. } if pg == page => Some(r.seq),
-            _ => None,
-        })
-        .expect("shootdown traced");
-    let stale_hits = records
-        .iter()
-        .filter(|r| {
-            r.cpu == 1
-                && r.seq > revoke_seq
-                && matches!(r.event, TraceEvent::TlbHit { page: pg, .. } if pg == page)
-        })
-        .count();
-    assert_eq!(stale_hits, 3, "one tlb_hit per batched access, none coalesced");
-
-    let findings = detect_races(&records, p.cvm.machine.cpus.len());
-    let hit = findings
-        .iter()
-        .find(|f| f.cpu == 1 && f.page == page)
-        .unwrap_or_else(|| panic!("no stale-window finding: {findings:?}"));
-    assert!(hit.dropped, "attributed to the dropped shootdown IPI");
 }
 
 /// Same schedule without the drop: the shootdown lands, the stale read

@@ -14,7 +14,7 @@ use erebor::ehw::fault::{AccessKind, Fault};
 use erebor::ehw::inject::{handle, InjectionPoint, Injector};
 use erebor::ehw::layout;
 use erebor::ehw::regs::Msr;
-use erebor::ehw::{BatchOp, VirtAddr};
+use erebor::ehw::VirtAddr;
 use erebor::TraceEvent;
 use erebor::etdx::tdcall::{tdcall, TdcallError, TdcallLeaf, TdcallResult};
 use erebor::{Mode, Platform};
@@ -422,14 +422,11 @@ fn failure_dump_contains_the_faulting_event() {
     assert!(s.contains("EREBOR_CHAOS_SEED="), "dump must keep the replay line");
 }
 
-// --- cache-aware campaign: batched fast path under adversity ----------
+// --- access campaign: register faults and dropped IPIs ----------------
 
-/// Deterministic seeded adversary for the cache-aware campaign: drops a
-/// fraction of shootdown IPIs and faults a fraction of register writes
-/// mid-batch, drawing from a splitmix64 stream so two machines built
-/// with the same seed face byte-identical adversity. (Memory accesses
-/// never consult the injector, so a fast-path decision hit cannot
-/// desynchronize the stream between a cached and an ablated world.)
+/// Deterministic seeded adversary for the access campaign: drops a
+/// fraction of shootdown IPIs and faults a fraction of register writes,
+/// drawing from a splitmix64 stream so a case replays byte-identically.
 struct SeededChaos {
     state: u64,
 }
@@ -475,44 +472,43 @@ fn chaos_data_va(r: u64) -> VirtAddr {
     VirtAddr(layout::KERNEL_BASE.0 + 0x20_0000 + (r % 8) * 0x1000)
 }
 
-/// Drive one seeded cache-aware case: batches of probes/loads/stores to
-/// the shared data pages with embedded `wrmsr`/`invlpg` ops (run from
-/// the monitor domain every third round so they pass the sensitive
-/// guard and reach the injector's mid-batch fault points), interleaved
-/// with cross-core shootdowns whose IPIs the injector may drop. Returns
-/// the observable transcript — one `Debug`-rendered [`BatchOutcome`]
-/// per batch — which must be identical with the decision cache on and
-/// off.
-fn drive_cache_case(w: &mut ChaosWorld, seed: u64) -> Vec<String> {
+/// Drive one seeded access case: rounds of probes, loads and stores to
+/// the shared data pages with `wrmsr`/`invlpg` mixed in (run from the
+/// monitor domain every third round so they pass the sensitive guard and
+/// reach the injector's fault points), each round stopping at its first
+/// fault, interleaved with cross-core shootdowns whose IPIs the injector
+/// may drop. Returns how many register writes the injector faulted.
+fn drive_access_case(w: &mut ChaosWorld, seed: u64) -> u64 {
     let cores = w.cores();
     let mut s = SeededChaos::new(seed.rotate_left(17));
-    let mut transcript = Vec::new();
+    let mut injected = 0;
     for round in 0..10u32 {
         let cpu = (s.roll() as usize) % cores;
         let monitor_round = round % 3 == 0;
         if monitor_round {
             w.machine.cpus[cpu].domain = Domain::Monitor;
         }
-        let mut ops = Vec::new();
         for _ in 0..8 {
             let r = s.roll();
             let va = chaos_data_va(r >> 8);
-            ops.push(match r % 10 {
-                0..=3 => BatchOp::Probe {
-                    va,
-                    kind: AccessKind::Read,
-                },
-                4 | 5 => BatchOp::ReadU64 { va },
-                6 | 7 => BatchOp::WriteU64 { va, v: r },
-                8 => BatchOp::Wrmsr {
-                    msr: Msr::Pkrs,
-                    v: policy::normal_mode_pkrs().0,
-                },
-                _ => BatchOp::Invlpg { va },
-            });
+            let step = match r % 10 {
+                0..=3 => w.machine.probe(cpu, va, AccessKind::Read),
+                4 | 5 => w.machine.read_u64(cpu, va).map(drop),
+                6 | 7 => w.machine.write_u64(cpu, va, r),
+                8 => w
+                    .machine
+                    .wrmsr(cpu, Msr::Pkrs, policy::normal_mode_pkrs().0),
+                _ => w.machine.invalidate_page(cpu, va),
+            };
+            match step {
+                Ok(()) => {}
+                Err(Fault::GeneralProtection("chaos: register write")) => {
+                    injected += 1;
+                    break;
+                }
+                Err(_) => break,
+            }
         }
-        let out = w.machine.run_batch(cpu, &ops);
-        transcript.push(format!("round {round} cpu {cpu}: {out:?}"));
         if monitor_round {
             w.machine.cpus[cpu].domain = Domain::Kernel;
         }
@@ -524,181 +520,52 @@ fn drive_cache_case(w: &mut ChaosWorld, seed: u64) -> Vec<String> {
             w.machine.cpus[initiator].domain = Domain::Kernel;
         }
     }
-    transcript
+    injected
 }
 
-/// ≥500-case cache-aware campaign: every case drives the seeded batch
-/// schedule through a fastpath-on and a fastpath-off world under
-/// byte-identical adversity (injected IPI drops, mid-batch `wrmsr`/CR
-/// faults). Per case the two worlds must stay observably identical
-/// (transcripts, cycles, stats, attribution, trace), the state auditor
-/// — including the C9 decision-consistency check — must stay green on
-/// the cached world, and every race-detector finding must be explained
-/// by an injected IPI drop. Aggregates prove the adversity was real:
-/// decision hits, slow-path fallbacks, rekeys, injected faults and
-/// dropped IPIs all occurred.
+/// ≥500-case access campaign under injected register-write faults and
+/// dropped shootdown IPIs. Per case the chaos invariants and the state
+/// auditor must hold, and every race-detector finding must be explained
+/// by a dropped IPI. The aggregates show the adversity was real: faults
+/// were injected and IPIs were dropped.
 #[test]
-fn cache_aware_campaign_forces_fallback_and_stays_green() {
+fn access_campaign_under_register_faults_and_dropped_ipis_stays_green() {
     let cfg = ChaosConfig::from_env();
     let cases = cfg.cases.max(500);
-    let (mut hits, mut slow, mut rekeys) = (0u64, 0u64, 0u64);
     let (mut injected, mut dropped) = (0u64, 0u64);
     for case in 0..cases {
         let seed = case_seed(cfg.seed, case);
         let cores = 2 + (seed as usize % 3);
+        let mut w = ChaosWorld::new(cores);
+        w.machine.mmu_trace = true;
+        w.machine.set_injector(handle(SeededChaos::new(seed)));
+        injected += drive_access_case(&mut w, seed);
+        w.machine.clear_injector();
 
-        let mut on = ChaosWorld::new(cores);
-        on.machine.mmu_trace = true;
-        on.machine.set_injector(handle(SeededChaos::new(seed)));
-        let t_on = drive_cache_case(&mut on, seed);
-        on.machine.clear_injector();
-
-        let mut off = ChaosWorld::new(cores);
-        off.machine.fastpath_enabled = false;
-        off.machine.mmu_trace = true;
-        off.machine.set_injector(handle(SeededChaos::new(seed)));
-        let t_off = drive_cache_case(&mut off, seed);
-        off.machine.clear_injector();
-
-        assert_eq!(t_on, t_off, "case {case}: batch outcomes diverged");
-        assert_eq!(
-            on.machine.cycles.total(),
-            off.machine.cycles.total(),
-            "case {case}: cycle totals diverged"
-        );
-        assert_eq!(
-            format!("{:?}", on.machine.stats),
-            format!("{:?}", off.machine.stats),
-            "case {case}: HwStats diverged"
-        );
-        assert_eq!(
-            on.machine.cycles.attribution().json(),
-            off.machine.cycles.attribution().json(),
-            "case {case}: attribution diverged"
-        );
-        assert_eq!(
-            on.machine.trace.json(),
-            off.machine.trace.json(),
-            "case {case}: trace diverged"
-        );
-        assert_eq!(
-            off.machine.fastpath.decision_hits, 0,
-            "case {case}: the ablated world must never serve a cached decision"
-        );
-
-        invariants::check_all(&on.machine, &on.gate, &[on.root]).unwrap();
+        invariants::check_all(&w.machine, &w.gate, &[w.root]).unwrap();
         let report = audit::audit(&MachineView {
-            machine: &on.machine,
-            roots: &[on.root],
-            gate: Some(&on.gate),
+            machine: &w.machine,
+            roots: &[w.root],
+            gate: Some(&w.gate),
             monitor: None,
             sept: None,
         });
-        assert!(
-            report.findings.is_empty(),
-            "case {case}: audit findings {:?}",
-            report.findings
-        );
+        assert!(report.is_clean(), "case {case}: {}", report.json());
 
-        let records = on.machine.trace.last_n(on.machine.trace.len());
+        let records = w.machine.trace.last_n(w.machine.trace.len());
         for f in detect_races(&records, cores) {
             assert!(
                 f.dropped,
                 "case {case}: race finding not explained by an injected drop: {f:?}"
             );
         }
-
-        injected += t_on
-            .iter()
-            .filter(|t| t.contains("chaos: register write"))
-            .count() as u64;
         dropped += records
             .iter()
             .filter(|r| matches!(r.event, TraceEvent::IpiDropped { .. }))
             .count() as u64;
-        hits += on.machine.fastpath.decision_hits;
-        slow += on.machine.fastpath.slow_ops;
-        rekeys += on.machine.fastpath.rekeys;
     }
-    assert!(hits > 0, "campaign never served a cached decision");
-    assert!(slow > 0, "campaign never fell back to the slow path");
-    assert!(rekeys > 0, "campaign never revalidated the cache context");
-    assert!(injected > 0, "campaign never saw a mid-batch injected fault");
+    assert!(injected > 0, "campaign never saw an injected register fault");
     assert!(dropped > 0, "campaign never dropped a shootdown IPI");
-}
-
-/// A mid-batch injected `wrmsr` fault terminates the batch at the
-/// faulting op and drops the fast-path context validation: the batch
-/// reports the fault exactly like the slow path, and a subsequent
-/// *successful* PKRS change re-keys the cache instead of serving
-/// decisions computed under the old register state.
-#[test]
-fn injected_midbatch_wrmsr_fault_forces_slowpath_fallback() {
-    let mut w = ChaosWorld::new(2);
-    w.machine.cpus[0].domain = Domain::Monitor;
-    let va = chaos_data_va(0);
-
-    let warm = w
-        .machine
-        .run_batch(0, &[BatchOp::ReadU64 { va }, BatchOp::ReadU64 { va }]);
-    assert!(warm.fault.is_none());
-    assert!(
-        w.machine.fastpath.decision_hits > 0,
-        "second read must hit the decision cache"
-    );
-    let slow_before = w.machine.fastpath.slow_ops;
-    let rekeys_before = w.machine.fastpath.rekeys;
-
-    w.machine.set_injector(handle(Bomb {
-        armed: true,
-        wrmsr: true,
-        branch: false,
-    }));
-    let out = w.machine.run_batch(
-        0,
-        &[
-            BatchOp::ReadU64 { va },
-            BatchOp::Wrmsr {
-                msr: Msr::Pkrs,
-                v: policy::monitor_mode_pkrs().0,
-            },
-            BatchOp::ReadU64 { va },
-        ],
-    );
-    w.machine.clear_injector();
-    assert_eq!(out.executed, 1, "batch must stop at the faulted wrmsr");
-    assert!(matches!(out.fault, Some(Fault::GeneralProtection(_))));
-    assert!(
-        w.machine.fastpath.slow_ops > slow_before,
-        "the faulted wrmsr must take the slow path"
-    );
-    // The injected fault aborted the write before it took effect, so the
-    // register context is unchanged and the cache stays live.
-    assert_eq!(w.machine.cpus[0].msr(Msr::Pkrs), policy::normal_mode_pkrs().0);
-
-    // A successful PKRS change does land a new context: the next batch
-    // must re-key rather than trust decisions cached under the old PKRS.
-    let out = w.machine.run_batch(
-        0,
-        &[
-            BatchOp::Wrmsr {
-                msr: Msr::Pkrs,
-                v: policy::monitor_mode_pkrs().0,
-            },
-            BatchOp::ReadU64 { va },
-        ],
-    );
-    assert!(out.fault.is_none(), "{:?}", out.fault);
-    assert!(
-        w.machine.fastpath.rekeys > rekeys_before,
-        "a landed PKRS change must force a cache re-key"
-    );
-
-    w.machine
-        .wrmsr(0, Msr::Pkrs, policy::normal_mode_pkrs().0)
-        .unwrap();
-    w.machine.cpus[0].domain = Domain::Kernel;
-    invariants::check_all(&w.machine, &w.gate, &[w.root]).unwrap();
 }
 
 // --- fleet campaign: coalesced shootdowns under IPI chaos -------------

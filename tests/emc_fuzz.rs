@@ -1,7 +1,8 @@
 //! Adversarial EMC fuzzing: the kernel interface is attacker-reachable, so
 //! arbitrary request sequences must never panic the monitor, never grant
 //! access to monitor memory, and never break the Nested-Kernel or
-//! single-mapping invariants.
+//! single-mapping invariants. The state auditor is the final oracle: the
+//! snapshot each sequence leaves behind must audit clean.
 //!
 //! Historical counterexamples found by the fuzzer live in the
 //! `regressions` module as explicit named tests (ported from the old
@@ -171,6 +172,9 @@ fn assert_invariants_under(reqs: &[EmcRequest]) {
     }
     // And the host never saw the secret through any of it.
     assert!(!p.cvm.tdx.host.observed_contains(b"the crown jewels"));
+    // The state auditor re-derives every claim from the final snapshot.
+    let report = p.audit();
+    assert!(report.is_clean(), "audit after {reqs:?}: {}", report.json());
 }
 
 proptest! {

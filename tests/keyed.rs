@@ -1,20 +1,19 @@
 //! Integration tests for the isolation-backend seam: the PKS capacity
 //! boundary (typed exhaustion, domain recycling), the TME-MK keyed
 //! backend confining hundreds of sandboxes in one address space, the
-//! kill-teardown fence (epoch bump + domain revocation), with the
-//! stale-decision window it closes shown by reviving the pre-kill epoch,
-//! and a confined declaration that fails part-way giving its arena back.
+//! kill-teardown fence (domain revocation), a confined declaration that
+//! fails part-way giving its arena back, and kills that fault or repeat
+//! never stranding a core, leaking frames or revoking a live domain.
 
 use erebor::ecore::emc::{EmcError, EmcRequest};
 use erebor::ecore::policy::FrameKind;
-use erebor::ecore::sandbox::SandboxId;
-use erebor::ehw::cpu::Domain;
-use erebor::ehw::fault::AccessKind;
-use erebor::ehw::inject::{self, Injector};
+use erebor::ecore::sandbox::{SandboxId, SandboxState};
+use erebor::ehw::fault::Fault;
+use erebor::ehw::inject::{self, InjectionPoint, Injector};
 use erebor::ehw::isolation::BackendKind;
-use erebor::ehw::layout::KERNEL_BASE;
 use erebor::ehw::paging;
-use erebor::ehw::{BatchOp, CpuMode, Frame, VirtAddr};
+use erebor::ehw::regs::Msr;
+use erebor::ehw::{Frame, VirtAddr};
 use erebor::Platform;
 
 /// Where each sandbox declares its confined page (sandbox-private
@@ -168,16 +167,11 @@ fn keyed_backend_confines_256_sandboxes() {
 // Satellite: the kill-teardown fence
 // ====================================================================
 
-/// Create a sandbox with *zero* confined pages (so teardown issues no
-/// shootdown — the worst case for the fence), park victim core 1 on the
-/// sandbox's CR3, warm its permission-decision cache, then kill the
-/// sandbox. The kill leaves that cache in place, still keyed to the dead
-/// sandbox's CR3 and the pre-kill epoch: revive that epoch and the
-/// batch layer would serve the stale decisions without a walk. The
-/// fence's unconditional epoch bump is what closes the window, and the
-/// fence revokes the domain.
+/// A sandbox with *zero* confined pages gives the kill's teardown
+/// nothing to unmap, shoot down or release; the fence still revokes its
+/// domain.
 #[test]
-fn kill_fence_closes_the_decision_window_and_frees_the_domain() {
+fn kill_fence_frees_the_domain_of_an_empty_sandbox() {
     let mut p = booted_with(BackendKind::Pks);
     p.enter_kernel_mode();
     let id = p
@@ -185,39 +179,10 @@ fn kill_fence_closes_the_decision_window_and_frees_the_domain() {
         .monitor
         .create_sandbox(&mut p.cvm.machine, 0, 4)
         .expect("create");
-    let root = p.cvm.monitor.sandboxes.get(&id.0).expect("live").root;
-
-    // Victim core 1 runs (deprivileged-kernel mode) on the sandbox's
-    // address space and caches permission decisions keyed to that CR3.
-    p.cvm.machine.cpus[1].mode = CpuMode::Supervisor;
-    p.cvm.machine.cpus[1].domain = Domain::Kernel;
-    p.cvm.machine.cpus[1].cr3 = root;
-    p.cvm.machine.flush_tlb(1);
-    let ops = [BatchOp::Probe {
-        va: KERNEL_BASE,
-        kind: AccessKind::Read,
-    }; 2];
-    let out = p.cvm.machine.run_batch(1, &ops);
-    assert!(out.fault.is_none(), "{out:?}");
-    let cache = p.cvm.machine.decision_cache(1);
-    assert!(cache.occupancy() > 0, "cache warmed");
-    let ctx = cache.ctx().expect("cache keyed to the sandbox's CR3");
-    let pre_kill_epoch = p.cvm.machine.mmu_epoch();
-    assert!(cache.valid_for(&ctx, pre_kill_epoch));
-
     let live_before = p.cvm.monitor.backend.live_domains();
     p.cvm
         .monitor
         .kill_sandbox(&mut p.cvm.machine, id, "fence test");
-    let cache = p.cvm.machine.decision_cache(1);
-    assert!(
-        cache.occupancy() > 0 && cache.valid_for(&ctx, pre_kill_epoch),
-        "the stale decisions survive the kill, valid under the pre-kill epoch"
-    );
-    assert!(
-        !cache.valid_for(&ctx, p.cvm.machine.mmu_epoch()),
-        "fence bumps the epoch even with zero confined pages"
-    );
     assert_eq!(
         p.cvm.monitor.backend.live_domains(),
         live_before - 1,
@@ -350,5 +315,116 @@ fn failed_declaration_gives_its_arena_back() {
             let report = p.audit();
             assert!(report.is_clean(), "{}", report.json());
         }
+    }
+}
+
+// ====================================================================
+// Kills that fault or repeat
+// ====================================================================
+
+/// Faults the next `wrmsr` on core 0, once.
+struct FaultNextWrmsr {
+    armed: bool,
+}
+
+impl Injector for FaultNextWrmsr {
+    fn inject_fault(&mut self, p: InjectionPoint) -> Option<Fault> {
+        if self.armed && matches!(p, InjectionPoint::Wrmsr { cpu: 0, .. }) {
+            self.armed = false;
+            return Some(Fault::GeneralProtection("injected fault"));
+        }
+        None
+    }
+}
+
+/// A kill whose privilege raise faults changes nothing on core 0 and
+/// leaves the sandbox dead with its confined pages still listed; the
+/// next kill finishes the teardown. Afterwards no frame is `Confined`
+/// for the sandbox, only its page-table pages stay allocated, its domain
+/// is revoked and the audit is clean.
+#[test]
+fn faulted_kill_rolls_back_and_a_retry_finishes_the_teardown() {
+    const PAGES: u64 = 4;
+    for backend in [BackendKind::Pks, BackendKind::TmeMk] {
+        let mut p = booted_with(backend);
+        p.enter_kernel_mode();
+        let before = p.cvm.machine.mem.allocated_frames();
+        let id = p
+            .cvm
+            .monitor
+            .create_sandbox(&mut p.cvm.machine, 0, PAGES)
+            .expect("create");
+        declare(&mut p, id, PAGES).expect("declare");
+        let tables = p.cvm.machine.mem.allocated_frames() - before - PAGES;
+        let core0 = |p: &Platform| {
+            let c = &p.cvm.machine.cpus[0];
+            (c.domain, c.mode, c.msr(Msr::Pkrs))
+        };
+        let pre_kill = core0(&p);
+
+        p.cvm
+            .machine
+            .set_injector(inject::handle(FaultNextWrmsr { armed: true }));
+        p.cvm
+            .monitor
+            .kill_sandbox(&mut p.cvm.machine, id, "faulted kill");
+        p.cvm.machine.clear_injector();
+        assert_eq!(core0(&p), pre_kill, "{backend:?}: core 0 stranded");
+        let s = p.cvm.monitor.sandboxes.get(&id.0).expect("entry");
+        assert_eq!(s.state, SandboxState::Dead);
+        assert_eq!(s.confined.len() as u64, PAGES, "{backend:?}: list drained");
+        assert_eq!(p.cvm.monitor.backend.live_domains(), 1);
+
+        p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, id, "retry");
+        let confined = p
+            .cvm
+            .monitor
+            .frames
+            .count_kind(|k| k == FrameKind::Confined { sandbox: id.0 });
+        assert_eq!(confined, 0, "{backend:?}: Confined frames left");
+        assert_eq!(
+            p.cvm.machine.mem.allocated_frames() - before,
+            tables,
+            "{backend:?}: only the page-table pages remain"
+        );
+        assert_eq!(p.cvm.monitor.backend.live_domains(), 0, "{backend:?}");
+        let report = p.audit();
+        assert!(report.is_clean(), "{}", report.json());
+    }
+}
+
+/// Killing a dead sandbox again, or ending its session, must not revoke
+/// the domain a newer sandbox was handed: B keeps its domain live and C
+/// gets a different one.
+#[test]
+fn a_second_kill_never_revokes_a_recycled_domain() {
+    for backend in [BackendKind::Pks, BackendKind::TmeMk] {
+        let mut p = booted_with(backend);
+        p.enter_kernel_mode();
+        let create = |p: &mut Platform| {
+            let id = p
+                .cvm
+                .monitor
+                .create_sandbox(&mut p.cvm.machine, 0, 4)
+                .expect("create");
+            (id, p.cvm.monitor.sandboxes.get(&id.0).expect("live").domain)
+        };
+        let (a, _) = create(&mut p);
+        p.cvm
+            .monitor
+            .kill_sandbox(&mut p.cvm.machine, a, "first kill");
+        let (_, b) = create(&mut p);
+        p.cvm
+            .monitor
+            .kill_sandbox(&mut p.cvm.machine, a, "second kill");
+        p.cvm.monitor.end_session(&mut p.cvm.machine, a);
+        assert_eq!(
+            p.cvm.monitor.backend.live_domains(),
+            1,
+            "{backend:?}: B's domain was revoked"
+        );
+        let (_, c) = create(&mut p);
+        assert_ne!(b, c, "{backend:?}: B and C share a domain");
+        assert_eq!(p.cvm.monitor.backend.live_domains(), 2);
     }
 }
