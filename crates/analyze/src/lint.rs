@@ -23,6 +23,13 @@
 //!   atomic that appears must order). Waiver: `lint:allow(relaxed)`.
 //! * `json-marker` — every bin that serializes JSON (calls `.json()`)
 //!   must emit the `EREBOR_JSON:` marker CI greps for.
+//! * `bucket-scope` — cycle-attribution buckets are switched only by the
+//!   scoped calls (`Machine::charged_to`, the platform's kernel entries)
+//!   and the context entries that set the bucket for the code that
+//!   follows them: a raw `set_bucket` call outside
+//!   [`BUCKET_SWITCH_FILES`] and test regions is a finding, because a
+//!   hand-written switch can skip its restore on an early return.
+//!   Waiver: `lint:allow(bucket)`.
 //!
 //! `#[cfg(test)]` regions are tracked brace-accurately by
 //! [`crate::source::TestRegionTracker`]: only the guarded item's span is
@@ -96,6 +103,15 @@ pub const STRICT_NO_PANIC_FILES: [&str; 3] = [
     "crates/kernel/src/vfs.rs",
 ];
 
+/// The only files that may switch the cycle-attribution bucket by hand:
+/// the counter itself, `Machine::charged_to`, and the platform driver's
+/// kernel and user entries.
+pub const BUCKET_SWITCH_FILES: [&str; 3] = [
+    "crates/hw/src/cycles.rs",
+    "crates/hw/src/cpu.rs",
+    "src/platform.rs",
+];
+
 /// Classify a workspace-relative path.
 #[must_use]
 pub fn classify(rel: &str) -> FileClass {
@@ -126,10 +142,9 @@ fn has_waiver(line: &str, what: &str) -> bool {
 #[must_use]
 pub fn lint_source(rel: &str, content: &str) -> Vec<LintFinding> {
     let class = classify(rel);
-    let strict = {
-        let unixy = rel.replace('\\', "/");
-        STRICT_NO_PANIC_FILES.iter().any(|f| unixy == *f)
-    };
+    let unixy = rel.replace('\\', "/");
+    let strict = STRICT_NO_PANIC_FILES.iter().any(|f| unixy == *f);
+    let bucket_switch_allowed = BUCKET_SWITCH_FILES.iter().any(|f| unixy == *f);
     let mut findings = Vec::new();
     let mut stripper = CodeStripper::new();
     let mut tracker = TestRegionTracker::new();
@@ -141,41 +156,42 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintFinding> {
         let in_test_region = tracker.line_starts_in_test() || stripped.contains("#[cfg(test)]");
         tracker.observe(&stripped);
         let code: &str = &stripped;
-        let excerpt = || raw.trim().chars().take(120).collect::<String>();
+        let mut flag = |rule| {
+            findings.push(LintFinding {
+                file: rel.to_owned(),
+                line,
+                rule,
+                excerpt: raw.trim().chars().take(120).collect(),
+            });
+        };
 
         let panic_rule_applies =
             strict || (class == FileClass::Library && !in_test_region && !has_waiver(raw, "panic"));
         if panic_rule_applies
             && (code.contains(".unwrap()") || code.contains(".expect(") || code.contains("panic!("))
         {
-            findings.push(LintFinding {
-                file: rel.to_owned(),
-                line,
-                rule: "no-panic",
-                excerpt: excerpt(),
-            });
+            flag("no-panic");
         }
         if !in_test_region
             && !has_waiver(raw, "counter")
             && code.contains("stats.")
             && (code.contains("+=") || code.contains("-="))
         {
-            findings.push(LintFinding {
-                file: rel.to_owned(),
-                line,
-                rule: "saturating-counters",
-                excerpt: excerpt(),
-            });
+            flag("saturating-counters");
+        }
+        // Token split keeps the raw call out of searches for it.
+        let bucket_tok = concat!("set_bucket", "(");
+        if !in_test_region
+            && !bucket_switch_allowed
+            && code.contains(bucket_tok)
+            && !has_waiver(raw, "bucket")
+        {
+            flag("bucket-scope");
         }
         // Token split so the lint does not flag its own rule definition.
         let relaxed_tok = concat!("Ordering::", "Relaxed");
         if code.contains(relaxed_tok) && !has_waiver(raw, "relaxed") {
-            findings.push(LintFinding {
-                file: rel.to_owned(),
-                line,
-                rule: "no-relaxed",
-                excerpt: excerpt(),
-            });
+            flag("no-relaxed");
         }
     }
     if class == FileClass::Bin && content.contains(".json()") && !content.contains("EREBOR_JSON") {
@@ -392,6 +408,23 @@ mod tests {
         let f = lint_source("crates/hw/src/a.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "no-relaxed");
+    }
+
+    #[test]
+    fn flags_unscoped_bucket_switches_outside_the_allowed_files() {
+        let src = concat!("let prev = m.cycles.set_bucket", "(Bucket::Monitor);\n");
+        let f = lint_source("crates/core/src/monitor.rs", src);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "bucket-scope");
+        for allowed in BUCKET_SWITCH_FILES {
+            assert!(lint_source(allowed, src).is_empty(), "{allowed}");
+        }
+        let waived = concat!("m.cycles.set_bucket", "(b); // lint:allow(bucket)\n");
+        assert!(lint_source("crates/tdx/src/tdcall.rs", waived).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint_source("crates/core/src/monitor.rs", &in_tests).is_empty());
+        let scoped = "machine.charged_to(Bucket::Monitor, |m| work(m));\n";
+        assert!(lint_source("crates/core/src/monitor.rs", scoped).is_empty());
     }
 
     #[test]

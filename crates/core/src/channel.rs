@@ -14,7 +14,7 @@
 //! The proxy (and thus the host and kernel) only ever see hello material
 //! and ciphertext.
 
-use crate::monitor::Monitor;
+use crate::monitor::{privileged, Monitor};
 use crate::sandbox::{SandboxId, SandboxState};
 use erebor_crypto::kx::{self, Role, SecureChannel};
 use erebor_crypto::x25519;
@@ -212,28 +212,18 @@ impl Monitor {
 
         // Attestation runs in monitor context (the monitor's own code is
         // executing here, in ring 0 — only it can reach tdcall, C5).
-        let guard =
-            crate::monitor::PrivGuard::enter(machine, cpu).map_err(|_| "privilege raise failed")?;
-        let report = tdcall(
-            tdx,
-            machine,
-            cpu,
-            TdcallLeaf::TdReport {
-                report_data: Box::new(report_data),
-            },
-        );
-        let quote = match report {
-            Ok(TdcallResult::Report(r)) => tdcall(tdx, machine, cpu, TdcallLeaf::GetQuote(r)),
-            _ => {
-                guard.exit(machine, cpu);
-                return Err("tdreport failed");
+        let quote = privileged(machine, cpu, |machine| {
+            let report_data = Box::new(report_data);
+            let report = match tdcall(tdx, machine, cpu, TdcallLeaf::TdReport { report_data }) {
+                Ok(TdcallResult::Report(r)) => r,
+                _ => return Err("tdreport failed"),
+            };
+            match tdcall(tdx, machine, cpu, TdcallLeaf::GetQuote(report)) {
+                Ok(TdcallResult::Quote(q)) => Ok(*q),
+                _ => Err("quote failed"),
             }
-        };
-        guard.exit(machine, cpu);
-        let quote = match quote {
-            Ok(TdcallResult::Quote(q)) => *q,
-            _ => return Err("quote failed"),
-        };
+        })
+        .map_err(|_| "privilege raise failed")??;
         self.stats.ghci_ops = self.stats.ghci_ops.saturating_add(2);
 
         let shared = x25519::shared_secret(&private, &hello.client_pub);
@@ -284,11 +274,9 @@ impl Monitor {
             }
             // Disable user-mode interrupt sending before entering the
             // sandbox (clear IA32_UINTR_TT.valid).
-            let guard = crate::monitor::PrivGuard::enter(machine, cpu)
-                .map_err(|_| "privilege raise failed")?;
-            let res = machine.wrmsr(cpu, Msr::UintrTt, 0);
-            guard.exit(machine, cpu);
-            res.map_err(|_| "uintr disable failed")?;
+            privileged(machine, cpu, |machine| machine.wrmsr(cpu, Msr::UintrTt, 0))
+                .map_err(|_| "privilege raise failed")?
+                .map_err(|_| "uintr disable failed")?;
             let s = self
                 .sandboxes
                 .get_mut(&sandbox.0)
@@ -308,9 +296,9 @@ impl Monitor {
             s.saved_ctx = None;
         }
         // The teardown path (unmap → scrub → release) is shared with the
-        // kill path; only the reason differs.
-        self.kill_sandbox(machine, sandbox, "session ended");
-        self.stats.sandboxes_killed = self.stats.sandboxes_killed.saturating_sub(1); // graceful end, not a kill
+        // kill path; a graceful end is not counted as a kill, and a
+        // sandbox that already died keeps the reason it died for.
+        self.retire(machine, sandbox, "session ended");
     }
 
     /// Proxy pickup of the next sealed output record. With quantized

@@ -109,46 +109,40 @@ impl EmcGate {
     /// `#CP` if the caller aims anywhere but the landing pad; fetch faults;
     /// `#GP`/`#UD` if somehow reached from an illegitimate context.
     pub fn enter(&mut self, machine: &mut Machine, cpu: usize) -> Result<(), Fault> {
-        let prev_bucket = machine.cycles.set_bucket(Bucket::Monitor);
-        let r = self.enter_gate(machine, cpu);
-        machine.cycles.set_bucket(prev_bucket);
-        if r.is_ok() {
-            machine.trace_event(cpu, TraceEvent::GateEnter);
-        }
-        r
-    }
-
-    fn enter_gate(&mut self, machine: &mut Machine, cpu: usize) -> Result<(), Fault> {
-        let prev_domain = machine.cpus[cpu].domain;
-        let prev_rip = machine.cpus[cpu].ctx.rip;
-        // ① Indirect call to the gate: hardware IBT check; on success the
-        // core's code domain becomes Monitor.
-        machine.indirect_branch(cpu, self.entry)?;
-        let c = &machine.costs;
-        // Scratch register spills + fills (3 each way), stack switch, and
-        // the serializing-write pipeline overhead.
-        machine
-            .cycles
-            .charge(6 * c.mem_op + c.stack_switch + 2 * c.alu + c.gate_overhead);
-        // Arm the in-EMC flag *before* the PKRS grant: a preemption
-        // landing between these two steps then goes through the `#INT`
-        // gate's save/revoke path like any other mid-EMC interrupt.
-        self.in_emc[cpu] = true;
-        if machine.chaos_preempt(InjectionPoint::GateEnter { cpu }) {
-            self.injected_preemption(machine, cpu);
-        }
-        // Grant monitor memory access for this core only. A fault on
-        // either MSR op unwinds the whole entry: the caller must observe
-        // the same state as if the gate had never been taken.
-        let granted = machine
-            .rdmsr(cpu, Msr::Pkrs)
-            .and_then(|_old| machine.wrmsr(cpu, Msr::Pkrs, policy::monitor_mode_pkrs().0));
-        if let Err(f) = granted {
-            self.in_emc[cpu] = false;
-            machine.cpus[cpu].domain = prev_domain;
-            machine.cpus[cpu].ctx.rip = prev_rip;
-            return Err(f);
-        }
+        machine.charged_to(Bucket::Monitor, |machine| {
+            let prev_domain = machine.cpus[cpu].domain;
+            let prev_rip = machine.cpus[cpu].ctx.rip;
+            // ① Indirect call to the gate: hardware IBT check; on success the
+            // core's code domain becomes Monitor.
+            machine.indirect_branch(cpu, self.entry)?;
+            let c = &machine.costs;
+            // Scratch register spills + fills (3 each way), stack switch, and
+            // the serializing-write pipeline overhead.
+            machine
+                .cycles
+                .charge(6 * c.mem_op + c.stack_switch + 2 * c.alu + c.gate_overhead);
+            // Arm the in-EMC flag *before* the PKRS grant: a preemption
+            // landing between these two steps then goes through the `#INT`
+            // gate's save/revoke path like any other mid-EMC interrupt.
+            self.in_emc[cpu] = true;
+            if machine.chaos_preempt(InjectionPoint::GateEnter { cpu }) {
+                self.injected_preemption(machine, cpu);
+            }
+            // Grant monitor memory access for this core only. A fault on
+            // either MSR op unwinds the whole entry: the caller must observe
+            // the same state as if the gate had never been taken.
+            let granted = machine
+                .rdmsr(cpu, Msr::Pkrs)
+                .and_then(|_old| machine.wrmsr(cpu, Msr::Pkrs, policy::monitor_mode_pkrs().0));
+            if let Err(f) = granted {
+                self.in_emc[cpu] = false;
+                machine.cpus[cpu].domain = prev_domain;
+                machine.cpus[cpu].ctx.rip = prev_rip;
+                return Err(f);
+            }
+            Ok(())
+        })?;
+        machine.trace_event(cpu, TraceEvent::GateEnter);
         Ok(())
     }
 
@@ -184,40 +178,29 @@ impl EmcGate {
         cpu: usize,
         return_to: VirtAddr,
     ) -> Result<(), Fault> {
-        let prev_bucket = machine.cycles.set_bucket(Bucket::Monitor);
-        let r = self.exit_gate(machine, cpu, return_to);
-        machine.cycles.set_bucket(prev_bucket);
-        if r.is_ok() {
-            machine.trace_event(cpu, TraceEvent::GateExit);
-        }
-        r
-    }
-
-    fn exit_gate(
-        &mut self,
-        machine: &mut Machine,
-        cpu: usize,
-        return_to: VirtAddr,
-    ) -> Result<(), Fault> {
-        let c = &machine.costs;
-        machine
-            .cycles
-            .charge(6 * c.mem_op + c.stack_switch + 2 * c.alu + c.call_ret + c.gate_overhead);
-        if machine.chaos_preempt(InjectionPoint::GateExit { cpu }) {
-            self.injected_preemption(machine, cpu);
-        }
-        // The exit gate reads then rewrites PKRS (Fig. 5b lines 9-12).
-        // Faults here leave all state untouched — still inside the EMC.
-        let cur = machine.rdmsr(cpu, Msr::Pkrs)?;
-        machine.wrmsr(cpu, Msr::Pkrs, policy::normal_mode_pkrs().0)?;
-        self.in_emc[cpu] = false;
-        if let Err(f) = machine.direct_branch(cpu, return_to) {
-            // The return never left the monitor: put the EMC state back so
-            // `in_emc`/PKRS/domain agree that we are still inside.
-            self.in_emc[cpu] = true;
-            machine.restore_msr(cpu, Msr::Pkrs, cur);
-            return Err(f);
-        }
+        machine.charged_to(Bucket::Monitor, |machine| {
+            let c = &machine.costs;
+            machine
+                .cycles
+                .charge(6 * c.mem_op + c.stack_switch + 2 * c.alu + c.call_ret + c.gate_overhead);
+            if machine.chaos_preempt(InjectionPoint::GateExit { cpu }) {
+                self.injected_preemption(machine, cpu);
+            }
+            // The exit gate reads then rewrites PKRS (Fig. 5b lines 9-12).
+            // Faults here leave all state untouched — still inside the EMC.
+            let cur = machine.rdmsr(cpu, Msr::Pkrs)?;
+            machine.wrmsr(cpu, Msr::Pkrs, policy::normal_mode_pkrs().0)?;
+            self.in_emc[cpu] = false;
+            if let Err(f) = machine.direct_branch(cpu, return_to) {
+                // The return never left the monitor: put the EMC state back so
+                // `in_emc`/PKRS/domain agree that we are still inside.
+                self.in_emc[cpu] = true;
+                machine.restore_msr(cpu, Msr::Pkrs, cur);
+                return Err(f);
+            }
+            Ok(())
+        })?;
+        machine.trace_event(cpu, TraceEvent::GateExit);
         Ok(())
     }
 
@@ -231,31 +214,28 @@ impl EmcGate {
     /// # Errors
     /// Propagates MSR faults.
     pub fn interrupt_entry(&mut self, machine: &mut Machine, cpu: usize) -> Result<(), Fault> {
-        let prev_bucket = machine.cycles.set_bucket(Bucket::Monitor);
-        let r = self.interrupt_entry_gate(machine, cpu);
-        machine.cycles.set_bucket(prev_bucket);
-        r
-    }
-
-    fn interrupt_entry_gate(&mut self, machine: &mut Machine, cpu: usize) -> Result<(), Fault> {
-        // Register save/restore cost of the gate.
-        machine.cycles.charge(16 * machine.costs.mem_op);
-        self.int_depth[cpu] = self.int_depth[cpu].saturating_add(1);
-        if self.in_emc[cpu] && self.saved_pkrs[cpu].is_none() {
-            let revoked = machine
-                .rdmsr(cpu, Msr::Pkrs)
-                .and_then(|cur| machine.wrmsr(cpu, Msr::Pkrs, policy::normal_mode_pkrs().0).map(|()| cur));
-            match revoked {
-                Ok(cur) => self.saved_pkrs[cpu] = Some((cur, self.int_depth[cpu])),
-                Err(f) => {
-                    // PKRS is untouched on either fault; undo the depth
-                    // bump so the entry is a no-op, and refuse delivery.
-                    self.int_depth[cpu] -= 1;
-                    return Err(f);
+        machine.charged_to(Bucket::Monitor, |machine| {
+            // Register save/restore cost of the gate.
+            machine.cycles.charge(16 * machine.costs.mem_op);
+            self.int_depth[cpu] = self.int_depth[cpu].saturating_add(1);
+            if self.in_emc[cpu] && self.saved_pkrs[cpu].is_none() {
+                let revoked = machine.rdmsr(cpu, Msr::Pkrs).and_then(|cur| {
+                    machine
+                        .wrmsr(cpu, Msr::Pkrs, policy::normal_mode_pkrs().0)
+                        .map(|()| cur)
+                });
+                match revoked {
+                    Ok(cur) => self.saved_pkrs[cpu] = Some((cur, self.int_depth[cpu])),
+                    Err(f) => {
+                        // PKRS is untouched on either fault; undo the depth
+                        // bump so the entry is a no-op, and refuse delivery.
+                        self.int_depth[cpu] -= 1;
+                        return Err(f);
+                    }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// The `#INT` gate, interrupt-return half (Fig. 5c-right ⓑ): restore
@@ -267,22 +247,17 @@ impl EmcGate {
     /// # Errors
     /// Propagates MSR faults (state untouched on error).
     pub fn interrupt_return(&mut self, machine: &mut Machine, cpu: usize) -> Result<(), Fault> {
-        let prev_bucket = machine.cycles.set_bucket(Bucket::Monitor);
-        let r = self.interrupt_return_gate(machine, cpu);
-        machine.cycles.set_bucket(prev_bucket);
-        r
-    }
-
-    fn interrupt_return_gate(&mut self, machine: &mut Machine, cpu: usize) -> Result<(), Fault> {
-        machine.cycles.charge(16 * machine.costs.mem_op);
-        if let Some((saved, at_depth)) = self.saved_pkrs[cpu] {
-            if at_depth == self.int_depth[cpu] {
-                machine.wrmsr(cpu, Msr::Pkrs, saved)?;
-                self.saved_pkrs[cpu] = None;
+        machine.charged_to(Bucket::Monitor, |machine| {
+            machine.cycles.charge(16 * machine.costs.mem_op);
+            if let Some((saved, at_depth)) = self.saved_pkrs[cpu] {
+                if at_depth == self.int_depth[cpu] {
+                    machine.wrmsr(cpu, Msr::Pkrs, saved)?;
+                    self.saved_pkrs[cpu] = None;
+                }
             }
-        }
-        self.int_depth[cpu] = self.int_depth[cpu].saturating_sub(1);
-        Ok(())
+            self.int_depth[cpu] = self.int_depth[cpu].saturating_sub(1);
+            Ok(())
+        })
     }
 }
 

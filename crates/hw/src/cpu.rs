@@ -230,6 +230,19 @@ impl Machine {
         }
     }
 
+    // ----- cycle attribution --------------------------------------------
+
+    /// Run `f` with its charges attributed to `bucket`, then hand the
+    /// caller's bucket back on every return path of `f`. The one scoped
+    /// way to switch buckets: each layer claims its bucket on entry and
+    /// cannot leave without restoring the caller's.
+    pub fn charged_to<R>(&mut self, bucket: Bucket, f: impl FnOnce(&mut Machine) -> R) -> R {
+        let caller = self.cycles.set_bucket(bucket);
+        let r = f(self);
+        self.cycles.set_bucket(caller);
+        r
+    }
+
     // ----- tracing ------------------------------------------------------
 
     /// Record a trace event on `cpu`, stamped with the current simulated
@@ -744,13 +757,7 @@ impl Machine {
                     // Charged like a CR3 reload on the initiating core.
                     self.cycles.charge(self.costs.mov_cr);
                 }
-                self.tlbs[cpu].flush_all();
-                self.stats.tlb_flushes = self.stats.tlb_flushes.saturating_add(1);
-                self.pending_shootdowns.retain(|&(c, _)| c != cpu);
-                self.pending_asid_shootdowns.retain(|&(c, _)| c != cpu);
-                if self.mmu_trace {
-                    self.trace_event(cpu, TraceEvent::TlbFlush);
-                }
+                self.flush_tlb(cpu);
             } else {
                 for va in vas {
                     if cpu == initiator {
@@ -778,13 +785,7 @@ impl Machine {
                     self.cycles.charge(self.costs.interrupt_delivery);
                     self.stats.tlb_shootdown_ipis = self.stats.tlb_shootdown_ipis.saturating_add(1);
                     self.trace_event(cpu, TraceEvent::IpiSpurious);
-                    self.tlbs[cpu].flush_all();
-                    self.stats.tlb_flushes = self.stats.tlb_flushes.saturating_add(1);
-                    self.pending_shootdowns.retain(|&(c, _)| c != cpu);
-                    self.pending_asid_shootdowns.retain(|&(c, _)| c != cpu);
-                    if self.mmu_trace {
-                        self.trace_event(cpu, TraceEvent::TlbFlush);
-                    }
+                    self.flush_tlb(cpu);
                 }
             }
         }

@@ -183,9 +183,10 @@ impl CycleCounter {
         self.attr.charge(bucket, n);
     }
 
-    /// Switch the current bucket, returning the previous one so callers
-    /// can restore it when their region ends (no RAII guard: callers
-    /// need `&mut Machine` between the set and the restore).
+    /// Switch the current bucket, returning the previous one. A layer
+    /// that claims a bucket for a region scopes the switch with
+    /// `Machine::charged_to`; only a context entry, which sets the bucket
+    /// for all the code that follows it, calls this directly.
     pub fn set_bucket(&mut self, bucket: Bucket) -> Bucket {
         core::mem::replace(&mut self.current, bucket)
     }

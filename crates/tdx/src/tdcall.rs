@@ -293,13 +293,13 @@ pub fn tdcall(
     leaf: TdcallLeaf,
 ) -> Result<TdcallResult, Fault> {
     machine.tdcall_guard(cpu)?;
-    let prev_bucket = machine.cycles.set_bucket(Bucket::Tdcall);
-    machine.trace_event(cpu, TraceEvent::TdcallLeave { leaf: leaf.name() });
-    let r = tdcall_body(module, machine, cpu, leaf);
-    let ok = matches!(&r, Ok(result) if result.error().is_none());
-    machine.trace_event(cpu, TraceEvent::TdcallDone { ok });
-    machine.cycles.set_bucket(prev_bucket);
-    r
+    machine.charged_to(Bucket::Tdcall, |machine| {
+        machine.trace_event(cpu, TraceEvent::TdcallLeave { leaf: leaf.name() });
+        let r = tdcall_body(module, machine, cpu, leaf);
+        let ok = matches!(&r, Ok(result) if result.error().is_none());
+        machine.trace_event(cpu, TraceEvent::TdcallDone { ok });
+        r
+    })
 }
 
 fn tdcall_body(

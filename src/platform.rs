@@ -310,6 +310,30 @@ impl Platform {
         self.cvm.machine.cycles.set_bucket(Bucket::Kernel);
     }
 
+    /// Run a kernel handler under the kernel bucket, handing the caller's
+    /// bucket back when it returns. The trap that reached the handler
+    /// already set mode and domain.
+    fn in_kernel<R>(&mut self, f: impl FnOnce(&mut Kernel, &mut Hw<'_>) -> R) -> R {
+        let (mut hw, kernel) = self.parts();
+        let caller = hw.machine.cycles.set_bucket(Bucket::Kernel);
+        let r = f(kernel, &mut hw);
+        hw.machine.cycles.set_bucket(caller);
+        r
+    }
+
+    /// Run kernel code outside a trap (scheduling, reclaim): enter kernel
+    /// mode on the driving core, run `f` under the kernel bucket, then
+    /// restore the caller's mode, domain and bucket on every return path.
+    fn as_kernel<R>(&mut self, f: impl FnOnce(&mut Kernel, &mut Hw<'_>) -> R) -> R {
+        let c = &mut self.cvm.machine.cpus[self.cpu];
+        let caller = (c.mode, c.domain);
+        (c.mode, c.domain) = (CpuMode::Supervisor, Domain::Kernel);
+        let r = self.in_kernel(f);
+        let c = &mut self.cvm.machine.cpus[self.cpu];
+        (c.mode, c.domain) = caller;
+        r
+    }
+
     fn parts(&mut self) -> (Hw<'_>, &mut Kernel) {
         (
             Hw {
@@ -620,15 +644,8 @@ impl Platform {
 
     fn ensure_current(&mut self, pid: Pid) -> Result<(), SysError> {
         if self.kernel.current_on(self.cpu) != Some(pid) {
-            let saved_mode = self.cvm.machine.cpus[self.cpu].mode;
-            let saved_domain = self.cvm.machine.cpus[self.cpu].domain;
-            let saved_bucket = self.cvm.machine.cycles.bucket();
-            self.enter_kernel_mode();
-            let (mut hw, kernel) = self.parts();
-            kernel.schedule(&mut hw, pid).map_err(|_| SysError::Fault)?;
-            self.cvm.machine.cpus[self.cpu].mode = saved_mode;
-            self.cvm.machine.cpus[self.cpu].domain = saved_domain;
-            self.cvm.machine.cycles.set_bucket(saved_bucket);
+            self.as_kernel(|kernel, hw| kernel.schedule(hw, pid))
+                .map_err(|_| SysError::Fault)?;
         }
         Ok(())
     }
@@ -696,15 +713,7 @@ impl Platform {
                     .monitor
                     .reclaim_common(&mut self.cvm.machine, self.cpu, budget);
             }
-            let saved_mode = self.cvm.machine.cpus[self.cpu].mode;
-            let saved_domain = self.cvm.machine.cpus[self.cpu].domain;
-            let saved_bucket = self.cvm.machine.cycles.bucket();
-            self.enter_kernel_mode();
-            let (mut hw, kernel) = self.parts();
-            kernel.reclaim_pages(&mut hw, budget);
-            self.cvm.machine.cpus[self.cpu].mode = saved_mode;
-            self.cvm.machine.cpus[self.cpu].domain = saved_domain;
-            self.cvm.machine.cycles.set_bucket(saved_bucket);
+            self.as_kernel(|kernel, hw| kernel.reclaim_pages(hw, budget));
         }
         self.deliver_interrupt(pid, vec)
     }
@@ -728,10 +737,7 @@ impl Platform {
                     .on_interrupt(&mut self.cvm.machine, self.cpu, sandbox, vec, saved);
             match decision {
                 ExitDecision::ForwardToKernel { .. } => {
-                    let prev = self.cvm.machine.cycles.set_bucket(Bucket::Kernel);
-                    let (mut hw, kernel) = self.parts();
-                    kernel.on_timer(&mut hw);
-                    self.cvm.machine.cycles.set_bucket(prev);
+                    self.in_kernel(|kernel, hw| kernel.on_timer(hw));
                 }
                 ExitDecision::Killed { reason } => return Err(SysError::Killed(reason)),
                 ExitDecision::Handled { .. } => {}
@@ -743,10 +749,7 @@ impl Platform {
                     .map_err(|_| SysError::Fault)?;
             }
         } else {
-            let prev = self.cvm.machine.cycles.set_bucket(Bucket::Kernel);
-            let (mut hw, kernel) = self.parts();
-            kernel.on_timer(&mut hw);
-            self.cvm.machine.cycles.set_bucket(prev);
+            self.in_kernel(|kernel, hw| kernel.on_timer(hw));
         }
         // Return into the interrupted (possibly restored) user context.
         self.ensure_current(pid)?;
@@ -786,19 +789,13 @@ impl Platform {
                 ExitDecision::Handled { .. } => {}
                 ExitDecision::Killed { reason } => return Err(SysError::Killed(reason)),
                 ExitDecision::ForwardToKernel { .. } => {
-                    let prev = self.cvm.machine.cycles.set_bucket(Bucket::Kernel);
-                    let (mut hw, kernel) = self.parts();
-                    let r = kernel.handle_page_fault(&mut hw, pid, va, write);
-                    self.cvm.machine.cycles.set_bucket(prev);
-                    r.map_err(|_| SysError::Fault)?;
+                    self.in_kernel(|kernel, hw| kernel.handle_page_fault(hw, pid, va, write))
+                        .map_err(|_| SysError::Fault)?;
                 }
             }
         } else {
-            let prev = self.cvm.machine.cycles.set_bucket(Bucket::Kernel);
-            let (mut hw, kernel) = self.parts();
-            let r = kernel.handle_page_fault(&mut hw, pid, va, write);
-            self.cvm.machine.cycles.set_bucket(prev);
-            r.map_err(|_| SysError::Fault)?;
+            self.in_kernel(|kernel, hw| kernel.handle_page_fault(hw, pid, va, write))
+                .map_err(|_| SysError::Fault)?;
         }
         self.cvm
             .machine
@@ -1037,11 +1034,10 @@ impl Platform {
     /// truncated records — yields a typed error and leaves this platform
     /// exactly as it booted: there is no half-imported destination.
     ///
-    /// Host-side state (frame-allocator scan stats, the monitor's cpuid
-    /// MRU slot and lookup indexes) starts fresh on the imported
-    /// platform; architectural state — registers, MSRs, TLBs, sEPT, the
-    /// EMC ledger, sandbox table, sessions, tasks — is byte-identical to
-    /// the source.
+    /// Host-side state (the frame-allocator scan stats) starts fresh on
+    /// the imported platform; architectural state — registers, MSRs,
+    /// TLBs, sEPT, the EMC ledger, sandbox table, sessions, tasks — is
+    /// byte-identical to the source.
     ///
     /// # Errors
     /// [`PlatformError::Migration`] naming the first fault.
@@ -1195,21 +1191,13 @@ impl Sys for ProcHandle<'_> {
                     .on_syscall(&mut p.cvm.machine, &mut p.cvm.tdx, p.cpu, sandbox);
             match decision {
                 ExitDecision::ForwardToKernel { .. } => {
-                    let prev = p.cvm.machine.cycles.set_bucket(Bucket::Kernel);
-                    let (mut hw, kernel) = p.parts();
-                    let rax = kernel.handle_syscall(&mut hw, pid, syscall_nr, args);
-                    p.cvm.machine.cycles.set_bucket(prev);
-                    rax
+                    p.in_kernel(|kernel, hw| kernel.handle_syscall(hw, pid, syscall_nr, args))
                 }
                 ExitDecision::Handled { rax } => rax,
                 ExitDecision::Killed { reason } => return Err(SysError::Killed(reason)),
             }
         } else {
-            let prev = p.cvm.machine.cycles.set_bucket(Bucket::Kernel);
-            let (mut hw, kernel) = p.parts();
-            let rax = kernel.handle_syscall(&mut hw, pid, syscall_nr, args);
-            p.cvm.machine.cycles.set_bucket(prev);
-            rax
+            p.in_kernel(|kernel, hw| kernel.handle_syscall(hw, pid, syscall_nr, args))
         };
         p.cvm.machine.sysret(p.cpu).map_err(|_| SysError::Fault)?;
         let signed = rax as i64;
@@ -1307,30 +1295,36 @@ impl Sys for ProcHandle<'_> {
             .tdx
             .inject_ve(&mut p.cvm.machine, p.cpu, VeReason::Cpuid)
             .map_err(|_| SysError::Fault)?;
-        let sandbox = p.sandbox_of(pid);
-        let eax = if p.cvm.monitor.cfg.monitor_present() && p.cvm.monitor.cfg.exit_protection() {
-            let decision = p.cvm.monitor.on_ve(
-                &mut p.cvm.machine,
-                &mut p.cvm.tdx,
-                p.cpu,
-                sandbox,
-                VeReason::Cpuid,
-                leaf,
-            );
+        let cfg = p.cvm.monitor.cfg;
+        let eax = if cfg.monitor_present() {
+            // Without exit interposition the #VE reaches the kernel's
+            // handler directly.
+            let decision = if cfg.exit_protection() {
+                let sandbox = p.sandbox_of(pid);
+                p.cvm.monitor.on_ve(
+                    &mut p.cvm.machine,
+                    &mut p.cvm.tdx,
+                    p.cpu,
+                    sandbox,
+                    VeReason::Cpuid,
+                    leaf,
+                )
+            } else {
+                ExitDecision::ForwardToKernel {
+                    handler: erebor_kernel::entry::VE,
+                }
+            };
             match decision {
                 ExitDecision::Handled { rax } => rax as u32,
                 ExitDecision::Killed { reason } => return Err(SysError::Killed(reason)),
                 ExitDecision::ForwardToKernel { .. } => {
-                    // Native path: kernel #VE handler delegates the GHCI
-                    // round trip to the monitor.
-                    let prev = p.cvm.machine.cycles.set_bucket(Bucket::Kernel);
-                    let (mut hw, kernel) = p.parts();
-                    kernel.handle_ve_native(&mut hw);
-                    hw.machine.cycles.set_bucket(prev);
-                    match hw.monitor.emc(
-                        hw.machine,
-                        hw.tdx,
-                        hw.cpu,
+                    // The kernel's #VE handler delegates the GHCI round
+                    // trip to the monitor.
+                    p.in_kernel(|kernel, hw| kernel.handle_ve_native(hw));
+                    match p.cvm.monitor.emc(
+                        &mut p.cvm.machine,
+                        &mut p.cvm.tdx,
+                        p.cpu,
                         EmcRequest::CpuidEmulate { leaf },
                     ) {
                         Ok(EmcResponse::Cpuid(v)) => v[0],
@@ -1338,38 +1332,20 @@ impl Sys for ProcHandle<'_> {
                     }
                 }
             }
-        } else if p.cvm.monitor.cfg.monitor_present() {
-            // Monitor present but exit interposition disabled: the kernel's
-            // #VE handler still needs the monitor for GHCI.
-            let prev = p.cvm.machine.cycles.set_bucket(Bucket::Kernel);
-            let (mut hw, kernel) = p.parts();
-            kernel.handle_ve_native(&mut hw);
-            hw.machine.cycles.set_bucket(prev);
-            match hw.monitor.emc(
-                hw.machine,
-                hw.tdx,
-                hw.cpu,
-                EmcRequest::CpuidEmulate { leaf },
-            ) {
-                Ok(EmcResponse::Cpuid(v)) => v[0],
-                _ => 0,
-            }
         } else {
             // Native CVM: the privileged kernel performs the tdcall itself.
-            let (mut hw, kernel) = p.parts();
-            hw.machine.cycles.set_bucket(Bucket::Kernel);
-            kernel.handle_ve_native(&mut hw);
-            hw.machine.cpus[hw.cpu].domain = Domain::Kernel;
-            hw.machine.cpus[hw.cpu].mode = CpuMode::Supervisor;
-            match tdcall(
-                hw.tdx,
-                hw.machine,
-                hw.cpu,
-                TdcallLeaf::VmCall(VmcallOp::Cpuid { leaf }),
-            ) {
-                Ok(TdcallResult::Cpuid(v)) => v[0],
-                _ => 0,
-            }
+            p.as_kernel(|kernel, hw| {
+                kernel.handle_ve_native(hw);
+                match tdcall(
+                    hw.tdx,
+                    hw.machine,
+                    hw.cpu,
+                    TdcallLeaf::VmCall(VmcallOp::Cpuid { leaf }),
+                ) {
+                    Ok(TdcallResult::Cpuid(v)) => v[0],
+                    _ => 0,
+                }
+            })
         };
         p.cvm
             .machine

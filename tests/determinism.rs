@@ -2,8 +2,14 @@
 //! identical runs produce identical cycle counts, counters, outputs and
 //! wire bytes.
 
+use erebor::ecore::emc::{EmcError, EmcRequest};
+use erebor::ehw::cpu::{CpuMode, Domain};
+use erebor::ehw::fault::Fault;
+use erebor::ehw::inject::{self, InjectionPoint, Injector};
+use erebor::ekernel::{nr, Pid};
+use erebor::elibos::api::Sys;
 use erebor::runner::run_workload;
-use erebor::{BootConfig, Mode, Platform};
+use erebor::{BootConfig, Bucket, Mode, Platform};
 use erebor_core::config::ExecConfig;
 use erebor_workloads::hello::HelloWorld;
 use erebor_workloads::retrieval::Retrieval;
@@ -171,6 +177,71 @@ fn trace_json_is_byte_identical_and_buckets_sum_to_total() {
     // a different seed reproduces the same schedule.
     let c = run(0xeb08);
     assert_eq!(a, c, "seed feeds keys, not scheduling");
+}
+
+/// The driving core's `(mode, domain, bucket)`.
+fn core_context(p: &Platform) -> (CpuMode, Domain, Bucket) {
+    let c = &p.cvm.machine.cpus[p.active_cpu()];
+    (c.mode, c.domain, p.cvm.machine.cycles.bucket())
+}
+
+/// Every scoped context switch hands the caller's bucket back: a native
+/// process's `cpuid`, trapped into the kernel's own `#VE` handler when
+/// no monitor runs, returns to user code still charging the sandbox
+/// bucket, so the `iret` and what follows are billed to the process.
+#[test]
+fn native_cpuid_leaves_the_bucket_as_it_found_it() {
+    for mode in [Mode::Native, Mode::LibOsOnly] {
+        let mut p = Platform::boot(mode).expect("boot");
+        let pid = p.spawn_native().expect("spawn");
+        p.proc(pid).syscall(nr::GETPID, [0; 6]).expect("getpid");
+        let user = core_context(&p);
+        assert_eq!(user.2, Bucket::Sandbox, "{mode:?}: user bucket");
+        p.proc(pid).cpuid(1).expect("cpuid");
+        assert_eq!(core_context(&p), user, "{mode:?}");
+    }
+}
+
+/// A syscall through a pid the kernel does not know fails while the
+/// driver schedules it, and the failed scheduling entry still restores
+/// the core's mode, domain and bucket.
+#[test]
+fn syscall_through_an_unknown_pid_restores_the_core() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let pid = p.spawn_native().expect("spawn");
+    p.proc(pid).syscall(nr::GETPID, [0; 6]).expect("getpid");
+    let before = core_context(&p);
+    assert_eq!(before, (CpuMode::User, Domain::User, Bucket::Sandbox));
+    assert!(p.proc(Pid(u32::MAX)).syscall(nr::GETPID, [0; 6]).is_err());
+    assert_eq!(core_context(&p), before);
+}
+
+/// Faults every `wrmsr` while installed.
+struct FaultEveryWrmsr;
+
+impl Injector for FaultEveryWrmsr {
+    fn inject_fault(&mut self, p: InjectionPoint) -> Option<Fault> {
+        matches!(p, InjectionPoint::Wrmsr { .. })
+            .then_some(Fault::GeneralProtection("injected fault"))
+    }
+}
+
+/// An EMC whose gate entry faults on the PKRS grant returns the fault
+/// and the caller's bucket.
+#[test]
+fn emc_with_a_faulted_gate_entry_returns_the_callers_bucket() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    p.enter_kernel_mode();
+    let before = p.cvm.machine.cycles.bucket();
+    p.install_injector(inject::handle(FaultEveryWrmsr));
+    let cpu = p.active_cpu();
+    let r = p
+        .cvm
+        .monitor
+        .emc(&mut p.cvm.machine, &mut p.cvm.tdx, cpu, EmcRequest::Nop);
+    p.clear_injector();
+    assert!(matches!(r, Err(EmcError::Fault(_))), "{r:?}");
+    assert_eq!(p.cvm.machine.cycles.bucket(), before);
 }
 
 #[test]

@@ -14,7 +14,7 @@ use erebor::ehw::isolation::BackendKind;
 use erebor::ehw::paging;
 use erebor::ehw::regs::Msr;
 use erebor::ehw::{Frame, VirtAddr};
-use erebor::Platform;
+use erebor::{Platform, TraceEvent};
 
 /// Where each sandbox declares its confined page (sandbox-private
 /// address spaces, so every sandbox can use the same VA).
@@ -388,14 +388,30 @@ fn faulted_kill_rolls_back_and_a_retry_finishes_the_teardown() {
             "{backend:?}: only the page-table pages remain"
         );
         assert_eq!(p.cvm.monitor.backend.live_domains(), 0, "{backend:?}");
+        assert_eq!(
+            p.cvm.monitor.stats.sandboxes_killed, 1,
+            "{backend:?}: the retry counted a second kill"
+        );
         let report = p.audit();
         assert!(report.is_clean(), "{}", report.json());
     }
 }
 
+/// `kill` trace events recorded for sandbox `id` on core 0, where the
+/// teardown runs.
+fn kill_events(p: &Platform, id: SandboxId) -> usize {
+    let kill = TraceEvent::Emc {
+        op: "kill",
+        arg: u64::from(id.0),
+    };
+    let records = p.cvm.machine.trace.core(0);
+    records.iter().filter(|r| r.event == kill).count()
+}
+
 /// Killing a dead sandbox again, or ending its session, must not revoke
 /// the domain a newer sandbox was handed: B keeps its domain live and C
-/// gets a different one.
+/// gets a different one. Neither changes A's record: one kill, counted
+/// once, with the reason it first died for.
 #[test]
 fn a_second_kill_never_revokes_a_recycled_domain() {
     for backend in [BackendKind::Pks, BackendKind::TmeMk] {
@@ -423,6 +439,10 @@ fn a_second_kill_never_revokes_a_recycled_domain() {
             1,
             "{backend:?}: B's domain was revoked"
         );
+        assert_eq!(p.cvm.monitor.stats.sandboxes_killed, 1, "{backend:?}");
+        let a_record = p.cvm.monitor.sandboxes.get(&a.0).expect("entry");
+        assert_eq!(a_record.kill_reason, Some("first kill"), "{backend:?}");
+        assert_eq!(kill_events(&p, a), 1, "{backend:?}");
         let (_, c) = create(&mut p);
         assert_ne!(b, c, "{backend:?}: B and C share a domain");
         assert_eq!(p.cvm.monitor.backend.live_domains(), 2);
