@@ -188,8 +188,10 @@ pub fn audit(view: &MachineView) -> AuditReport {
     check_pkey_tagging(view, &leaves, &mut report);
     check_confined_unreachable(view, &leaves, &mut report);
     check_sstk_protected(view, &leaves, &mut report);
+    check_sstk_balance(view, &mut report);
     check_control_transfer(view, &mut report);
     check_msr_pinning(view, &mut report);
+    check_emc_consistency(view, &mut report);
     check_sept_consistency(view, &leaves, &mut report);
     check_ledger_consistency(view, &leaves, &mut report);
     report
@@ -355,10 +357,31 @@ fn check_sstk_protected(view: &MachineView, leaves: &[LeafMapping], report: &mut
     }
 }
 
+/// C4 `sstk-balance`: on every core with `IA32_S_CET.SH_STK_EN`, the
+/// shadow stack holds exactly one return address per interrupt in
+/// flight, so every `iret` pops the address its delivery pushed.
+fn check_sstk_balance(view: &MachineView, report: &mut AuditReport) {
+    let machine = view.machine;
+    for (cpu, c) in machine.cpus.iter().enumerate() {
+        if !c.sstk_enabled() {
+            continue;
+        }
+        let sstk = machine.sstk[cpu].depth();
+        let ints = machine.interrupt_depth(cpu) as usize;
+        if sstk != ints {
+            report.findings.push(Finding::new(
+                "sstk-balance",
+                "C4",
+                format!("cpu {cpu}: shadow-stack depth {sstk} != interrupt depth {ints}"),
+            ));
+        }
+    }
+}
+
 /// C5 `control-transfer`: every architectural entry point into the
 /// monitor — the EMC gate, the syscall/interrupt interposers, every
-/// installed IDT vector, every live `IA32_LSTAR` — lands on an ENDBR
-/// target inside the monitor half.
+/// installed IDT vector — lands on an ENDBR target inside the monitor
+/// half (`IA32_LSTAR` is `msr-pinning`'s).
 fn check_control_transfer(view: &MachineView, report: &mut AuditReport) {
     let Some(mon) = view.monitor else { return };
     // Syscall/interrupt interposition is the exit-protection layer
@@ -438,10 +461,11 @@ fn check_control_transfer(view: &MachineView, report: &mut AuditReport) {
 /// C6 `msr-pinning`: the privileged register state the monitor pins
 /// stays pinned — `CR0.WP` set under paging, normal-mode PKRS denying
 /// the monitor key outside an EMC, and `IA32_LSTAR` still pointing at
-/// the monitor's syscall interposer.
+/// the monitor's syscall interposer. Inside an EMC the PKRS clause is
+/// `emc-consistency`'s.
 fn check_msr_pinning(view: &MachineView, report: &mut AuditReport) {
     let machine = view.machine;
-    let gate = view.gate.or(view.monitor.map(|m| &m.gate));
+    let gate = gate_of(view);
     for (cpu, c) in machine.cpus.iter().enumerate() {
         if c.cr0.pg() && !c.cr0.wp() {
             report.findings.push(Finding::new(
@@ -484,6 +508,50 @@ fn check_msr_pinning(view: &MachineView, report: &mut AuditReport) {
             }
         }
     }
+}
+
+/// C6 `emc-consistency`: a core the gate marks `in_emc` tells one story
+/// across the gate and its registers. A live EMC runs in the monitor
+/// domain under monitor-mode PKRS; a preempted one has that PKRS stashed
+/// in the gate's save slot and a live PKRS that denies the monitor key.
+fn check_emc_consistency(view: &MachineView, report: &mut AuditReport) {
+    let Some(gate) = gate_of(view) else { return };
+    let monitor_mode = policy::monitor_mode_pkrs();
+    for (cpu, c) in view.machine.cpus.iter().enumerate() {
+        if !gate.in_emc(cpu) {
+            continue;
+        }
+        let pkrs = c.pkrs();
+        let torn = match gate.saved_pkrs(cpu) {
+            None if c.domain != Domain::Monitor => {
+                format!("live EMC in the {:?} domain", c.domain)
+            }
+            None if pkrs != monitor_mode => {
+                format!("live EMC under PKRS {:#x}, not monitor mode", pkrs.0)
+            }
+            Some(_) if !pkrs.access_disabled(policy::PK_MONITOR) => {
+                format!(
+                    "preempted EMC but live PKRS {:#x} grants the monitor key",
+                    pkrs.0
+                )
+            }
+            Some(saved) if saved != monitor_mode.0 => {
+                format!("preempted EMC saved PKRS {saved:#x}, not monitor mode")
+            }
+            _ => continue,
+        };
+        report.findings.push(Finding::new(
+            "emc-consistency",
+            "C6",
+            format!("cpu {cpu}: {torn}"),
+        ));
+    }
+}
+
+/// The EMC gate the view exposes: the chaos world's own, else the
+/// monitor's.
+fn gate_of<'a>(view: &MachineView<'a>) -> Option<&'a EmcGate> {
+    view.gate.or(view.monitor.map(|m| &m.gate))
 }
 
 /// C7 `sept-consistency`: the guest's mappings agree with the sEPT —

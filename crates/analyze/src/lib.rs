@@ -7,10 +7,9 @@
 //!   page-table tree reachable from any tracked CR3, the sEPT, the IDT,
 //!   and the pinned MSRs, mechanically verifying machine-checkable
 //!   encodings of the paper's security claims C1–C8 (DESIGN.md §9 maps
-//!   each check to its claim). Unlike the chaos invariants — which probe
-//!   the states a campaign happens to visit — the auditor proves the
-//!   claims over a whole snapshot, so every boot and every chaos case
-//!   becomes a proof obligation rather than a lucky trip-wire.
+//!   each check to its claim). It proves the claims over a whole
+//!   snapshot, and it is the only state checker: every boot and every
+//!   step of every chaos case becomes a proof obligation.
 //! * [`race`] — the **trace race detector**: a vector-clock
 //!   happens-before pass over the [`erebor_trace::TraceRecord`] stream
 //!   that flags stale-permission windows: a core's TLB-served access to

@@ -29,7 +29,7 @@ const FIXED: u64 = 0x7a00_0000_0000;
 fn setup() -> (Platform, Pid, VirtAddr) {
     let mut p = Platform::boot(Mode::Full).expect("boot");
     p.cvm.monitor.cfg.timer_quantum_cycles = u64::MAX / 4;
-    p.reclaim_period_ticks = 0;
+    p.driver.reclaim_period_ticks = 0;
     let pid = p.spawn_native().expect("spawn");
     let va = p
         .proc(pid)

@@ -509,7 +509,7 @@ pub mod fig8 {
             let mut p = Platform::boot(mode).expect("boot");
             // LMBench isolates per-op latency; suppress timer noise.
             p.cvm.monitor.cfg.timer_quantum_cycles = u64::MAX / 4;
-            p.reclaim_period_ticks = 0;
+            p.driver.reclaim_period_ticks = 0;
             let pid = p.spawn_native().expect("spawn");
             let mut h = p.proc(pid);
             let results = lmbench::run_suite(&mut h, ops).expect("suite");

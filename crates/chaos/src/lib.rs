@@ -1,4 +1,4 @@
-//! `erebor-chaos`: deterministic fault injection and invariant checking.
+//! `erebor-chaos`: deterministic fault injection under the state auditor.
 //!
 //! The standing bug-finding engine for the reproduction. A [`ChaosPlan`]
 //! (an [`erebor_hw::inject::Injector`] driven by the testkit's seeded
@@ -7,8 +7,10 @@
 //! flips under an in-flight `MapGPA`, frame-allocation failures, `tdcall`
 //! error completions, dropped and spurious TLB-shootdown IPIs — while a
 //! [`ChaosWorld`] drives random interleavings of gate entries/exits,
-//! interrupts, shootdowns and conversions across 2–4 cores. Between every
-//! step the global [`invariants`] are re-derived from machine state.
+//! interrupts, shootdowns and conversions across 2–4 cores. After every
+//! step the state auditor ([`erebor_analyze::audit`]) re-derives the
+//! security claims from machine state, and the happens-before race
+//! detector reads the case's MMU trace once it ends.
 //!
 //! Everything is replayable: a case is fully determined by `(seed, op
 //! bytes)`, failing op sequences are shrunk with the testkit's byte
@@ -24,15 +26,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod invariants;
 pub mod plan;
 pub mod world;
 
-pub use invariants::Violation;
 pub use plan::{ChaosEvent, ChaosPlan, ChaosRates};
 pub use world::ChaosWorld;
 
-use erebor_analyze::{detect_races, Finding, MachineView, RaceFinding};
+use erebor_analyze::{detect_races, Finding, RaceFinding};
 use erebor_hw::inject::InjectorHandle;
 use erebor_testkit::rng::TestRng;
 use erebor_trace::{TraceEvent, TraceRecord};
@@ -48,11 +48,38 @@ pub const FAILURE_TRACE_DEPTH: usize = 32;
 /// window "open" forever (a false positive, not just lost data).
 pub const TRACE_RING_DEPTH: usize = 8192;
 
-/// Lock the shared plan, recovering from poisoning: a panicking invariant
-/// check inside the injector must not wedge trace collection — the
+/// Lock the shared plan, recovering from poisoning: a panicking check
+/// inside the injector must not wedge trace collection — the
 /// recorded schedule is exactly what we need to diagnose the panic.
 fn lock_plan(plan: &Arc<Mutex<ChaosPlan>>) -> MutexGuard<'_, ChaosPlan> {
     plan.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A failed check: its stable name and the state that broke it. The name
+/// is an auditor check's (`msr-pinning`, `emc-consistency`, …) or one of
+/// the driver's own: gate transactionality, interrupt-depth pairing,
+/// `iret`, the kernel's view of PKRS, and the race detector.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Short check name (stable across runs; replay keys off it).
+    pub invariant: &'static str,
+    /// Human-readable description of the offending state.
+    pub detail: String,
+}
+
+impl From<&Finding> for Violation {
+    fn from(f: &Finding) -> Violation {
+        Violation {
+            invariant: f.check,
+            detail: format!("{}: {}", f.claim, f.detail),
+        }
+    }
+}
+
+impl core::fmt::Display for Violation {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "[{}] {}", self.invariant, self.detail)
+    }
 }
 
 /// A full chaos campaign: seed, budget, and injection rates.
@@ -121,7 +148,7 @@ pub fn case_seed(seed: u64, case: u32) -> u64 {
 pub struct CaseOutcome {
     /// Full event schedule (ops interleaved with injections).
     pub trace: Vec<ChaosEvent>,
-    /// The first invariant violation, if any.
+    /// The first violation, if any.
     pub violation: Option<Violation>,
     /// The machine's last [`FAILURE_TRACE_DEPTH`] trace records at the end
     /// of the case — cycle-stamped hardware events (gates, IPIs, faults,
@@ -129,9 +156,11 @@ pub struct CaseOutcome {
     /// bookkeeping events (TLB hits/invalidations) are filtered out so
     /// the tail stays readable; the race detector sees the full ring.
     pub machine_trace: Vec<TraceRecord>,
-    /// End-of-case state-audit findings (C1–C8 over the world's root,
-    /// gate, and sEPT). Any finding is a violation: no op sequence, with
-    /// or without injected faults, may leave the state machine bent.
+    /// Findings of the state audit after the case's last step (C1–C8
+    /// over the world's root, gate, and sEPT; empty when no op ran). Every
+    /// step is audited and its first finding is the case's violation: no
+    /// op sequence, with or without injected faults, may leave the state
+    /// machine bent.
     pub audit_findings: Vec<Finding>,
     /// Stale-permission windows the happens-before race detector found in
     /// the case's MMU trace. Windows caused by an *injected* IPI drop
@@ -154,7 +183,7 @@ fn is_mmu_noise(r: &TraceRecord) -> bool {
 
 /// Execute one case: build a fresh world (2–4 cores, derived from the
 /// seed), install a [`ChaosPlan`] seeded with `case_seed`, run the op
-/// bytes, and check every invariant between steps.
+/// bytes, and audit the world after every step.
 #[must_use]
 pub fn exec_case(cfg: &ChaosConfig, case_seed: u64, ops: &[u8]) -> CaseOutcome {
     let cores = 2 + (case_seed % 3) as usize;
@@ -167,14 +196,17 @@ pub fn exec_case(cfg: &ChaosConfig, case_seed: u64, ops: &[u8]) -> CaseOutcome {
     let handle: InjectorHandle = plan.clone();
     world.machine.set_injector(handle);
     let mut violation = None;
+    let mut audit_findings = Vec::new();
     for (index, &byte) in ops.iter().enumerate() {
         lock_plan(&plan).record(ChaosEvent::Op { index, byte });
-        if let Err(v) = world.step(byte) {
+        let stepped = world.step(byte);
+        audit_findings = world.audit().findings;
+        if let Err(v) = stepped {
             violation = Some(v);
             break;
         }
-        if let Err(v) = invariants::check_all(&world.machine, &world.gate, &[world.root]) {
-            violation = Some(v);
+        if let Some(f) = audit_findings.first() {
+            violation = Some(Violation::from(f));
             break;
         }
         if lock_plan(&plan).kernel_saw_monitor_pkrs() {
@@ -199,24 +231,11 @@ pub fn exec_case(cfg: &ChaosConfig, case_seed: u64, ops: &[u8]) -> CaseOutcome {
         .1
         .to_vec();
 
-    // End-of-case static passes: the state auditor over the settled world
-    // and the happens-before race detector over the whole MMU trace.
-    let view = MachineView {
-        machine: &world.machine,
-        roots: &[world.root],
-        gate: Some(&world.gate),
-        monitor: None,
-        sept: Some(&world.module.sept),
-    };
-    let audit_findings = erebor_analyze::audit::audit(&view).findings;
+    // End-of-case pass: the happens-before race detector over the whole
+    // MMU trace.
     let race_findings = detect_races(&full_trace, cores);
     if violation.is_none() {
-        if let Some(f) = audit_findings.first() {
-            violation = Some(Violation {
-                invariant: "state-audit",
-                detail: f.to_string(),
-            });
-        } else if let Some(r) = race_findings.iter().find(|r| !r.dropped) {
+        if let Some(r) = race_findings.iter().find(|r| !r.dropped) {
             // An injected IPI drop (dropped == true) legitimately leaves a
             // stale window — that is the fault being modeled. A window with
             // the IPI *delivered* means an invalidation edge went missing.

@@ -6,15 +6,16 @@
 //! with one device frame — across 2–4 cores. [`ChaosWorld::step`] decodes
 //! one op byte into a gate/interrupt/TLB/tdcall/allocator action and
 //! executes it, tolerating every injected fault the way the platform
-//! does: errors roll back, they never panic. The caller checks the global
-//! invariants between steps.
+//! does: errors roll back, they never panic. The caller audits the world
+//! ([`ChaosWorld::audit`]) between steps.
 //!
 //! Everything the driver itself verifies (gate transactionality, the
 //! gate-vs-hardware interrupt-depth pairing) is reported as a
 //! [`Violation`] so it lands in the same replayable failure report as the
-//! global invariants.
+//! auditor's findings.
 
-use crate::invariants::Violation;
+use crate::Violation;
+use erebor_analyze::{AuditReport, MachineView};
 use erebor_core::gate::EmcGate;
 use erebor_core::policy;
 use erebor_hw::cpu::{Domain, Machine};
@@ -178,6 +179,19 @@ impl ChaosWorld {
     #[must_use]
     pub fn cores(&self) -> usize {
         self.cores
+    }
+
+    /// Run the state auditor over the world: its root, gate and sEPT.
+    /// There is no monitor, so only the hardware-level checks apply.
+    #[must_use]
+    pub fn audit(&self) -> AuditReport {
+        erebor_analyze::audit::audit(&MachineView {
+            machine: &self.machine,
+            roots: core::slice::from_ref(&self.root),
+            gate: Some(&self.gate),
+            monitor: None,
+            sept: Some(&self.module.sept),
+        })
     }
 
     /// Execute one op byte. Injected faults are tolerated (rolled back or
@@ -406,7 +420,8 @@ mod tests {
     fn world_boots_clean() {
         let w = ChaosWorld::new(4);
         assert_eq!(w.cores(), 4);
-        crate::invariants::check_all(&w.machine, &w.gate, &[w.root]).unwrap();
+        let report = w.audit();
+        assert!(report.is_clean(), "{}", report.json());
     }
 
     #[test]
@@ -414,7 +429,8 @@ mod tests {
         let mut w = ChaosWorld::new(3);
         for byte in 0u16..=255 {
             w.step(byte as u8).unwrap();
-            crate::invariants::check_all(&w.machine, &w.gate, &[w.root]).unwrap();
+            let report = w.audit();
+            assert!(report.is_clean(), "op {byte}: {}", report.json());
         }
     }
 }

@@ -201,8 +201,10 @@ impl Monitor {
         sandbox: SandboxId,
         hello: &ClientHello,
     ) -> Result<ServerHello, &'static str> {
-        if !self.sandboxes.contains_key(&sandbox.0) {
-            return Err("no such sandbox");
+        match self.sandboxes.get(&sandbox.0) {
+            None => return Err("no such sandbox"),
+            Some(s) if s.state == SandboxState::Dead => return Err("sandbox is dead"),
+            Some(_) => {}
         }
         let private = x25519::clamp_scalar(self.rng.next_32());
         let monitor_pub = x25519::public_key(&private);

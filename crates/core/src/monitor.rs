@@ -1364,18 +1364,19 @@ impl Monitor {
                     break;
                 }
                 let (root, victims) = {
-                    let Some(s) = self.sandboxes.get_mut(&id) else {
+                    let Some(s) = self.sandboxes.get(&id) else {
                         continue;
                     };
                     if s.state == SandboxState::Dead || s.common_mapped.is_empty() {
                         continue;
                     }
                     let take = ((max_pages - reclaimed) as usize).min(s.common_mapped.len());
-                    let victims: Vec<(u32, VirtAddr)> = s.common_mapped.drain(..take).collect();
-                    (s.root, victims)
+                    (s.root, s.common_mapped[..take].to_vec())
                 };
                 // Clear every victim leaf, one shootdown for the address
-                // space, then the per-page mapcount bookkeeping.
+                // space, then the per-page bookkeeping. A victim leaves
+                // `common_mapped` only once its leaf is clear, so a later
+                // seal still downgrades whatever a fault left mapped.
                 let raised = privileged(machine, cpu, |machine| {
                     let cleared: Vec<(u32, VirtAddr)> = victims
                         .into_iter()
@@ -1388,6 +1389,9 @@ impl Monitor {
                         .collect();
                     let vas: Vec<VirtAddr> = cleared.iter().map(|&(_, p)| p).collect();
                     machine.tlb_shootdown_mm(cpu, root, &vas).ok();
+                    if let Some(s) = self.sandboxes.get_mut(&id) {
+                        s.common_mapped.retain(|v| !cleared.contains(v));
+                    }
                     for (rid, page) in cleared {
                         if let Some(f) = self.common_frame(rid, id, page) {
                             self.frames.dec_map(f);

@@ -44,8 +44,9 @@ use std::collections::BTreeMap;
 /// `MONITOR` already carry, and the monitor's shootdown-coalescing byte.
 /// Version 4 drops the TLB ablation switch from `MACHINE` (machine-state
 /// version 3). Version 5 drops the MMU epoch from `MACHINE` (machine-state
-/// version 4).
-pub const MIGRATION_VERSION: u32 = 5;
+/// version 4). Version 6 drops the fixed device and reclaim cadences from
+/// `PLATFORM`.
+pub const MIGRATION_VERSION: u32 = 6;
 
 /// Record type tags (the cleartext frame-type byte).
 pub mod record {

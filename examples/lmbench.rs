@@ -11,7 +11,7 @@ fn run_suite(mode: Mode, ops: u64) -> Vec<lmbench::BenchResult> {
     let mut p = Platform::boot(mode).expect("boot");
     // Isolate per-op latency: no timer or reclaim noise.
     p.cvm.monitor.cfg.timer_quantum_cycles = u64::MAX / 4;
-    p.reclaim_period_ticks = 0;
+    p.driver.reclaim_period_ticks = 0;
     let pid = p.spawn_native().expect("spawn");
     let mut h = p.proc(pid);
     lmbench::run_suite(&mut h, ops).expect("suite")

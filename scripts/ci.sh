@@ -12,9 +12,11 @@
 #                          (EREBOR_BENCH_SMOKE=1, reduced iteration
 #                          counts).
 #   scripts/ci.sh --chaos  additionally run the deterministic chaos
-#                          campaign (fixed seed, release mode). Any
-#                          invariant violation fails the stage and the
-#                          test output prints the replay line
+#                          campaign (fixed seed, release mode), with the
+#                          state auditor run after every step. Any
+#                          audit finding or driver-check violation
+#                          fails the stage and the test output prints
+#                          the replay line
 #                          (EREBOR_CHAOS_SEED=<case_seed> ops=[...])
 #                          plus the shrunk event trace and the machine's
 #                          last cycle-stamped trace records.
@@ -31,9 +33,9 @@
 #                          analyze bench (state auditor over the boot
 #                          snapshot with zero findings and bounded
 #                          work), the red-team auditor/race-detector
-#                          suite, and a 100-case chaos campaign with the
-#                          auditor and the happens-before race detector
-#                          as per-case invariants.
+#                          suite, and a 100-case chaos campaign audited
+#                          after every step and checked by the
+#                          happens-before race detector per case.
 #   scripts/ci.sh --fleet  additionally run the fleet-scale serving
 #                          gate: the fleet reference-model suite
 #                          (monitor lookups checked against a model
@@ -212,8 +214,8 @@ if [[ "$ANALYZE" == 1 ]]; then
     #   3. the red-team suite (tests/analyze.rs): one corrupted snapshot
     #      per auditor check asserting exactly that finding, plus the
     #      synthetic and end-to-end stale-TLB races;
-    #   4. a fixed-seed chaos campaign with the auditor and the
-    #      happens-before race detector wired in as per-case invariants.
+    #   4. a fixed-seed chaos campaign audited after every step, with
+    #      the happens-before race detector run over each case's trace.
     echo "==> analyze: privilege-separation auditor (zero findings, zero waivers)"
     if ! priv_raw="$(cargo run --release -q -p erebor-analyze --bin privilege)"; then
         # Re-print the findings the capture swallowed before failing.

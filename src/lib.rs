@@ -28,8 +28,8 @@ pub use erebor_core::{BootConfig, Cvm};
 pub use erebor_trace::{Attribution, Bucket, TraceBuffer, TraceEvent, TraceRecord};
 pub use erebor_tdx::migrate::{MigrationError, MigrationKey};
 pub use platform::{
-    MigrationOffer, MigrationReport, OutboundMigration, Platform, PlatformError, ProcHandle,
-    ServiceInstance, Snapshot,
+    DriverState, MigrationOffer, MigrationReport, OutboundMigration, Platform, PlatformError,
+    ProcHandle, ServiceInstance, Snapshot,
 };
 pub use runner::{run_workload, run_workload_on, RunReport};
 

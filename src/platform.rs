@@ -170,17 +170,8 @@ pub struct Platform {
     pub kernel: Kernel,
     /// Service-wide common-region registry.
     pub registry: CommonRegistry,
-    /// Whether this platform booted under a paravisor (§10).
-    pub paravisor: bool,
-    cpu: usize,
-    last_timer: Vec<u64>,
-    device_period_ticks: u64,
-    ticks_since_device: Vec<u64>,
-    /// Ticks between memory-pressure reclaim passes (0 = disabled).
-    pub reclaim_period_ticks: u64,
-    /// Pages reclaimed per pass.
-    pub reclaim_pages_per_pass: u64,
-    ticks_since_reclaim: u64,
+    /// The execution driver's own state (`section::PLATFORM`).
+    pub driver: DriverState,
     /// The hardware root seed this platform's attestation identity grows
     /// from; migration hands it over sealed (`section::ROOT_SEED`).
     root_seed: [u8; 32],
@@ -226,26 +217,24 @@ impl Platform {
     pub fn boot_with(cfg: BootConfig) -> Result<Platform, PlatformError> {
         let kernel_img = benign_kernel(cfg.seed);
         let cvm = Cvm::boot_all(cfg, &kernel_img).map_err(PlatformError::Boot)?;
-        let paravisor = cfg.paravisor;
-        let cores = cfg.cores;
         let mut platform = Platform {
             cvm,
             kernel: Kernel::new(),
             registry: CommonRegistry::new(),
-            paravisor,
-            cpu: 0,
-            last_timer: vec![0; cores],
-            device_period_ticks: 3,
-            ticks_since_device: vec![0; cores],
-            reclaim_period_ticks: 2,
-            reclaim_pages_per_pass: 4,
-            ticks_since_reclaim: 0,
+            driver: DriverState {
+                paravisor: cfg.paravisor,
+                cpu: 0,
+                last_timer: vec![0; cfg.cores],
+                ticks_since_device: vec![0; cfg.cores],
+                reclaim_period_ticks: 2,
+                ticks_since_reclaim: 0,
+            },
             root_seed: erebor_core::boot::hw_root_seed(cfg.seed),
         };
         let (mut hw, kernel) = platform.parts();
         kernel.init(&mut hw).map_err(PlatformError::Errno)?;
         let now = platform.cvm.machine.cycles.total();
-        platform.last_timer.fill(now);
+        platform.driver.last_timer.fill(now);
         // Post-boot state audit: a freshly booted platform must satisfy
         // every security claim (C1–C9) before any workload touches it.
         let report = platform.audit();
@@ -304,7 +293,7 @@ impl Platform {
     /// legitimately runs. Public for tests and benches that drive kernel
     /// paths directly.
     pub fn enter_kernel_mode(&mut self) {
-        let c = &mut self.cvm.machine.cpus[self.cpu];
+        let c = &mut self.cvm.machine.cpus[self.driver.cpu];
         c.mode = CpuMode::Supervisor;
         c.domain = Domain::Kernel;
         self.cvm.machine.cycles.set_bucket(Bucket::Kernel);
@@ -325,11 +314,11 @@ impl Platform {
     /// mode on the driving core, run `f` under the kernel bucket, then
     /// restore the caller's mode, domain and bucket on every return path.
     fn as_kernel<R>(&mut self, f: impl FnOnce(&mut Kernel, &mut Hw<'_>) -> R) -> R {
-        let c = &mut self.cvm.machine.cpus[self.cpu];
+        let c = &mut self.cvm.machine.cpus[self.driver.cpu];
         let caller = (c.mode, c.domain);
         (c.mode, c.domain) = (CpuMode::Supervisor, Domain::Kernel);
         let r = self.in_kernel(f);
-        let c = &mut self.cvm.machine.cpus[self.cpu];
+        let c = &mut self.cvm.machine.cpus[self.driver.cpu];
         (c.mode, c.domain) = caller;
         r
     }
@@ -340,7 +329,7 @@ impl Platform {
                 machine: &mut self.cvm.machine,
                 tdx: &mut self.cvm.tdx,
                 monitor: &mut self.cvm.monitor,
-                cpu: self.cpu,
+                cpu: self.driver.cpu,
             },
             &mut self.kernel,
         )
@@ -501,7 +490,7 @@ impl Platform {
             &self.cvm.firmware_image.measurement_bytes(),
             &self.cvm.monitor_image.measurement_bytes(),
         ]);
-        if self.paravisor {
+        if self.driver.paravisor {
             Expected::ParavisorRtmr {
                 mrtd: expected_mrtd(&[erebor_core::boot::PARAVISOR_MEASUREMENT_INPUT]),
                 rtmr0: erebor_chain,
@@ -532,7 +521,7 @@ impl Platform {
             .channel_accept(
                 &mut self.cvm.machine,
                 &mut self.cvm.tdx,
-                self.cpu,
+                self.driver.cpu,
                 svc.sandbox,
                 &hello,
             )
@@ -559,7 +548,7 @@ impl Platform {
         let record = Proxy::relay(&mut self.cvm.tdx, &record);
         self.cvm
             .monitor
-            .install_client_data(&mut self.cvm.machine, self.cpu, svc.sandbox, &record)
+            .install_client_data(&mut self.cvm.machine, self.driver.cpu, svc.sandbox, &record)
             .map_err(PlatformError::Channel)
     }
 
@@ -633,17 +622,17 @@ impl Platform {
     /// Panics on an out-of-range core id.
     pub fn set_active_cpu(&mut self, cpu: usize) {
         assert!(cpu < self.cvm.machine.cpus.len(), "no such core");
-        self.cpu = cpu;
+        self.driver.cpu = cpu;
     }
 
     /// The currently active vCPU.
     #[must_use]
     pub fn active_cpu(&self) -> usize {
-        self.cpu
+        self.driver.cpu
     }
 
     fn ensure_current(&mut self, pid: Pid) -> Result<(), SysError> {
-        if self.kernel.current_on(self.cpu) != Some(pid) {
+        if self.kernel.current_on(self.driver.cpu) != Some(pid) {
             self.as_kernel(|kernel, hw| kernel.schedule(hw, pid))
                 .map_err(|_| SysError::Fault)?;
         }
@@ -651,7 +640,7 @@ impl Platform {
     }
 
     fn enter_user(&mut self, _pid: Pid) {
-        let c = &mut self.cvm.machine.cpus[self.cpu];
+        let c = &mut self.cvm.machine.cpus[self.driver.cpu];
         c.mode = CpuMode::User;
         c.domain = Domain::User;
         c.ctx.rip = USER_RIP;
@@ -666,14 +655,8 @@ impl Platform {
         // Bound catch-up to keep pathological charges finite.
         for _ in 0..4096 {
             let quantum = self.cvm.monitor.cfg.timer_quantum_cycles;
-            if self
-                .cvm
-                .machine
-                .cycles
-                .total()
-                .saturating_sub(self.last_timer[self.cpu])
-                < quantum
-            {
+            let now = self.cvm.machine.cycles.total();
+            if now.saturating_sub(self.driver.last_timer[self.driver.cpu]) < quantum {
                 return Ok(());
             }
             self.tick_once(pid)?;
@@ -683,37 +666,32 @@ impl Platform {
 
     fn tick_once(&mut self, pid: Pid) -> Result<(), SysError> {
         let quantum = self.cvm.monitor.cfg.timer_quantum_cycles;
-        self.last_timer[self.cpu] += quantum;
-        if self
-            .cvm
-            .machine
-            .cycles
-            .total()
-            .saturating_sub(self.last_timer[self.cpu])
-            >= quantum * 64
-        {
+        let now = self.cvm.machine.cycles.total();
+        let d = &mut self.driver;
+        let cpu = d.cpu;
+        d.last_timer[cpu] += quantum;
+        if now.saturating_sub(d.last_timer[cpu]) >= quantum * 64 {
             // Far behind (huge single charge): resynchronize.
-            self.last_timer[self.cpu] = self.cvm.machine.cycles.total();
+            d.last_timer[cpu] = now;
         }
-        self.ticks_since_device[self.cpu] += 1;
-        let vec = if self.ticks_since_device[self.cpu] >= self.device_period_ticks {
-            self.ticks_since_device[self.cpu] = 0;
+        d.ticks_since_device[cpu] += 1;
+        let vec = if d.ticks_since_device[cpu] >= DEVICE_PERIOD_TICKS {
+            d.ticks_since_device[cpu] = 0;
             vector::DEVICE
         } else {
             vector::TIMER
         };
         // Periodic memory pressure: common (unpinned) pages and cold
         // anonymous pages get evicted, sustaining runtime fault rates.
-        self.ticks_since_reclaim += 1;
-        if self.reclaim_period_ticks > 0 && self.ticks_since_reclaim >= self.reclaim_period_ticks {
-            self.ticks_since_reclaim = 0;
-            let budget = self.reclaim_pages_per_pass;
+        d.ticks_since_reclaim += 1;
+        if d.reclaim_period_ticks > 0 && d.ticks_since_reclaim >= d.reclaim_period_ticks {
+            d.ticks_since_reclaim = 0;
             if self.cvm.monitor.cfg.monitor_present() {
                 self.cvm
                     .monitor
-                    .reclaim_common(&mut self.cvm.machine, self.cpu, budget);
+                    .reclaim_common(&mut self.cvm.machine, cpu, RECLAIM_PAGES_PER_PASS);
             }
-            self.as_kernel(|kernel, hw| kernel.reclaim_pages(hw, budget));
+            self.as_kernel(|kernel, hw| kernel.reclaim_pages(hw, RECLAIM_PAGES_PER_PASS));
         }
         self.deliver_interrupt(pid, vec)
     }
@@ -723,18 +701,21 @@ impl Platform {
         // injecting host.
         self.cvm
             .tdx
-            .async_exit_context_protect(&mut self.cvm.machine, self.cpu);
+            .async_exit_context_protect(&mut self.cvm.machine, self.driver.cpu);
         let (_handler, saved) = self
             .cvm
             .machine
-            .deliver_interrupt(self.cpu, vec)
+            .deliver_interrupt(self.driver.cpu, vec)
             .map_err(|_| SysError::Fault)?;
         let sandbox = self.sandbox_of(pid);
         if self.cvm.monitor.cfg.monitor_present() && self.cvm.monitor.cfg.exit_protection() {
-            let decision =
-                self.cvm
-                    .monitor
-                    .on_interrupt(&mut self.cvm.machine, self.cpu, sandbox, vec, saved);
+            let decision = self.cvm.monitor.on_interrupt(
+                &mut self.cvm.machine,
+                self.driver.cpu,
+                sandbox,
+                vec,
+                saved,
+            );
             match decision {
                 ExitDecision::ForwardToKernel { .. } => {
                     self.in_kernel(|kernel, hw| kernel.on_timer(hw));
@@ -745,7 +726,7 @@ impl Platform {
             if let Some(id) = sandbox {
                 self.cvm
                     .monitor
-                    .resume_sandbox(&mut self.cvm.machine, self.cpu, id)
+                    .resume_sandbox(&mut self.cvm.machine, self.driver.cpu, id)
                     .map_err(|_| SysError::Fault)?;
             }
         } else {
@@ -755,7 +736,7 @@ impl Platform {
         self.ensure_current(pid)?;
         self.cvm
             .machine
-            .iret(self.cpu, saved)
+            .iret(self.driver.cpu, saved)
             .map_err(|_| SysError::Fault)?;
         Ok(())
     }
@@ -764,19 +745,21 @@ impl Platform {
         let (_handler, saved) = self
             .cvm
             .machine
-            .deliver_interrupt(self.cpu, vector::PF)
+            .deliver_interrupt(self.driver.cpu, vector::PF)
             .map_err(|_| SysError::Fault)?;
         let sandbox = self.sandbox_of(pid);
         if self.cvm.monitor.cfg.monitor_present() {
             let decision = match sandbox {
-                Some(id) => {
-                    self.cvm
-                        .monitor
-                        .on_page_fault(&mut self.cvm.machine, self.cpu, id, va, write)
-                }
+                Some(id) => self.cvm.monitor.on_page_fault(
+                    &mut self.cvm.machine,
+                    self.driver.cpu,
+                    id,
+                    va,
+                    write,
+                ),
                 _ if self.cvm.monitor.cfg.exit_protection() => self.cvm.monitor.on_interrupt(
                     &mut self.cvm.machine,
-                    self.cpu,
+                    self.driver.cpu,
                     None,
                     vector::PF,
                     saved,
@@ -799,7 +782,7 @@ impl Platform {
         }
         self.cvm
             .machine
-            .iret(self.cpu, saved)
+            .iret(self.driver.cpu, saved)
             .map_err(|_| SysError::Fault)?;
         Ok(())
     }
@@ -814,7 +797,7 @@ impl Platform {
             AccessKind::Read
         };
         for _attempt in 0..64 {
-            match self.cvm.machine.probe(self.cpu, VirtAddr(va), kind) {
+            match self.cvm.machine.probe(self.driver.cpu, VirtAddr(va), kind) {
                 Ok(()) => return Ok(()),
                 Err(Fault::PageFault {
                     reason: PfReason::NotPresent,
@@ -999,7 +982,7 @@ impl Platform {
             (section::KERNEL, self.kernel.to_wire()),
             (section::LIBOS, self.registry.to_wire()),
             (section::ROOT_SEED, self.root_seed.to_wire()),
-            (section::PLATFORM, self.driver_state().to_wire()),
+            (section::PLATFORM, self.driver.to_wire()),
         ];
         for (id, payload) in &sections {
             records.push(mig.source.section(*id, payload)?);
@@ -1083,46 +1066,32 @@ impl Platform {
         self.kernel = kernel;
         self.registry = registry;
         self.root_seed = root_seed;
-        self.paravisor = driver.paravisor;
-        self.cpu = driver.cpu;
-        self.last_timer = driver.last_timer;
-        self.device_period_ticks = driver.device_period_ticks;
-        self.ticks_since_device = driver.ticks_since_device;
-        self.reclaim_period_ticks = driver.reclaim_period_ticks;
-        self.reclaim_pages_per_pass = driver.reclaim_pages_per_pass;
-        self.ticks_since_reclaim = driver.ticks_since_reclaim;
+        self.driver = driver;
         Ok(())
-    }
-
-    /// The platform-driver state (`section::PLATFORM`): timer phase,
-    /// device/reclaim cadence, the active core. None of it is
-    /// architectural, but same-seed trace equivalence requires the
-    /// execution driver to resume mid-quantum exactly where the source
-    /// stopped.
-    fn driver_state(&self) -> DriverState {
-        DriverState {
-            paravisor: self.paravisor,
-            cpu: self.cpu,
-            last_timer: self.last_timer.clone(),
-            device_period_ticks: self.device_period_ticks,
-            ticks_since_device: self.ticks_since_device.clone(),
-            reclaim_period_ticks: self.reclaim_period_ticks,
-            reclaim_pages_per_pass: self.reclaim_pages_per_pass,
-            ticks_since_reclaim: self.ticks_since_reclaim,
-        }
     }
 }
 
-/// Parsed `section::PLATFORM` payload, validated against the imported
-/// machine's core count before anything is committed.
-struct DriverState {
+/// Timer ticks per device interrupt on a core: every third tick
+/// delivers the device vector instead of the timer's.
+const DEVICE_PERIOD_TICKS: u64 = 3;
+
+/// Pages one memory-pressure reclaim pass evicts.
+const RECLAIM_PAGES_PER_PASS: u64 = 4;
+
+/// The platform driver's state, migrated as `section::PLATFORM`: the
+/// paravisor flag, the active core, each core's timer phase and device
+/// cadence, and the reclaim cadence. None of it is architectural, but
+/// same-seed trace equivalence requires the execution driver to resume
+/// mid-quantum exactly where the source stopped.
+#[derive(Debug)]
+pub struct DriverState {
+    /// Whether this platform booted under a paravisor (§10).
     paravisor: bool,
     cpu: usize,
     last_timer: Vec<u64>,
-    device_period_ticks: u64,
     ticks_since_device: Vec<u64>,
-    reclaim_period_ticks: u64,
-    reclaim_pages_per_pass: u64,
+    /// Ticks between memory-pressure reclaim passes (0 = disabled).
+    pub reclaim_period_ticks: u64,
     ticks_since_reclaim: u64,
 }
 
@@ -1130,14 +1099,14 @@ erebor_wire::wire_struct!(DriverState {
     paravisor,
     cpu,
     last_timer,
-    device_period_ticks,
     ticks_since_device,
     reclaim_period_ticks,
-    reclaim_pages_per_pass,
     ticks_since_reclaim
 });
 
 impl DriverState {
+    /// Decode a `section::PLATFORM` payload and validate it against the
+    /// imported machine's core count before anything is committed.
     fn import(bytes: &[u8], cores: usize) -> Result<DriverState, WireError> {
         let driver = DriverState::from_wire(bytes)?;
         if driver.cpu >= cores {
@@ -1173,7 +1142,7 @@ impl Sys for ProcHandle<'_> {
         p.enter_user(pid);
         // Linux register convention: rax=nr, rdi/rsi/rdx/r10/r8/r9.
         {
-            let ctx = &mut p.cvm.machine.cpus[p.cpu].ctx;
+            let ctx = &mut p.cvm.machine.cpus[p.driver.cpu].ctx;
             ctx.gpr[0] = syscall_nr;
             ctx.gpr[7] = args[0];
             ctx.gpr[6] = args[1];
@@ -1182,13 +1151,16 @@ impl Sys for ProcHandle<'_> {
             ctx.gpr[8] = args[4];
             ctx.gpr[9] = args[5];
         }
-        p.cvm.machine.syscall(p.cpu).map_err(|_| SysError::Fault)?;
+        p.cvm
+            .machine
+            .syscall(p.driver.cpu)
+            .map_err(|_| SysError::Fault)?;
         let sandbox = p.sandbox_of(pid);
         let rax = if p.cvm.monitor.cfg.monitor_present() && p.cvm.monitor.cfg.exit_protection() {
             let decision =
                 p.cvm
                     .monitor
-                    .on_syscall(&mut p.cvm.machine, &mut p.cvm.tdx, p.cpu, sandbox);
+                    .on_syscall(&mut p.cvm.machine, &mut p.cvm.tdx, p.driver.cpu, sandbox);
             match decision {
                 ExitDecision::ForwardToKernel { .. } => {
                     p.in_kernel(|kernel, hw| kernel.handle_syscall(hw, pid, syscall_nr, args))
@@ -1199,7 +1171,10 @@ impl Sys for ProcHandle<'_> {
         } else {
             p.in_kernel(|kernel, hw| kernel.handle_syscall(hw, pid, syscall_nr, args))
         };
-        p.cvm.machine.sysret(p.cpu).map_err(|_| SysError::Fault)?;
+        p.cvm
+            .machine
+            .sysret(p.driver.cpu)
+            .map_err(|_| SysError::Fault)?;
         let signed = rax as i64;
         if (-4095..0).contains(&signed) {
             return Err(SysError::Errno(signed));
@@ -1225,7 +1200,7 @@ impl Sys for ProcHandle<'_> {
         }
         p.enter_user(pid);
         for _retry in 0..4 {
-            match p.cvm.machine.read(p.cpu, VirtAddr(va), buf) {
+            match p.cvm.machine.read(p.driver.cpu, VirtAddr(va), buf) {
                 Ok(()) => return Ok(()),
                 Err(Fault::PageFault {
                     reason: PfReason::NotPresent,
@@ -1256,7 +1231,7 @@ impl Sys for ProcHandle<'_> {
         }
         p.enter_user(pid);
         for _retry in 0..4 {
-            match p.cvm.machine.write(p.cpu, VirtAddr(va), data) {
+            match p.cvm.machine.write(p.driver.cpu, VirtAddr(va), data) {
                 Ok(()) => return Ok(()),
                 Err(Fault::PageFault {
                     reason: PfReason::NotPresent,
@@ -1293,7 +1268,7 @@ impl Sys for ProcHandle<'_> {
         let (_handler, saved) = p
             .cvm
             .tdx
-            .inject_ve(&mut p.cvm.machine, p.cpu, VeReason::Cpuid)
+            .inject_ve(&mut p.cvm.machine, p.driver.cpu, VeReason::Cpuid)
             .map_err(|_| SysError::Fault)?;
         let cfg = p.cvm.monitor.cfg;
         let eax = if cfg.monitor_present() {
@@ -1304,7 +1279,7 @@ impl Sys for ProcHandle<'_> {
                 p.cvm.monitor.on_ve(
                     &mut p.cvm.machine,
                     &mut p.cvm.tdx,
-                    p.cpu,
+                    p.driver.cpu,
                     sandbox,
                     VeReason::Cpuid,
                     leaf,
@@ -1324,7 +1299,7 @@ impl Sys for ProcHandle<'_> {
                     match p.cvm.monitor.emc(
                         &mut p.cvm.machine,
                         &mut p.cvm.tdx,
-                        p.cpu,
+                        p.driver.cpu,
                         EmcRequest::CpuidEmulate { leaf },
                     ) {
                         Ok(EmcResponse::Cpuid(v)) => v[0],
@@ -1349,7 +1324,7 @@ impl Sys for ProcHandle<'_> {
         };
         p.cvm
             .machine
-            .iret(p.cpu, saved)
+            .iret(p.driver.cpu, saved)
             .map_err(|_| SysError::Fault)?;
         Ok(eax)
     }

@@ -14,7 +14,7 @@ use erebor::ehw::idt::{self, vector, Idtr};
 use erebor::ehw::isolation::BackendKind;
 use erebor::ehw::layout;
 use erebor::ehw::paging::{self, intermediate_for, map_raw, Pte, PteFlags};
-use erebor::ehw::regs::Cr0;
+use erebor::ehw::regs::{Cr0, Msr};
 use erebor::ehw::{CpuMode, Frame, VirtAddr};
 use erebor::{Mode, Platform, TraceEvent, TraceRecord};
 
@@ -253,6 +253,24 @@ fn c4_writable_shadow_stack_frame_is_flagged() {
 }
 
 #[test]
+fn c4_unbalanced_shadow_stack_is_flagged() {
+    for backend in [BackendKind::Pks, BackendKind::TmeMk] {
+        let mut config = erebor::ExecConfig::new(Mode::Full);
+        config.backend = backend;
+        config.shadow_stacks = true;
+        let mut p = Platform::boot_with(erebor::BootConfig {
+            config,
+            ..erebor::BootConfig::default()
+        })
+        .expect("boot");
+        // A return address pushed with no interrupt in flight: the next
+        // `iret` would pop it instead of the one its delivery pushed.
+        p.cvm.machine.sstk[1].push(VirtAddr(layout::KERNEL_BASE.0 + 0x100));
+        only_check(&p.audit().findings, "sstk-balance");
+    }
+}
+
+#[test]
 fn c5_idt_vector_rewritten_into_kernel_half_is_flagged() {
     for_both_backends(|p| {
         let idtr = Idtr {
@@ -277,6 +295,27 @@ fn c6_cleared_wp_is_flagged() {
     for_both_backends(|p| {
         p.cvm.machine.cpus[1].cr0 = Cr0(Cr0::PG); // WP off under paging
         only_check(&p.audit().findings, "msr-pinning");
+    });
+}
+
+#[test]
+fn c6_torn_emc_state_is_flagged() {
+    for_both_backends(|p| {
+        p.cvm.machine.cpus[1].domain = Domain::Kernel;
+        p.cvm.machine.cpus[1].mode = CpuMode::Supervisor;
+        p.cvm
+            .monitor
+            .gate
+            .enter(&mut p.cvm.machine, 1)
+            .expect("enter");
+        let report = p.audit();
+        assert!(report.is_clean(), "{}", report.json());
+        // The gate still says the EMC is live, but PKRS is back at the
+        // normal-mode value: the monitor runs without its own key.
+        p.cvm
+            .machine
+            .restore_msr(1, Msr::Pkrs, policy::normal_mode_pkrs().0);
+        only_check(&p.audit().findings, "emc-consistency");
     });
 }
 
@@ -611,13 +650,13 @@ fn privilege_waivers_are_refused_by_default() {
 }
 
 // ====================================================================
-// The chaos campaign with auditor + race detector as invariants
+// The chaos campaign under the auditor and the race detector
 // ====================================================================
 
-/// The CI `--analyze` campaign: every case ends with a full state audit
-/// and a happens-before pass over its MMU trace; any audit finding or
-/// un-injected stale window is a violation. Honors `EREBOR_CHAOS_CASES`
-/// (default 100).
+/// The CI `--analyze` campaign: every step of every case is followed by
+/// a full state audit, and every case ends with a happens-before pass
+/// over its MMU trace; any audit finding or un-injected stale window is
+/// a violation. Honors `EREBOR_CHAOS_CASES` (default 100).
 #[test]
 fn chaos_campaign_under_audit_and_race_invariants_is_clean() {
     let cases = std::env::var("EREBOR_CHAOS_CASES")

@@ -160,3 +160,26 @@ fn second_client_handshake_replaces_the_session() {
         .install_client_data(&mut p.cvm.machine, 0, svc.sandbox, &fresh)
         .expect("new session works");
 }
+
+#[test]
+fn handshake_with_a_dead_sandbox_is_refused() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let svc = p
+        .deploy(Box::new(HelloWorld::default()), 4096)
+        .expect("deploy");
+    p.cvm.monitor.kill_sandbox(
+        &mut p.cvm.machine,
+        svc.sandbox,
+        "killed before the handshake",
+    );
+    let tdcalls = p.cvm.tdx.stats.tdcalls;
+    let err = p
+        .connect_client(&svc, [0x42; 32])
+        .expect_err("a dead sandbox takes no session");
+    assert!(
+        matches!(err, erebor::PlatformError::Channel("sandbox is dead")),
+        "{err}"
+    );
+    assert!(p.cvm.monitor.sandboxes[&svc.sandbox.0].session.is_none());
+    assert_eq!(p.cvm.tdx.stats.tdcalls, tdcalls, "no attestation tdcall");
+}

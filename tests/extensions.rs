@@ -84,7 +84,7 @@ fn batched_mmu_lowers_fork_cost() {
     let fork_cycles = |batched: bool| -> f64 {
         let mut p = boot_with(|c| c.batched_mmu = batched);
         p.cvm.monitor.cfg.timer_quantum_cycles = u64::MAX / 4;
-        p.reclaim_period_ticks = 0;
+        p.driver.reclaim_period_ticks = 0;
         let pid = p.spawn_native().expect("spawn");
         let mut h = p.proc(pid);
         lmbench::bench_fork(&mut h, 8)

@@ -576,7 +576,7 @@ fn section_bytes_are_pinned_for_this_format_version() {
                 (6, 1310, 13456845851439787651),
                 (7, 8, 12161962213042174405),
                 (8, 32, 13151605024471147127),
-                (9, 185, 8831221950425577882),
+                (9, 169, 11780278064686854525),
             ],
         ),
         (
@@ -588,11 +588,11 @@ fn section_bytes_are_pinned_for_this_format_version() {
                 (6, 1310, 13456845851439787651),
                 (7, 8, 12161962213042174405),
                 (8, 32, 13151605024471147127),
-                (9, 185, 8831221950425577882),
+                (9, 169, 11780278064686854525),
             ],
         ),
     ];
-    assert_eq!(erebor::etdx::migrate::MIGRATION_VERSION, 5);
+    assert_eq!(erebor::etdx::migrate::MIGRATION_VERSION, 6);
     assert_eq!(erebor::ehw::migrate::MACHINE_STATE_VERSION, 4);
     for (backend, pinned) in cases {
         let mut src = busy(0x9124, backend);

@@ -3,7 +3,11 @@
 
 use erebor::{Mode, Platform};
 use erebor_core::emc::{EmcError, EmcRequest, EmcResponse};
+use erebor_core::sandbox::ExitDecision;
+use erebor_hw::fault::Fault;
+use erebor_hw::inject::{handle, InjectionPoint, Injector};
 use erebor_hw::layout::{KERNEL_BASE, MONITOR_BASE};
+use erebor_hw::paging::lookup_raw;
 use erebor_hw::{Frame, VirtAddr};
 use erebor_workloads::hello::HelloWorld;
 
@@ -231,6 +235,93 @@ fn common_region_can_attach_at_two_sandboxes() {
         .expect("attach");
     }
     assert_eq!(p.cvm.monitor.common_regions[&id].attached.len(), 2);
+}
+
+/// Faults the next `wrmsr` on core 0, once.
+struct FaultNextWrmsr {
+    armed: bool,
+}
+
+impl Injector for FaultNextWrmsr {
+    fn inject_fault(&mut self, p: InjectionPoint) -> Option<Fault> {
+        if self.armed && matches!(p, InjectionPoint::Wrmsr { cpu: 0, .. }) {
+            self.armed = false;
+            return Some(Fault::GeneralProtection("injected fault"));
+        }
+        None
+    }
+}
+
+/// A reclaim whose privilege raise faults clears nothing, so it must
+/// forget nothing either: the page stays listed, and the later seal
+/// downgrades it to read-only.
+#[test]
+fn faulted_reclaim_keeps_the_mapping_listed_for_the_seal() {
+    let mut p = full();
+    let region = match emc(
+        &mut p,
+        EmcRequest::CreateCommon {
+            pages: 4,
+            logical_bytes: 1 << 20,
+        },
+    )
+    .expect("create")
+    {
+        EmcResponse::Region(id) => id,
+        other => panic!("{other:?}"),
+    };
+    let sid = p
+        .cvm
+        .monitor
+        .create_sandbox(&mut p.cvm.machine, 0, 1024)
+        .expect("sandbox");
+    let va = VirtAddr(0x6_0000_0000);
+    emc(
+        &mut p,
+        EmcRequest::AttachCommon {
+            sandbox: sid.0,
+            region,
+            va,
+        },
+    )
+    .expect("attach");
+    let decision = p
+        .cvm
+        .monitor
+        .on_page_fault(&mut p.cvm.machine, 0, sid, va, true);
+    assert!(
+        matches!(decision, ExitDecision::Handled { .. }),
+        "{decision:?}"
+    );
+    let root = p.cvm.monitor.sandboxes[&sid.0].root;
+    let leaf = |p: &Platform| {
+        lookup_raw(&p.cvm.machine.mem, root, va)
+            .expect("walk")
+            .expect("mapped")
+    };
+    assert!(leaf(&p).writable());
+
+    p.install_injector(handle(FaultNextWrmsr { armed: true }));
+    let reclaimed = p.cvm.monitor.reclaim_common(&mut p.cvm.machine, 0, 4);
+    p.clear_injector();
+    assert_eq!(reclaimed, 0);
+    assert_eq!(
+        p.cvm.monitor.sandboxes[&sid.0].common_mapped,
+        [(region, va)]
+    );
+
+    p.cvm
+        .monitor
+        .seal_common(&mut p.cvm.machine, 0, region)
+        .expect("seal");
+    assert!(
+        !leaf(&p).writable(),
+        "a sealed common page must be read-only"
+    );
+    assert_eq!(
+        p.cvm.monitor.sandboxes[&sid.0].common_mapped,
+        [(region, va)]
+    );
 }
 
 #[test]
