@@ -109,17 +109,19 @@ impl ShadowStack {
         self.frames.push(ret.0);
     }
 
-    /// Verify and pop at `ret`/`iret`.
+    /// Verify and pop at `ret`/`iret`. A mismatch commits nothing: the
+    /// frame stays for a corrected retry.
     ///
     /// # Errors
     /// [`Fault::ControlProtection`] with [`CpReason::ShadowStackMismatch`]
     /// if `actual` does not match the recorded return address (or the stack
     /// is empty — an underflow is also a mismatch).
     pub fn pop(&mut self, actual: VirtAddr) -> Result<(), Fault> {
-        match self.frames.pop() {
-            Some(expect) if expect == actual.0 => Ok(()),
-            _ => Err(Fault::ControlProtection(CpReason::ShadowStackMismatch)),
+        if self.frames.last() != Some(&actual.0) {
+            return Err(Fault::ControlProtection(CpReason::ShadowStackMismatch));
         }
+        self.frames.pop();
+        Ok(())
     }
 
     /// Current depth.
@@ -170,6 +172,7 @@ mod tests {
         ss.push(VirtAddr(0x100));
         let err = ss.pop(VirtAddr(0xdead)).unwrap_err();
         assert_eq!(err, Fault::ControlProtection(CpReason::ShadowStackMismatch));
+        assert_eq!(ss.depth(), 1);
     }
 
     #[test]

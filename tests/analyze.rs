@@ -9,7 +9,7 @@ use erebor::eanalyze::{detect_races, Finding};
 use erebor::ecore::emc::{EmcRequest, EmcResponse};
 use erebor::ecore::policy::{self, FrameKind};
 use erebor::ehw::cpu::Domain;
-use erebor::ehw::fault::AccessKind;
+use erebor::ehw::fault::{AccessKind, CpReason, Fault};
 use erebor::ehw::idt::{self, vector, Idtr};
 use erebor::ehw::isolation::BackendKind;
 use erebor::ehw::layout;
@@ -268,6 +268,37 @@ fn c4_unbalanced_shadow_stack_is_flagged() {
         p.cvm.machine.sstk[1].push(VirtAddr(layout::KERNEL_BASE.0 + 0x100));
         only_check(&p.audit().findings, "sstk-balance");
     }
+}
+
+/// An `iret` whose target the shadow stack refuses commits nothing:
+/// the frame its delivery pushed stays for the corrected retry.
+#[test]
+fn faulting_iret_keeps_the_shadow_stack_frame() {
+    let mut config = erebor::ExecConfig::new(Mode::Full);
+    config.shadow_stacks = true;
+    let mut p = Platform::boot_with(erebor::BootConfig {
+        config,
+        ..erebor::BootConfig::default()
+    })
+    .expect("boot");
+    let m = &mut p.cvm.machine;
+    assert!(m.cpus[0].sstk_enabled());
+    let (_handler, saved) = m.deliver_interrupt(0, vector::TIMER).expect("deliver");
+    assert_eq!(m.sstk[0].depth(), 1);
+    let mut wrong = saved;
+    wrong.rip = saved.rip.wrapping_add(8);
+    assert_eq!(
+        m.iret(0, wrong),
+        Err(Fault::ControlProtection(CpReason::ShadowStackMismatch))
+    );
+    assert_eq!(m.sstk[0].depth(), 1, "the faulting iret consumed the frame");
+    m.iret(0, saved).expect("the corrected iret");
+    assert_eq!(m.sstk[0].depth(), 0);
+    let findings = p.audit().findings;
+    assert!(
+        findings.iter().all(|f| f.check != "sstk-balance"),
+        "{findings:?}"
+    );
 }
 
 #[test]

@@ -263,3 +263,74 @@ fn counters_are_stable_across_reboots_of_same_seed() {
     };
     assert_eq!(snap(), snap());
 }
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Drive every kind of user-mode exit in `mode` and digest what the
+/// platform observed: one HelloWorld round trip (`serve_request` under
+/// a monitor, `serve_plain` without one), then a plain process that
+/// mmaps, first-touches four pages, computes across three timer quanta
+/// and executes `cpuid`; the served process also computes across a
+/// quantum and executes `cpuid` after its round trip. Together these take syscall, timer, #PF and
+/// #VE exits from a sandbox (or its baseline process) and from a plain
+/// process. The digest covers the trace JSON and the snapshot's Debug
+/// output, attribution included.
+fn exit_paths_digest(mode: Mode) -> u64 {
+    let mut p = Platform::boot(mode).expect("boot");
+    let mut svc = p
+        .deploy(Box::new(HelloWorld { len: 4 }), 4096)
+        .expect("deploy");
+    let reply = if p.cvm.monitor.cfg.monitor_present() {
+        let mut client = p.connect_client(&svc, [7; 32]).expect("attest");
+        p.serve_request(&mut svc, &mut client, b"hi")
+    } else {
+        p.serve_plain(&mut svc, b"hi")
+    };
+    assert_eq!(reply.expect("serve"), b"AAAA", "{mode:?}");
+    let quantum = p.cvm.monitor.cfg.timer_quantum_cycles;
+    let mut sandboxed = p.proc(svc.pid);
+    sandboxed.compute(quantum).expect("sandbox compute");
+    sandboxed.cpuid(1).expect("sandbox cpuid");
+
+    let pid = p.spawn_native().expect("spawn");
+    let ticks = p.kernel.stats.timer_ticks;
+    let mut proc = p.proc(pid);
+    let base = proc
+        .syscall(nr::MMAP, [0, 4 * 4096, 3, 0, 0, 0])
+        .expect("mmap");
+    for page in 0..4 {
+        proc.touch(base + page * 4096, true).expect("first touch");
+    }
+    proc.compute(3 * quantum).expect("compute");
+    proc.cpuid(1).expect("cpuid");
+    assert!(p.kernel.stats.timer_ticks >= ticks + 3, "{mode:?}: ticks");
+    let snapshot = format!("{:?}", p.snapshot());
+    fnv1a(format!("{}{snapshot}", p.trace_json()).as_bytes())
+}
+
+/// Every exit path, pinned per mode. A change that moves a row names
+/// the cause in CHANGES.md and re-records it.
+#[test]
+fn every_exit_path_is_pinned_per_mode() {
+    let pinned: [(Mode, u64); 5] = [
+        (Mode::Native, 0x34f6_59b9_c635_1072),
+        (Mode::LibOsOnly, 0x34f6_59b9_c635_1072),
+        (Mode::LibOsMmu, 0x2a32_d645_98d2_ebc8),
+        (Mode::LibOsExit, 0xe923_a1b8_63e4_7f1f),
+        (Mode::Full, 0xf04c_8f72_e413_4f5e),
+    ];
+    let got: Vec<(Mode, u64)> = pinned
+        .iter()
+        .map(|&(mode, _)| (mode, exit_paths_digest(mode)))
+        .collect();
+    let rows: String = got
+        .iter()
+        .map(|(mode, d)| format!("        (Mode::{mode:?}, {d:#018x}),\n"))
+        .collect();
+    assert_eq!(got, pinned, "exit-path digests moved; new rows:\n{rows}");
+}
