@@ -11,11 +11,13 @@ use crate::gate::EmcGate;
 use crate::mmu_guard::{self, MapError};
 use crate::policy::{FrameKind, FrameTable, PK_DEFAULT, PK_IDT, PK_MONITOR, RESERVED_PKEYS};
 use crate::rng::DetRng;
-use crate::sandbox::{CommonRegion, ExitDecision, Sandbox, SandboxId, SandboxState, SandboxTable};
+use crate::sandbox::{
+    CommonRegion, ExitCause, ExitDecision, Sandbox, SandboxId, SandboxState, SandboxTable,
+};
 use crate::scan;
 use crate::stats::MonitorStats;
 use erebor_hw::cpu::Machine;
-use erebor_hw::fault::{Fault, VeReason};
+use erebor_hw::fault::{AccessKind, Fault, VeReason};
 use erebor_hw::idt;
 use erebor_hw::isolation::{Backend, DomainId, IsolationError};
 use erebor_hw::image::{Image, SectionKind};
@@ -515,39 +517,43 @@ impl Monitor {
                 }
             }
             EmcRequest::CpuidEmulate { leaf } => {
-                let value = match self.cpuid_cache_get(leaf) {
-                    Some(v) => v,
-                    None => {
-                        self.stats.ghci_ops = self.stats.ghci_ops.saturating_add(1);
-                        match tdcall(
-                            tdx,
-                            machine,
-                            cpu,
-                            TdcallLeaf::VmCall(VmcallOp::Cpuid { leaf }),
-                        ) {
-                            Ok(TdcallResult::Cpuid(v)) => {
-                                self.cpuid_cache.insert(leaf, v);
-                                v
-                            }
-                            _ => [0; 4],
-                        }
-                    }
-                };
-                Ok(EmcResponse::Cpuid(value))
+                // A miss is a GHCI round trip made for the kernel.
+                if !self.cpuid_cache.contains_key(&leaf) {
+                    self.stats.ghci_ops = self.stats.ghci_ops.saturating_add(1);
+                }
+                Ok(EmcResponse::Cpuid(self.cpuid(machine, tdx, cpu, leaf)))
             }
         }
     }
 
-    /// cpuid cache probe shared by the EMC and `#VE` emulation paths;
+    /// `cpuid` from the monitor's cache, shared by the EMC and `#VE`
+    /// paths: one host round trip per leaf, ever (§6.2 ④).
     /// `stats.cpuid_cached` counts every hit. Only successful tdcalls
     /// fill the cache: a faulted or module-declined round trip must not
-    /// pin zeros.
-    fn cpuid_cache_get(&mut self, leaf: u32) -> Option<[u32; 4]> {
-        let v = self.cpuid_cache.get(&leaf).copied();
-        if v.is_some() {
+    /// pin zeros for every later caller.
+    fn cpuid(
+        &mut self,
+        machine: &mut Machine,
+        tdx: &mut TdxModule,
+        cpu: usize,
+        leaf: u32,
+    ) -> [u32; 4] {
+        if let Some(&v) = self.cpuid_cache.get(&leaf) {
             self.stats.cpuid_cached = self.stats.cpuid_cached.saturating_add(1);
+            return v;
         }
-        v
+        match tdcall(
+            tdx,
+            machine,
+            cpu,
+            TdcallLeaf::VmCall(VmcallOp::Cpuid { leaf }),
+        ) {
+            Ok(TdcallResult::Cpuid(v)) => {
+                self.cpuid_cache.insert(leaf, v);
+                v
+            }
+            _ => [0; 4],
+        }
     }
 
     fn create_address_space(
@@ -1175,111 +1181,6 @@ impl Monitor {
         Ok(())
     }
 
-    /// Sandbox `#PF` exit interposer: demand-map attached common pages;
-    /// anything else after data install is a policy violation (confined
-    /// memory is pinned, so a fault there cannot be benign).
-    pub fn on_page_fault(
-        &mut self,
-        machine: &mut Machine,
-        cpu: usize,
-        id: SandboxId,
-        va: VirtAddr,
-        write: bool,
-    ) -> ExitDecision {
-        machine.charged_to(Bucket::Monitor, |machine| {
-            self.charge_interpose(machine);
-            self.stats.sandbox_pf_exits = self.stats.sandbox_pf_exits.saturating_add(1);
-            let Some(sandbox) = self.sandboxes.get(&id.0) else {
-                return ExitDecision::Killed {
-                    reason: "no such sandbox",
-                };
-            };
-            let root = sandbox.root;
-            let state = sandbox.state;
-            // Locate the attached common region containing the fault address.
-            let hit = sandbox
-                .attached_common
-                .iter()
-                .copied()
-                .find_map(|(rid, base)| {
-                    let region = self.common_regions.get(&rid)?;
-                    let size = (region.frames.len() * PAGE_SIZE) as u64;
-                    (va.0 >= base.0 && va.0 < base.0 + size).then_some((rid, base))
-                });
-            let Some((rid, base)) = hit else {
-                if state == SandboxState::DataLoaded {
-                    self.kill_sandbox(machine, id, "stray page fault after data install");
-                    return ExitDecision::Killed {
-                        reason: "stray page fault after data install",
-                    };
-                }
-                // During setup, confined declarations handle memory; a stray
-                // fault forwards to the kernel like any process fault.
-                return match self.vec_handlers[idt::vector::PF as usize] {
-                    Some(handler) => ExitDecision::ForwardToKernel { handler },
-                    None => ExitDecision::Killed {
-                        reason: "no #PF handler",
-                    },
-                };
-            };
-            let Some(region) = self.common_regions.get(&rid) else {
-                return ExitDecision::Killed {
-                    reason: "attached common region vanished",
-                };
-            };
-            let sealed = region.sealed;
-            if sealed && write {
-                self.kill_sandbox(machine, id, "write to sealed common memory");
-                return ExitDecision::Killed {
-                    reason: "write to sealed common memory",
-                };
-            }
-            let page = va.page_base();
-            let idx = ((page.0 - base.0) / PAGE_SIZE as u64) as usize;
-            let frame = region.frames[idx];
-            let flags = if sealed {
-                PteFlags::user_ro()
-            } else {
-                PteFlags::user_rw()
-            };
-            // Materialize the mapping with monitor privileges (the interposer
-            // raises PKRS exactly like the EMC gate).
-            let mapped = privileged(machine, cpu, |machine| {
-                mmu_guard::checked_map(
-                    machine,
-                    cpu,
-                    &mut self.frames,
-                    self.kernel_root,
-                    root,
-                    page,
-                    Pte::encode(frame, flags),
-                )
-            });
-            let Ok(res) = mapped else {
-                return ExitDecision::Killed {
-                    reason: "interposer privilege fault",
-                };
-            };
-            match res {
-                Ok(()) => {
-                    self.frames.inc_map(frame);
-                    self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-                    machine.cycles.charge(machine.costs.pf_fixed);
-                    if let Some(s) = self.sandboxes.get_mut(&id.0) {
-                        s.common_mapped.push((rid, page));
-                    }
-                    ExitDecision::Handled { rax: 0 }
-                }
-                Err(_) => {
-                    self.kill_sandbox(machine, id, "common mapping failed");
-                    ExitDecision::Killed {
-                        reason: "common mapping failed",
-                    }
-                }
-            }
-        })
-    }
-
     /// Seal a common region: every mapping in every sandbox becomes
     /// read-only, forever (done automatically when the first attached
     /// sandbox receives client data, §6.1).
@@ -1536,117 +1437,77 @@ impl Monitor {
         machine.cycles.charge(c.rdmsr + 2 * c.wrmsr + 8 * c.mem_op);
     }
 
-    /// The syscall interposer: every `syscall` lands here first (the
-    /// hardware `IA32_LSTAR` points into the monitor).
-    ///
-    /// Reads the syscall number and arguments from the trapping context.
-    pub fn on_syscall(
+    /// Whether this mode interposes `cause`. Under exit protection every
+    /// exit does: the hardware syscall entry and every IDT vector point
+    /// into the monitor (§6.2). Under memory isolation alone only a
+    /// sandbox's page faults do, which demand-map its common regions
+    /// (§6.1).
+    fn interposes(&self, sandbox: Option<SandboxId>, cause: ExitCause) -> bool {
+        match cause {
+            ExitCause::PageFault { .. } if sandbox.is_some() => self.cfg.monitor_present(),
+            _ => self.cfg.exit_protection(),
+        }
+    }
+
+    /// The monitor's one exit entry: every trap out of user mode lands
+    /// here, with the context it interrupted. An exit this mode does not
+    /// interpose goes straight to the kernel and costs the monitor
+    /// nothing. An interposed exit is handled here (the I/O channel,
+    /// cached `cpuid`, common-page faults), forwarded to the kernel's
+    /// handler (a sandbox's context saved and scrubbed first), or kills
+    /// the sandbox. Unless it kills, pair it with
+    /// [`Monitor::on_exit_return`] once the kernel's handler is done.
+    pub fn on_exit(
         &mut self,
         machine: &mut Machine,
         tdx: &mut TdxModule,
         cpu: usize,
         sandbox: Option<SandboxId>,
+        cause: ExitCause,
+        interrupted: GprContext,
     ) -> ExitDecision {
+        if !self.interposes(sandbox, cause) {
+            return ExitDecision::ForwardToKernel;
+        }
         machine.charged_to(Bucket::Monitor, |machine| {
             self.charge_interpose(machine);
-            let ctx = machine.cpus[cpu].ctx;
-            let nr = ctx.gpr[0]; // rax
-            let fd = ctx.gpr[7]; // rdi
-            if let Some(id) = sandbox {
-                let state = self.sandboxes.get(&id.0).map(|s| s.state);
-                if state == Some(SandboxState::DataLoaded) {
-                    // The monitor I/O channel is always monitor-handled (§6.3).
-                    if nr == SYS_IOCTL && fd == EREBOR_IO_FD {
-                        self.stats.sandbox_syscall_exits =
-                            self.stats.sandbox_syscall_exits.saturating_add(1);
-                        return self.handle_io_ioctl(machine, tdx, cpu, id);
-                    }
-                    // Any other software-controlled exit is fatal — when exit
-                    // protection is enforced (§6.2).
-                    if self.cfg.exit_protection() {
-                        self.kill_sandbox(machine, id, "syscall after data install");
-                        return ExitDecision::Killed {
-                            reason: "syscall after data install",
-                        };
-                    }
+            match (cause, sandbox) {
+                (ExitCause::Syscall, _) => self.syscall_exit(machine, cpu, sandbox),
+                (ExitCause::Interrupt(vec), _) => {
+                    self.interrupt_exit(machine, cpu, sandbox, vec, interrupted)
                 }
-            }
-            match self.kernel_syscall_entry {
-                Some(entry) => ExitDecision::ForwardToKernel { handler: entry },
-                None => ExitDecision::Killed {
-                    reason: "no kernel syscall entry registered",
-                },
+                (ExitCause::PageFault { va, access }, Some(id)) => {
+                    self.common_fault(machine, cpu, id, va, access == AccessKind::Write)
+                }
+                // A plain process's fault is an exception like any other.
+                (ExitCause::PageFault { .. }, None) => {
+                    self.interrupt_exit(machine, cpu, None, idt::vector::PF, interrupted)
+                }
+                (ExitCause::Ve { reason, leaf }, _) => {
+                    self.ve_exit(machine, tdx, cpu, sandbox, reason, leaf)
+                }
             }
         })
     }
 
-    /// The interrupt/exception interposer (hardware IDT target).
+    /// The return half of an exit, once the kernel's handler is done:
+    /// the `#INT` gate's return half and the sandbox's protected context.
     ///
-    /// For sandboxes, saves and scrubs the register context before the
-    /// kernel handler runs; also services the `#INT` gate for preempted
-    /// EMCs.
-    pub fn on_interrupt(
+    /// # Errors
+    /// MSR faults from the gate restore.
+    pub fn on_exit_return(
         &mut self,
         machine: &mut Machine,
         cpu: usize,
         sandbox: Option<SandboxId>,
-        vec: u8,
-        interrupted: GprContext,
-    ) -> ExitDecision {
-        machine.charged_to(Bucket::Monitor, |machine| {
-            self.charge_interpose(machine);
-            if self.gate.interrupt_entry(machine, cpu).is_err() {
-                // The #INT gate could not revoke the EMC's PKRS: forwarding
-                // to the kernel handler would hand it monitor memory access,
-                // so refuse delivery instead.
-                return ExitDecision::Killed {
-                    reason: "#INT gate failed to revoke EMC credentials",
-                };
-            }
-            if let Some(id) = sandbox {
-                if self.cfg.exit_protection() {
-                    match vec {
-                        idt::vector::TIMER => {
-                            self.stats.sandbox_timer_exits =
-                                self.stats.sandbox_timer_exits.saturating_add(1)
-                        }
-                        idt::vector::PF => {
-                            self.stats.sandbox_pf_exits =
-                                self.stats.sandbox_pf_exits.saturating_add(1)
-                        }
-                        idt::vector::DEVICE => {}
-                        _ => {}
-                    }
-                    if let Some(s) = self.sandboxes.get_mut(&id.0) {
-                        // Save then mask the sandbox context: the kernel's
-                        // handler sees zeros (§6.2 ②). Full-state protection
-                        // costs an xsave-class operation.
-                        machine.cycles.charge(machine.costs.ctx_protect);
-                        s.saved_ctx = Some(interrupted);
-                        machine.cpus[cpu].ctx.scrub();
-                    }
-                }
-            }
-            match self.vec_handlers[vec as usize] {
-                Some(handler) => ExitDecision::ForwardToKernel { handler },
-                None => ExitDecision::Killed {
-                    reason: "unregistered vector",
-                },
-            }
-        })
-    }
-
-    /// Return from an interposed interrupt back into the sandbox: restore
-    /// the protected context and the `#INT` gate state.
-    ///
-    /// # Errors
-    /// MSR faults from the gate restore.
-    pub fn resume_sandbox(
-        &mut self,
-        machine: &mut Machine,
-        cpu: usize,
-        id: SandboxId,
+        cause: ExitCause,
     ) -> Result<(), Fault> {
+        let Some(id) = sandbox else {
+            return Ok(());
+        };
+        if !matches!(cause, ExitCause::Interrupt(_)) || !self.interposes(sandbox, cause) {
+            return Ok(());
+        }
         machine.charged_to(Bucket::Monitor, |machine| {
             self.gate.interrupt_return(machine, cpu)?;
             if let Some(ctx) = self
@@ -1661,121 +1522,228 @@ impl Monitor {
         })
     }
 
-    /// `#VE` interposer: hypercall-class events from a sandbox.
-    ///
-    /// `cpuid` is emulated from the monitor's cache (one host round trip
-    /// ever, §6.2 ④); anything else after data install kills the sandbox.
-    pub fn on_ve(
+    /// Kill sandbox `id` for `reason` and say so.
+    fn killed(
+        &mut self,
+        machine: &mut Machine,
+        id: SandboxId,
+        reason: &'static str,
+    ) -> ExitDecision {
+        self.kill_sandbox(machine, id, reason);
+        ExitDecision::Killed { reason }
+    }
+
+    /// Whether sandbox `id` holds client data: from then on every
+    /// software-controlled exit but the I/O channel is fatal.
+    fn data_loaded(&self, id: SandboxId) -> bool {
+        self.sandboxes.get(&id.0).map(|s| s.state) == Some(SandboxState::DataLoaded)
+    }
+
+    /// A `syscall`: after data install only the monitor I/O channel may
+    /// leave the sandbox.
+    fn syscall_exit(
+        &mut self,
+        machine: &mut Machine,
+        cpu: usize,
+        sandbox: Option<SandboxId>,
+    ) -> ExitDecision {
+        let Some(id) = sandbox.filter(|&id| self.data_loaded(id)) else {
+            return forward(
+                self.kernel_syscall_entry,
+                "no kernel syscall entry registered",
+            );
+        };
+        // The monitor I/O channel (rax = ioctl on its reserved fd in rdi)
+        // is always monitor-handled (§6.3).
+        let ctx = &machine.cpus[cpu].ctx;
+        if ctx.gpr[0] == SYS_IOCTL && ctx.gpr[7] == EREBOR_IO_FD {
+            self.stats.sandbox_syscall_exits = self.stats.sandbox_syscall_exits.saturating_add(1);
+            return self.sandbox_io(machine, cpu, id);
+        }
+        // Any other software-controlled exit is fatal (§6.2).
+        self.killed(machine, id, "syscall after data install")
+    }
+
+    /// An interrupt, or a plain process's exception, through the
+    /// hardware IDT: the `#INT` gate's entry half runs first (it revokes
+    /// a preempted EMC's PKRS), then a sandbox's context is saved and
+    /// scrubbed before the kernel's handler can see it.
+    fn interrupt_exit(
+        &mut self,
+        machine: &mut Machine,
+        cpu: usize,
+        sandbox: Option<SandboxId>,
+        vec: u8,
+        interrupted: GprContext,
+    ) -> ExitDecision {
+        if self.gate.interrupt_entry(machine, cpu).is_err() {
+            // The #INT gate could not revoke the EMC's PKRS: forwarding
+            // to the kernel handler would hand it monitor memory access,
+            // so refuse delivery instead.
+            return ExitDecision::Killed {
+                reason: "#INT gate failed to revoke EMC credentials",
+            };
+        }
+        if let Some(id) = sandbox {
+            if vec == idt::vector::TIMER {
+                self.stats.sandbox_timer_exits = self.stats.sandbox_timer_exits.saturating_add(1);
+            }
+            if let Some(s) = self.sandboxes.get_mut(&id.0) {
+                // Save then mask the sandbox context: the kernel's
+                // handler sees zeros (§6.2 ②). Full-state protection
+                // costs an xsave-class operation.
+                machine.cycles.charge(machine.costs.ctx_protect);
+                s.saved_ctx = Some(interrupted);
+                machine.cpus[cpu].ctx.scrub();
+            }
+        }
+        forward(self.vec_handlers[vec as usize], "unregistered vector")
+    }
+
+    /// A sandbox's page fault: demand-map attached common pages; any
+    /// other fault after data install is a policy violation (confined
+    /// memory is pinned, so a fault there cannot be benign).
+    fn common_fault(
+        &mut self,
+        machine: &mut Machine,
+        cpu: usize,
+        id: SandboxId,
+        va: VirtAddr,
+        write: bool,
+    ) -> ExitDecision {
+        self.stats.sandbox_pf_exits = self.stats.sandbox_pf_exits.saturating_add(1);
+        let Some(sandbox) = self.sandboxes.get(&id.0) else {
+            return ExitDecision::Killed {
+                reason: "no such sandbox",
+            };
+        };
+        let root = sandbox.root;
+        let state = sandbox.state;
+        // Locate the attached common region containing the fault address.
+        let hit = sandbox
+            .attached_common
+            .iter()
+            .copied()
+            .find_map(|(rid, base)| {
+                let region = self.common_regions.get(&rid)?;
+                let size = (region.frames.len() * PAGE_SIZE) as u64;
+                (va.0 >= base.0 && va.0 < base.0 + size).then_some((rid, base))
+            });
+        let Some((rid, base)) = hit else {
+            if state == SandboxState::DataLoaded {
+                return self.killed(machine, id, "stray page fault after data install");
+            }
+            // During setup, confined declarations handle memory; a stray
+            // fault forwards to the kernel like any process fault.
+            return forward(
+                self.vec_handlers[idt::vector::PF as usize],
+                "no #PF handler",
+            );
+        };
+        let Some(region) = self.common_regions.get(&rid) else {
+            return ExitDecision::Killed {
+                reason: "attached common region vanished",
+            };
+        };
+        let sealed = region.sealed;
+        if sealed && write {
+            return self.killed(machine, id, "write to sealed common memory");
+        }
+        let page = va.page_base();
+        let idx = ((page.0 - base.0) / PAGE_SIZE as u64) as usize;
+        let frame = region.frames[idx];
+        let flags = if sealed {
+            PteFlags::user_ro()
+        } else {
+            PteFlags::user_rw()
+        };
+        // Materialize the mapping with monitor privileges (the interposer
+        // raises PKRS exactly like the EMC gate).
+        let mapped = privileged(machine, cpu, |machine| {
+            mmu_guard::checked_map(
+                machine,
+                cpu,
+                &mut self.frames,
+                self.kernel_root,
+                root,
+                page,
+                Pte::encode(frame, flags),
+            )
+        });
+        let Ok(res) = mapped else {
+            return ExitDecision::Killed {
+                reason: "interposer privilege fault",
+            };
+        };
+        match res {
+            Ok(()) => {
+                self.frames.inc_map(frame);
+                self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
+                machine.cycles.charge(machine.costs.pf_fixed);
+                if let Some(s) = self.sandboxes.get_mut(&id.0) {
+                    s.common_mapped.push((rid, page));
+                }
+                ExitDecision::Handled { rax: 0 }
+            }
+            Err(_) => self.killed(machine, id, "common mapping failed"),
+        }
+    }
+
+    /// A `#VE`: `cpuid` from a sandbox holding client data is emulated
+    /// from the monitor's cache (§6.2 ④); any other hypercall-class exit
+    /// after data install kills the sandbox.
+    fn ve_exit(
         &mut self,
         machine: &mut Machine,
         tdx: &mut TdxModule,
         cpu: usize,
         sandbox: Option<SandboxId>,
         reason: VeReason,
-        cpuid_leaf: u32,
+        leaf: u32,
     ) -> ExitDecision {
-        machine.charged_to(Bucket::Monitor, |machine| {
-            self.charge_interpose(machine);
-            if let Some(id) = sandbox {
-                if self.cfg.exit_protection()
-                    && self.sandboxes.get(&id.0).map(|s| s.state) == Some(SandboxState::DataLoaded)
-                {
-                    self.stats.sandbox_ve_exits = self.stats.sandbox_ve_exits.saturating_add(1);
-                    if reason == VeReason::Cpuid {
-                        let value = match self.cpuid_cache_get(cpuid_leaf) {
-                            Some(v) => v,
-                            None => {
-                                let res = tdcall(
-                                    tdx,
-                                    machine,
-                                    cpu,
-                                    TdcallLeaf::VmCall(VmcallOp::Cpuid { leaf: cpuid_leaf }),
-                                );
-                                // Cache only real results — a transient
-                                // tdcall failure must not poison the cache
-                                // with zeros for every later caller.
-                                match res {
-                                    Ok(TdcallResult::Cpuid(v)) => {
-                                        self.cpuid_cache.insert(cpuid_leaf, v);
-                                        v
-                                    }
-                                    _ => [0; 4],
-                                }
-                            }
-                        };
-                        machine.cpus[cpu].ctx.gpr[0] = u64::from(value[0]);
-                        machine.cpus[cpu].ctx.gpr[3] = u64::from(value[1]);
-                        return ExitDecision::Handled {
-                            rax: u64::from(value[0]),
-                        };
-                    }
-                    self.kill_sandbox(machine, id, "VM exit after data install");
-                    return ExitDecision::Killed {
-                        reason: "VM exit after data install",
-                    };
-                }
+        if let Some(id) = sandbox.filter(|&id| self.data_loaded(id)) {
+            self.stats.sandbox_ve_exits = self.stats.sandbox_ve_exits.saturating_add(1);
+            if reason != VeReason::Cpuid {
+                return self.killed(machine, id, "VM exit after data install");
             }
-            match self.vec_handlers[idt::vector::VE as usize] {
-                Some(handler) => ExitDecision::ForwardToKernel { handler },
-                None => ExitDecision::Killed {
-                    reason: "no #VE handler",
-                },
-            }
-        })
-    }
-
-    /// The sandbox data channel (§6.3), entered either from the syscall
-    /// interposer (exit protection on) or from the kernel's `/dev/erebor`
-    /// driver (ablation configs without exit interposition).
-    pub fn sandbox_io(
-        &mut self,
-        machine: &mut Machine,
-        tdx: &mut TdxModule,
-        cpu: usize,
-        id: SandboxId,
-    ) -> ExitDecision {
-        machine.charged_to(Bucket::Monitor, |machine| {
-            self.handle_io_ioctl(machine, tdx, cpu, id)
-        })
-    }
-
-    fn handle_io_ioctl(
-        &mut self,
-        machine: &mut Machine,
-        _tdx: &mut TdxModule,
-        cpu: usize,
-        id: SandboxId,
-    ) -> ExitDecision {
-        let ctx = machine.cpus[cpu].ctx;
-        let op = ctx.gpr[6]; // rsi
-        let buf = VirtAddr(ctx.gpr[2]); // rdx
-        let len = ctx.gpr[10] as usize; // r10
-        match op {
-            IOCTL_INPUT => match self.deliver_input(machine, cpu, id, buf, len) {
-                Ok(n) => ExitDecision::Handled { rax: n as u64 },
-                Err(reason) => {
-                    self.kill_sandbox(machine, id, reason);
-                    ExitDecision::Killed { reason }
-                }
-            },
-            IOCTL_OUTPUT => match self.collect_output(machine, cpu, id, buf, len) {
-                Ok(()) => ExitDecision::Handled { rax: 0 },
-                Err(reason) => {
-                    self.kill_sandbox(machine, id, reason);
-                    ExitDecision::Killed { reason }
-                }
-            },
-            _ => {
-                self.kill_sandbox(machine, id, "unknown erebor ioctl");
-                ExitDecision::Killed {
-                    reason: "unknown erebor ioctl",
-                }
-            }
+            let value = self.cpuid(machine, tdx, cpu, leaf);
+            machine.cpus[cpu].ctx.gpr[0] = u64::from(value[0]);
+            machine.cpus[cpu].ctx.gpr[3] = u64::from(value[1]);
+            return ExitDecision::Handled {
+                rax: u64::from(value[0]),
+            };
         }
+        forward(
+            self.vec_handlers[idt::vector::VE as usize],
+            "no #VE handler",
+        )
     }
 
-    /// Copy staged client input into sandbox confined memory (monitor
-    /// `stac`-guarded copy with the sandbox's CR3).
+    /// The sandbox data channel (§6.3), entered either from the exit
+    /// entry (exit protection on) or from the kernel's `/dev/erebor`
+    /// driver (ablation configs without exit interposition). A failed
+    /// transfer kills the sandbox.
+    pub fn sandbox_io(&mut self, machine: &mut Machine, cpu: usize, id: SandboxId) -> ExitDecision {
+        machine.charged_to(Bucket::Monitor, |machine| {
+            let ctx = machine.cpus[cpu].ctx;
+            let op = ctx.gpr[6]; // rsi
+            let buf = VirtAddr(ctx.gpr[2]); // rdx
+            let len = ctx.gpr[10] as usize; // r10
+            let served = match op {
+                IOCTL_INPUT => self
+                    .deliver_input(machine, cpu, id, buf, len)
+                    .map(|n| n as u64),
+                IOCTL_OUTPUT => self.collect_output(machine, cpu, id, buf, len).map(|()| 0),
+                _ => Err("unknown erebor ioctl"),
+            };
+            match served {
+                Ok(rax) => ExitDecision::Handled { rax },
+                Err(reason) => self.killed(machine, id, reason),
+            }
+        })
+    }
+
+    /// Copy staged client input into sandbox confined memory.
     fn deliver_input(
         &mut self,
         machine: &mut Machine,
@@ -1784,39 +1752,62 @@ impl Monitor {
         buf: VirtAddr,
         len: usize,
     ) -> Result<usize, &'static str> {
-        let (root, data) = {
+        let mut data = {
             let s = self.sandboxes.get_mut(&id.0).ok_or("no such sandbox")?;
-            let data = s.pending_input.pop_front().ok_or("no pending input")?;
-            (s.root, data)
+            s.pending_input.pop_front().ok_or("no pending input")?
         };
         if data.len() > len {
             return Err("input buffer too small");
         }
-        // The destination must be confined memory, over the whole range.
-        {
-            let s = self.sandboxes.get(&id.0).ok_or("no such sandbox")?;
-            let end = buf.add(data.len().max(1) as u64 - 1);
-            let mut page = buf.page_base();
-            while page.0 <= end.0 {
-                if !s.owns_va(page) {
-                    return Err("input buffer not confined");
-                }
-                page = page.add(PAGE_SIZE as u64);
+        self.confined_copy(machine, cpu, id, buf, CopyDir::ToUser, &mut data)?;
+        Ok(data.len())
+    }
+
+    /// The I/O channel's one copy between monitor memory and sandbox
+    /// `id`'s confined memory at `buf`: `data` goes in (`ToUser`) or is
+    /// filled from it (`FromUser`). The whole range must be the sandbox's
+    /// own confined memory: the monitor must never be tricked into
+    /// writing client data elsewhere or sealing other memory into the
+    /// client channel. The copy runs with monitor privileges under the
+    /// sandbox's CR3, `stac`-guarded.
+    fn confined_copy(
+        &mut self,
+        machine: &mut Machine,
+        cpu: usize,
+        id: SandboxId,
+        buf: VirtAddr,
+        dir: CopyDir,
+        data: &mut [u8],
+    ) -> Result<(), &'static str> {
+        let (unconfined, failed) = match dir {
+            CopyDir::ToUser => ("input buffer not confined", "confined write failed"),
+            CopyDir::FromUser => ("output buffer not confined", "output read failed"),
+        };
+        let s = self.sandboxes.get(&id.0).ok_or("no such sandbox")?;
+        let end = buf.add(data.len().max(1) as u64 - 1);
+        let mut page = buf.page_base();
+        while page.0 <= end.0 {
+            if !s.owns_va(page) {
+                return Err(unconfined);
             }
+            page = page.add(PAGE_SIZE as u64);
         }
+        let root = s.root;
         privileged(machine, cpu, |machine| {
             let saved_root = machine.cpus[cpu].cr3;
             let res = machine
                 .write_cr3(cpu, root)
                 .and_then(|()| machine.stac(cpu))
-                .and_then(|()| machine.write(cpu, buf, &data));
+                .and_then(|()| match dir {
+                    CopyDir::ToUser => machine.write(cpu, buf, data),
+                    CopyDir::FromUser => machine.read(cpu, buf, data),
+                });
             machine.clac(cpu).ok();
             machine.write_cr3(cpu, saved_root).ok();
             res
         })
         .map_err(|_| "privilege raise failed")?
-        .map_err(|_| "confined write failed")?;
-        Ok(data.len())
+        .map_err(|_| failed)
     }
 
     /// Read sandbox output, pad to the configured quantum, seal it on the
@@ -1829,32 +1820,8 @@ impl Monitor {
         buf: VirtAddr,
         len: usize,
     ) -> Result<(), &'static str> {
-        let sandbox = self.sandboxes.get(&id.0).ok_or("no such sandbox")?;
-        let root = sandbox.root;
-        // The output buffer must lie in the sandbox's own confined memory:
-        // the monitor must never be tricked into sealing other memory into
-        // the client channel.
-        let end = buf.add(len.max(1) as u64 - 1);
-        let mut page = buf.page_base();
-        while page.0 <= end.0 {
-            if !sandbox.owns_va(page) {
-                return Err("output buffer not confined");
-            }
-            page = page.add(PAGE_SIZE as u64);
-        }
         let mut data = vec![0u8; len];
-        privileged(machine, cpu, |machine| {
-            let saved_root = machine.cpus[cpu].cr3;
-            let res = machine
-                .write_cr3(cpu, root)
-                .and_then(|()| machine.stac(cpu))
-                .and_then(|()| machine.read(cpu, buf, &mut data));
-            machine.clac(cpu).ok();
-            machine.write_cr3(cpu, saved_root).ok();
-            res
-        })
-        .map_err(|_| "privilege raise failed")?
-        .map_err(|_| "output read failed")?;
+        self.confined_copy(machine, cpu, id, buf, CopyDir::FromUser, &mut data)?;
         // Fixed-length padding: a 4-byte true length prefix, then data,
         // padded to the quantum.
         let quantum = self.cfg.output_pad_quantum.max(1);
@@ -1878,6 +1845,15 @@ impl core::fmt::Debug for Monitor {
             .field("sandboxes", &self.sandboxes.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
+    }
+}
+
+/// Forward an exit to the kernel's registered `handler`; an exit with
+/// no handler to take it cannot be delivered.
+fn forward(handler: Option<VirtAddr>, missing: &'static str) -> ExitDecision {
+    match handler {
+        Some(_) => ExitDecision::ForwardToKernel,
+        None => ExitDecision::Killed { reason: missing },
     }
 }
 

@@ -8,7 +8,7 @@
 //! and the register state scrubbed (Fig. 7).
 
 use erebor_crypto::kx::{Role, SecureChannel, SessionKeys};
-use erebor_hw::fault::VeReason;
+use erebor_hw::fault::{AccessKind, VeReason};
 use erebor_hw::isolation::DomainId;
 use erebor_hw::regs::GprContext;
 use erebor_hw::{Frame, VirtAddr};
@@ -314,35 +314,38 @@ impl core::fmt::Debug for Sandbox {
     }
 }
 
-/// Why the sandbox exited to ring 0.
+/// Why user mode trapped to ring 0: the input of the monitor's exit
+/// entry, [`crate::monitor::Monitor::on_exit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExitCause {
-    /// `syscall` instruction with this number.
-    Syscall {
-        /// Syscall number (rax).
-        nr: u64,
+    /// A `syscall`; its number and arguments are in the trapping context.
+    Syscall,
+    /// An interrupt (timer, device) through this vector.
+    Interrupt(u8),
+    /// A page fault.
+    PageFault {
+        /// The faulting address.
+        va: VirtAddr,
+        /// The access that faulted.
+        access: AccessKind,
     },
-    /// Virtualization exception (attempted hypercall-class event).
-    Ve(VeReason),
-    /// APIC timer interrupt (scheduler tick).
-    Timer,
-    /// External device interrupt.
-    Device,
-    /// A hardware exception with this vector (e.g. #UD, divide error).
-    Exception(u8),
+    /// A virtualization exception (a hypercall-class event).
+    Ve {
+        /// What raised it.
+        reason: VeReason,
+        /// The requested leaf, when `reason` is [`VeReason::Cpuid`].
+        leaf: u32,
+    },
 }
 
-/// The monitor's disposition of an interposed exit (Fig. 7).
+/// The monitor's disposition of an exit (Fig. 7).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExitDecision {
-    /// Protected state saved; continue into this kernel handler with a
-    /// scrubbed context.
-    ForwardToKernel {
-        /// Kernel handler address.
-        handler: VirtAddr,
-    },
-    /// The monitor fully handled the exit (I/O channel, cached cpuid);
-    /// resume the sandbox with this syscall return value in `rax`.
+    /// Continue into the kernel's handler for the exit (with a scrubbed
+    /// context when the monitor protected one).
+    ForwardToKernel,
+    /// The monitor fully handled the exit (I/O channel, cached cpuid,
+    /// common-page fault); resume with this value in `rax`.
     Handled {
         /// Value placed in `rax` on resume.
         rax: u64,

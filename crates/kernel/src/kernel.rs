@@ -11,13 +11,14 @@ use crate::syscall::{nr, Errno};
 use crate::task::{Pid, Task, TaskKind, TaskState, Vma};
 use crate::vfs::{FileDesc, Vfs};
 use crate::{entry, vm};
-use erebor_core::emc::EmcRequest;
+use erebor_core::emc::{EmcRequest, EmcResponse};
 use erebor_core::monitor::Monitor;
 use erebor_core::sandbox::SandboxId;
 use erebor_hw::cpu::Machine;
 use erebor_hw::idt::vector;
 use erebor_hw::regs::Msr;
 use erebor_hw::{VirtAddr, PAGE_SIZE};
+use erebor_tdx::tdcall::{tdcall, TdcallLeaf, TdcallResult, VmcallOp};
 use erebor_tdx::TdxModule;
 use erebor_wire::{index_by, Wire, WireError, WireReader, WireWriter};
 use std::collections::{BTreeMap, VecDeque};
@@ -56,7 +57,8 @@ erebor_wire::counters! {
         pub forks: u64,
         /// Signals delivered to user handlers.
         pub signals_delivered: u64,
-        /// `#VE` exits handled for native tasks.
+        /// `#VE` exits the kernel handled (cpuid round trips it made or
+        /// delegated).
         pub ve_handled: u64,
     }
 }
@@ -443,12 +445,34 @@ impl Kernel {
         Ok(())
     }
 
-    /// `#VE` handler for *native* tasks: performs the GHCI round trip on
-    /// behalf of the guest (Fig. 1 ③–⑤). Under Erebor this is an EMC
-    /// (`ConvertShared`) or is monitor-handled; native kernels tdcall
-    /// directly — both paths are exercised by the Fig. 10 workloads.
-    pub fn handle_ve_native(&mut self, _hw: &mut Hw<'_>) {
+    /// `#VE` handler: the GHCI `cpuid` round trip on behalf of the guest
+    /// (Fig. 1 ③–⑤). Under Erebor the deprivileged kernel delegates it to
+    /// the monitor (EMC `CpuidEmulate`, served from the monitor's cache);
+    /// a native kernel issues the `tdcall` itself. Returns `eax`, or 0
+    /// when the round trip fails.
+    pub fn handle_ve(&mut self, hw: &mut Hw<'_>, leaf: u32) -> u32 {
         self.stats.ve_handled = self.stats.ve_handled.saturating_add(1);
+        if hw.monitor.cfg.emc_delegation() {
+            match hw.monitor.emc(
+                hw.machine,
+                hw.tdx,
+                hw.cpu,
+                EmcRequest::CpuidEmulate { leaf },
+            ) {
+                Ok(EmcResponse::Cpuid(v)) => v[0],
+                _ => 0,
+            }
+        } else {
+            match tdcall(
+                hw.tdx,
+                hw.machine,
+                hw.cpu,
+                TdcallLeaf::VmCall(VmcallOp::Cpuid { leaf }),
+            ) {
+                Ok(TdcallResult::Cpuid(v)) => v[0],
+                _ => 0,
+            }
+        }
     }
 
     // =================================================================
@@ -727,7 +751,7 @@ impl Kernel {
                     erebor_core::monitor::IOCTL_INPUT | erebor_core::monitor::IOCTL_OUTPUT => {
                         // Ablation without exit interposition: the driver
                         // forwards the data channel to the monitor.
-                        match hw.monitor.sandbox_io(hw.machine, hw.tdx, hw.cpu, sandbox) {
+                        match hw.monitor.sandbox_io(hw.machine, hw.cpu, sandbox) {
                             erebor_core::sandbox::ExitDecision::Handled { rax } => Ok(rax),
                             _ => Err(Errno::Eperm),
                         }
@@ -758,7 +782,7 @@ impl Kernel {
                                 logical_bytes: args[3],
                             },
                         ) {
-                            Ok(erebor_core::emc::EmcResponse::Region(id)) => Ok(u64::from(id)),
+                            Ok(EmcResponse::Region(id)) => Ok(u64::from(id)),
                             _ => Err(Errno::Eperm),
                         }
                     }

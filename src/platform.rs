@@ -6,10 +6,9 @@
 use erebor_core::boot::{BootConfig, BootError, Cvm};
 use erebor_core::channel::{Client, ClientError, Proxy};
 use erebor_core::config::Mode;
-use erebor_core::emc::{EmcRequest, EmcResponse};
-use erebor_core::sandbox::{ExitDecision, SandboxId};
+use erebor_core::sandbox::{ExitCause, ExitDecision, SandboxId};
 use erebor_core::stats::MonitorStats;
-use erebor_hw::cpu::{CpuMode, Domain};
+use erebor_hw::cpu::{CpuMode, Domain, Machine};
 use erebor_hw::cycles::CLOCK_HZ;
 use erebor_hw::fault::{AccessKind, Fault, PfReason, VeReason};
 use erebor_hw::idt::vector;
@@ -25,7 +24,7 @@ use erebor_tdx::migrate::{
     check_pages_private, migration_binding, section, MigrationDest, MigrationError, MigrationKey,
     MigrationSource,
 };
-use erebor_tdx::tdcall::{tdcall, TdcallLeaf, TdcallResult, TdxStats, VmcallOp};
+use erebor_tdx::tdcall::TdxStats;
 use erebor_trace::{Attribution, Bucket};
 use erebor_wire::{Wire, WireError};
 
@@ -398,37 +397,24 @@ impl Platform {
     ) -> Result<ServiceInstance, PlatformError> {
         self.enter_kernel_mode();
         let use_driver = self.cvm.monitor.cfg.monitor_present();
+        let (mut hw, kernel) = self.parts();
         let (pid, sandbox) = if use_driver {
-            let (mut hw, kernel) = self.parts();
-            let (pid, sandbox) = kernel
-                .spawn_sandbox(&mut hw, budget_pages)
-                .map_err(PlatformError::Errno)?;
-            kernel
-                .schedule(&mut hw, pid)
-                .map_err(PlatformError::Errno)?;
-            (pid, sandbox)
+            kernel.spawn_sandbox(&mut hw, budget_pages)
         } else {
             // LibOS-only / Native baselines: a plain process.
-            let (mut hw, kernel) = self.parts();
-            let pid = kernel.spawn_native(&mut hw).map_err(PlatformError::Errno)?;
-            kernel
-                .schedule(&mut hw, pid)
-                .map_err(PlatformError::Errno)?;
-            (pid, SandboxId(0))
-        };
+            kernel.spawn_native(&mut hw).map(|pid| (pid, SandboxId(0)))
+        }
+        .map_err(PlatformError::Errno)?;
+        kernel
+            .schedule(&mut hw, pid)
+            .map_err(PlatformError::Errno)?;
         let manifest = program.manifest();
         let mut registry = std::mem::take(&mut self.registry);
         let result = LibOs::load(manifest, &mut registry, &mut self.proc(pid), use_driver);
         self.registry = registry;
         let mut os = result?;
         program
-            .init(
-                &mut os,
-                &mut ProcHandle {
-                    platform: self,
-                    pid,
-                },
-            )
+            .init(&mut os, &mut self.proc(pid))
             .map_err(PlatformError::Sys)?;
         Ok(ServiceInstance {
             program,
@@ -455,31 +441,21 @@ impl Platform {
             ));
         }
         self.kernel.vfs.debug_in.extend_from_slice(request);
+        self.serve_once(svc)?;
+        Ok(std::mem::take(&mut self.kernel.vfs.debug_out))
+    }
+
+    /// One request through a deployed service: the LibOS reads the
+    /// input, the program serves it, the LibOS writes the output.
+    fn serve_once(&mut self, svc: &mut ServiceInstance) -> Result<(), PlatformError> {
         let pid = svc.pid;
-        let req = svc.os.input(&mut ProcHandle {
-            platform: self,
-            pid,
-        })?;
+        let req = svc.os.input(&mut self.proc(pid))?;
         let res = svc
             .program
-            .serve(
-                &mut svc.os,
-                &mut ProcHandle {
-                    platform: self,
-                    pid,
-                },
-                &req,
-            )
+            .serve(&mut svc.os, &mut self.proc(pid), &req)
             .map_err(PlatformError::Sys)?;
-        svc.os.output(
-            &mut ProcHandle {
-                platform: self,
-                pid,
-            },
-            &res,
-        )?;
-        let out = std::mem::take(&mut self.kernel.vfs.debug_out);
-        Ok(out)
+        svc.os.output(&mut self.proc(pid), &res)?;
+        Ok(())
     }
 
     /// The measurement chain this platform's boot should attest to —
@@ -582,29 +558,7 @@ impl Platform {
         request: &[u8],
     ) -> Result<Vec<u8>, PlatformError> {
         self.client_send(svc, client, request)?;
-        let pid = svc.pid;
-        let req = svc.os.input(&mut ProcHandle {
-            platform: self,
-            pid,
-        })?;
-        let res = svc
-            .program
-            .serve(
-                &mut svc.os,
-                &mut ProcHandle {
-                    platform: self,
-                    pid,
-                },
-                &req,
-            )
-            .map_err(PlatformError::Sys)?;
-        svc.os.output(
-            &mut ProcHandle {
-                platform: self,
-                pid,
-            },
-            &res,
-        )?;
+        self.serve_once(svc)?;
         self.client_recv(svc, client)
     }
 
@@ -639,7 +593,16 @@ impl Platform {
         Ok(())
     }
 
-    fn enter_user(&mut self, _pid: Pid) {
+    /// Bring `pid` back to user mode on the driving core: deliver the
+    /// timer ticks that are due, schedule it, and enter ring 3.
+    fn resume_user(&mut self, pid: Pid) -> Result<(), SysError> {
+        self.tick(pid)?;
+        self.ensure_current(pid)?;
+        self.enter_user();
+        Ok(())
+    }
+
+    fn enter_user(&mut self) {
         let c = &mut self.cvm.machine.cpus[self.driver.cpu];
         c.mode = CpuMode::User;
         c.domain = Domain::User;
@@ -693,124 +656,136 @@ impl Platform {
             }
             self.as_kernel(|kernel, hw| kernel.reclaim_pages(hw, RECLAIM_PAGES_PER_PASS));
         }
-        self.deliver_interrupt(pid, vec)
+        self.take_exit(pid, ExitCause::Interrupt(vec), |kernel, hw| {
+            kernel.on_timer(hw);
+            Ok(0)
+        })
+        .map(drop)
     }
 
-    fn deliver_interrupt(&mut self, pid: Pid, vec: u8) -> Result<(), SysError> {
-        // Async exit: the TDX module protects the guest context from the
-        // injecting host.
-        self.cvm
-            .tdx
-            .async_exit_context_protect(&mut self.cvm.machine, self.driver.cpu);
-        let (_handler, saved) = self
-            .cvm
-            .machine
-            .deliver_interrupt(self.driver.cpu, vec)
-            .map_err(|_| SysError::Fault)?;
-        let sandbox = self.sandbox_of(pid);
-        if self.cvm.monitor.cfg.monitor_present() && self.cvm.monitor.cfg.exit_protection() {
-            let decision = self.cvm.monitor.on_interrupt(
-                &mut self.cvm.machine,
-                self.driver.cpu,
-                sandbox,
-                vec,
-                saved,
-            );
-            match decision {
-                ExitDecision::ForwardToKernel { .. } => {
-                    self.in_kernel(|kernel, hw| kernel.on_timer(hw));
-                }
-                ExitDecision::Killed { reason } => return Err(SysError::Killed(reason)),
-                ExitDecision::Handled { .. } => {}
+    /// Take one exit from user mode, end to end (§6.2, Fig. 7): the
+    /// hardware traps (`syscall` through `IA32_LSTAR`, everything else
+    /// through the IDT), the monitor's exit entry decides, `handler` (the
+    /// kernel's entry for `cause`) runs when the exit is forwarded, the
+    /// monitor's return half runs, and the core returns to user mode.
+    /// Returns the value for `rax`.
+    fn take_exit(
+        &mut self,
+        pid: Pid,
+        cause: ExitCause,
+        handler: impl FnOnce(&mut Kernel, &mut Hw<'_>) -> Result<u64, SysError>,
+    ) -> Result<u64, SysError> {
+        let (cpu, sandbox) = (self.driver.cpu, self.sandbox_of(pid));
+        let machine = &mut self.cvm.machine;
+        let interrupted = match cause {
+            ExitCause::Syscall => machine.syscall(cpu).map(|_| machine.cpus[cpu].ctx),
+            ExitCause::Interrupt(vec) => {
+                // Async exit: the TDX module protects the guest context
+                // from the injecting host.
+                self.cvm.tdx.async_exit_context_protect(machine, cpu);
+                machine.deliver_interrupt(cpu, vec).map(|(_, saved)| saved)
             }
-            if let Some(id) = sandbox {
-                self.cvm
-                    .monitor
-                    .resume_sandbox(&mut self.cvm.machine, self.driver.cpu, id)
-                    .map_err(|_| SysError::Fault)?;
-            }
-        } else {
-            self.in_kernel(|kernel, hw| kernel.on_timer(hw));
+            ExitCause::PageFault { .. } => machine
+                .deliver_interrupt(cpu, vector::PF)
+                .map(|(_, saved)| saved),
+            ExitCause::Ve { reason, .. } => self
+                .cvm
+                .tdx
+                .inject_ve(machine, cpu, reason)
+                .map(|(_, saved)| saved),
         }
-        // Return into the interrupted (possibly restored) user context.
-        self.ensure_current(pid)?;
-        self.cvm
-            .machine
-            .iret(self.driver.cpu, saved)
-            .map_err(|_| SysError::Fault)?;
-        Ok(())
-    }
-
-    fn handle_user_pf(&mut self, pid: Pid, va: VirtAddr, write: bool) -> Result<(), SysError> {
-        let (_handler, saved) = self
-            .cvm
-            .machine
-            .deliver_interrupt(self.driver.cpu, vector::PF)
-            .map_err(|_| SysError::Fault)?;
-        let sandbox = self.sandbox_of(pid);
-        if self.cvm.monitor.cfg.monitor_present() {
-            let decision = match sandbox {
-                Some(id) => self.cvm.monitor.on_page_fault(
-                    &mut self.cvm.machine,
-                    self.driver.cpu,
-                    id,
-                    va,
-                    write,
-                ),
-                _ if self.cvm.monitor.cfg.exit_protection() => self.cvm.monitor.on_interrupt(
-                    &mut self.cvm.machine,
-                    self.driver.cpu,
-                    None,
-                    vector::PF,
-                    saved,
-                ),
-                _ => ExitDecision::ForwardToKernel {
-                    handler: erebor_kernel::entry::PF,
-                },
-            };
-            match decision {
-                ExitDecision::Handled { .. } => {}
-                ExitDecision::Killed { reason } => return Err(SysError::Killed(reason)),
-                ExitDecision::ForwardToKernel { .. } => {
-                    self.in_kernel(|kernel, hw| kernel.handle_page_fault(hw, pid, va, write))
-                        .map_err(|_| SysError::Fault)?;
-                }
-            }
-        } else {
-            self.in_kernel(|kernel, hw| kernel.handle_page_fault(hw, pid, va, write))
-                .map_err(|_| SysError::Fault)?;
-        }
-        self.cvm
-            .machine
-            .iret(self.driver.cpu, saved)
-            .map_err(|_| SysError::Fault)?;
-        Ok(())
-    }
-
-    fn user_access(&mut self, pid: Pid, va: u64, write: bool) -> Result<(), SysError> {
-        self.tick(pid)?;
-        self.ensure_current(pid)?;
-        self.enter_user(pid);
-        let kind = if write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
+        .map_err(|_| SysError::Fault)?;
+        let decision = self.cvm.monitor.on_exit(
+            &mut self.cvm.machine,
+            &mut self.cvm.tdx,
+            cpu,
+            sandbox,
+            cause,
+            interrupted,
+        );
+        let rax = match decision {
+            ExitDecision::Handled { rax } => rax,
+            ExitDecision::Killed { reason } => return Err(SysError::Killed(reason)),
+            ExitDecision::ForwardToKernel => self.in_kernel(handler)?,
         };
-        for _attempt in 0..64 {
-            match self.cvm.machine.probe(self.driver.cpu, VirtAddr(va), kind) {
+        self.cvm
+            .monitor
+            .on_exit_return(&mut self.cvm.machine, cpu, sandbox, cause)
+            .map_err(|_| SysError::Fault)?;
+        // Back to user mode: `sysret` after a syscall, otherwise `iret`
+        // into the interrupted (possibly restored) context.
+        if cause == ExitCause::Syscall {
+            self.cvm.machine.sysret(cpu)
+        } else {
+            self.ensure_current(pid)?;
+            self.cvm.machine.iret(cpu, interrupted)
+        }
+        .map_err(|_| SysError::Fault)?;
+        Ok(rax)
+    }
+
+    /// Run `access` in user mode for `pid` up to `attempts` times,
+    /// faulting in each page it finds missing (a reclaim pass may take a
+    /// page between two attempts).
+    fn faulting_in(
+        &mut self,
+        pid: Pid,
+        kind: AccessKind,
+        attempts: usize,
+        mut access: impl FnMut(&mut Machine, usize) -> Result<(), Fault>,
+    ) -> Result<(), SysError> {
+        for _attempt in 0..attempts {
+            match access(&mut self.cvm.machine, self.driver.cpu) {
                 Ok(()) => return Ok(()),
                 Err(Fault::PageFault {
                     reason: PfReason::NotPresent,
-                    va: fva,
+                    va,
                     ..
                 }) => {
-                    self.handle_user_pf(pid, fva, write)?;
-                    self.enter_user(pid);
+                    let write = kind == AccessKind::Write;
+                    let cause = ExitCause::PageFault { va, access: kind };
+                    self.take_exit(pid, cause, |kernel, hw| {
+                        kernel
+                            .handle_page_fault(hw, pid, va, write)
+                            .map(|()| 0)
+                            .map_err(|_| SysError::Fault)
+                    })?;
+                    self.enter_user();
                 }
                 Err(_) => return Err(SysError::Fault),
             }
         }
         Err(SysError::Fault)
+    }
+
+    fn user_access(&mut self, pid: Pid, va: u64, kind: AccessKind) -> Result<(), SysError> {
+        self.resume_user(pid)?;
+        self.faulting_in(pid, kind, 64, |machine, cpu| {
+            machine.probe(cpu, VirtAddr(va), kind)
+        })
+    }
+
+    /// A user-mode copy of `len` bytes at `va`: every page is touched
+    /// (and faulted in) first, then `copy` runs.
+    fn copy_user(
+        &mut self,
+        pid: Pid,
+        va: u64,
+        len: usize,
+        kind: AccessKind,
+        copy: impl FnMut(&mut Machine, usize) -> Result<(), Fault>,
+    ) -> Result<(), SysError> {
+        if len == 0 {
+            return Ok(());
+        }
+        let mut page = VirtAddr(va).page_base().0;
+        let end = va + len as u64 - 1;
+        while page <= end {
+            self.user_access(pid, page, kind)?;
+            page += erebor_hw::PAGE_SIZE as u64;
+        }
+        self.enter_user();
+        self.faulting_in(pid, kind, 4, copy)
     }
 }
 
@@ -1039,7 +1014,7 @@ impl Platform {
         // Stage 1: parse and cross-validate everything. No `self` writes.
         let root_seed =
             <[u8; 32]>::from_wire(snap.section(section::ROOT_SEED, "missing root seed")?)?;
-        let machine = erebor_hw::cpu::Machine::import_state(
+        let machine = Machine::import_state(
             snap.section(section::MACHINE, "missing machine section")?,
             &snap.pages,
         )?;
@@ -1137,9 +1112,7 @@ impl Sys for ProcHandle<'_> {
     fn syscall(&mut self, syscall_nr: u64, args: [u64; 6]) -> Result<u64, SysError> {
         let p = &mut *self.platform;
         let pid = self.pid;
-        p.tick(pid)?;
-        p.ensure_current(pid)?;
-        p.enter_user(pid);
+        p.resume_user(pid)?;
         // Linux register convention: rax=nr, rdi/rsi/rdx/r10/r8/r9.
         {
             let ctx = &mut p.cvm.machine.cpus[p.driver.cpu].ctx;
@@ -1151,30 +1124,9 @@ impl Sys for ProcHandle<'_> {
             ctx.gpr[8] = args[4];
             ctx.gpr[9] = args[5];
         }
-        p.cvm
-            .machine
-            .syscall(p.driver.cpu)
-            .map_err(|_| SysError::Fault)?;
-        let sandbox = p.sandbox_of(pid);
-        let rax = if p.cvm.monitor.cfg.monitor_present() && p.cvm.monitor.cfg.exit_protection() {
-            let decision =
-                p.cvm
-                    .monitor
-                    .on_syscall(&mut p.cvm.machine, &mut p.cvm.tdx, p.driver.cpu, sandbox);
-            match decision {
-                ExitDecision::ForwardToKernel { .. } => {
-                    p.in_kernel(|kernel, hw| kernel.handle_syscall(hw, pid, syscall_nr, args))
-                }
-                ExitDecision::Handled { rax } => rax,
-                ExitDecision::Killed { reason } => return Err(SysError::Killed(reason)),
-            }
-        } else {
-            p.in_kernel(|kernel, hw| kernel.handle_syscall(hw, pid, syscall_nr, args))
-        };
-        p.cvm
-            .machine
-            .sysret(p.driver.cpu)
-            .map_err(|_| SysError::Fault)?;
+        let rax = p.take_exit(pid, ExitCause::Syscall, |kernel, hw| {
+            Ok(kernel.handle_syscall(hw, pid, syscall_nr, args))
+        })?;
         let signed = rax as i64;
         if (-4095..0).contains(&signed) {
             return Err(SysError::Errno(signed));
@@ -1183,68 +1135,30 @@ impl Sys for ProcHandle<'_> {
     }
 
     fn touch(&mut self, va: u64, write: bool) -> Result<(), SysError> {
-        self.platform.user_access(self.pid, va, write)
+        let kind = if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        self.platform.user_access(self.pid, va, kind)
     }
 
     fn read_mem(&mut self, va: u64, buf: &mut [u8]) -> Result<(), SysError> {
-        if buf.is_empty() {
-            return Ok(());
-        }
-        let p = &mut *self.platform;
-        let pid = self.pid;
-        let mut page = VirtAddr(va).page_base().0;
-        let end = va + buf.len() as u64 - 1;
-        while page <= end {
-            p.user_access(pid, page, false)?;
-            page += erebor_hw::PAGE_SIZE as u64;
-        }
-        p.enter_user(pid);
-        for _retry in 0..4 {
-            match p.cvm.machine.read(p.driver.cpu, VirtAddr(va), buf) {
-                Ok(()) => return Ok(()),
-                Err(Fault::PageFault {
-                    reason: PfReason::NotPresent,
-                    va: fva,
-                    ..
-                }) => {
-                    // A reclaim pass raced the copy; fault the page back.
-                    p.handle_user_pf(pid, fva, false)?;
-                    p.enter_user(pid);
-                }
-                Err(_) => return Err(SysError::Fault),
-            }
-        }
-        Err(SysError::Fault)
+        let len = buf.len();
+        self.platform
+            .copy_user(self.pid, va, len, AccessKind::Read, |machine, cpu| {
+                machine.read(cpu, VirtAddr(va), buf)
+            })
     }
 
     fn write_mem(&mut self, va: u64, data: &[u8]) -> Result<(), SysError> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        let p = &mut *self.platform;
-        let pid = self.pid;
-        let mut page = VirtAddr(va).page_base().0;
-        let end = va + data.len() as u64 - 1;
-        while page <= end {
-            p.user_access(pid, page, true)?;
-            page += erebor_hw::PAGE_SIZE as u64;
-        }
-        p.enter_user(pid);
-        for _retry in 0..4 {
-            match p.cvm.machine.write(p.driver.cpu, VirtAddr(va), data) {
-                Ok(()) => return Ok(()),
-                Err(Fault::PageFault {
-                    reason: PfReason::NotPresent,
-                    va: fva,
-                    ..
-                }) => {
-                    p.handle_user_pf(pid, fva, true)?;
-                    p.enter_user(pid);
-                }
-                Err(_) => return Err(SysError::Fault),
-            }
-        }
-        Err(SysError::Fault)
+        self.platform.copy_user(
+            self.pid,
+            va,
+            data.len(),
+            AccessKind::Write,
+            |machine, cpu| machine.write(cpu, VirtAddr(va), data),
+        )
     }
 
     fn compute(&mut self, units: u64) -> Result<(), SysError> {
@@ -1262,71 +1176,15 @@ impl Sys for ProcHandle<'_> {
     fn cpuid(&mut self, leaf: u32) -> Result<u32, SysError> {
         let p = &mut *self.platform;
         let pid = self.pid;
-        p.tick(pid)?;
-        p.ensure_current(pid)?;
-        p.enter_user(pid);
-        let (_handler, saved) = p
-            .cvm
-            .tdx
-            .inject_ve(&mut p.cvm.machine, p.driver.cpu, VeReason::Cpuid)
-            .map_err(|_| SysError::Fault)?;
-        let cfg = p.cvm.monitor.cfg;
-        let eax = if cfg.monitor_present() {
-            // Without exit interposition the #VE reaches the kernel's
-            // handler directly.
-            let decision = if cfg.exit_protection() {
-                let sandbox = p.sandbox_of(pid);
-                p.cvm.monitor.on_ve(
-                    &mut p.cvm.machine,
-                    &mut p.cvm.tdx,
-                    p.driver.cpu,
-                    sandbox,
-                    VeReason::Cpuid,
-                    leaf,
-                )
-            } else {
-                ExitDecision::ForwardToKernel {
-                    handler: erebor_kernel::entry::VE,
-                }
-            };
-            match decision {
-                ExitDecision::Handled { rax } => rax as u32,
-                ExitDecision::Killed { reason } => return Err(SysError::Killed(reason)),
-                ExitDecision::ForwardToKernel { .. } => {
-                    // The kernel's #VE handler delegates the GHCI round
-                    // trip to the monitor.
-                    p.in_kernel(|kernel, hw| kernel.handle_ve_native(hw));
-                    match p.cvm.monitor.emc(
-                        &mut p.cvm.machine,
-                        &mut p.cvm.tdx,
-                        p.driver.cpu,
-                        EmcRequest::CpuidEmulate { leaf },
-                    ) {
-                        Ok(EmcResponse::Cpuid(v)) => v[0],
-                        _ => 0,
-                    }
-                }
-            }
-        } else {
-            // Native CVM: the privileged kernel performs the tdcall itself.
-            p.as_kernel(|kernel, hw| {
-                kernel.handle_ve_native(hw);
-                match tdcall(
-                    hw.tdx,
-                    hw.machine,
-                    hw.cpu,
-                    TdcallLeaf::VmCall(VmcallOp::Cpuid { leaf }),
-                ) {
-                    Ok(TdcallResult::Cpuid(v)) => v[0],
-                    _ => 0,
-                }
-            })
+        p.resume_user(pid)?;
+        let cause = ExitCause::Ve {
+            reason: VeReason::Cpuid,
+            leaf,
         };
-        p.cvm
-            .machine
-            .iret(p.driver.cpu, saved)
-            .map_err(|_| SysError::Fault)?;
-        Ok(eax)
+        let eax = p.take_exit(pid, cause, |kernel, hw| {
+            Ok(u64::from(kernel.handle_ve(hw, leaf)))
+        })?;
+        Ok(eax as u32)
     }
 
     fn cycles(&self) -> u64 {

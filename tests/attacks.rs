@@ -11,7 +11,7 @@ use erebor::{Mode, Platform, ServiceInstance};
 use erebor_core::channel::Client;
 use erebor_core::emc::{EmcError, EmcRequest};
 use erebor_core::monitor::SYS_IOCTL;
-use erebor_core::sandbox::{ExitDecision, SandboxState};
+use erebor_core::sandbox::{ExitCause, ExitDecision, SandboxState};
 use erebor_hw::fault::{Fault, PfReason, VeReason};
 use erebor_hw::layout::direct_map;
 use erebor_hw::regs::Msr;
@@ -91,14 +91,15 @@ fn av1_kernel_sees_scrubbed_registers_at_interrupts() {
     // Sandbox computes on the secret; registers hold pieces of it.
     p.cvm.machine.cpus[0].ctx.gpr[3] = u64::from_le_bytes(SECRET[..8].try_into().unwrap());
     let saved = p.cvm.machine.cpus[0].ctx;
-    let decision = p.cvm.monitor.on_interrupt(
+    let decision = p.cvm.monitor.on_exit(
         &mut p.cvm.machine,
+        &mut p.cvm.tdx,
         0,
         Some(svc.sandbox),
-        erebor_hw::idt::vector::TIMER,
+        ExitCause::Interrupt(erebor_hw::idt::vector::TIMER),
         saved,
     );
-    assert!(matches!(decision, ExitDecision::ForwardToKernel { .. }));
+    assert_eq!(decision, ExitDecision::ForwardToKernel);
     assert!(p.cvm.machine.cpus[0].ctx.is_scrubbed());
     // The TDX module additionally scrubs what the *host* sees at the
     // async exit.
@@ -209,13 +210,17 @@ fn av2_sandbox_hypercall_attempt_kills_sandbox() {
     let (mut p, svc, _client) = deployed();
     // A #VE-class synchronous exit that is not cpuid (e.g. an MSR probe
     // trying to marshal data to the host).
-    let decision = p.cvm.monitor.on_ve(
+    let interrupted = p.cvm.machine.cpus[0].ctx;
+    let decision = p.cvm.monitor.on_exit(
         &mut p.cvm.machine,
         &mut p.cvm.tdx,
         0,
         Some(svc.sandbox),
-        VeReason::MsrAccess,
-        0,
+        ExitCause::Ve {
+            reason: VeReason::MsrAccess,
+            leaf: 0,
+        },
+        interrupted,
     );
     assert!(
         matches!(decision, ExitDecision::Killed { .. }),

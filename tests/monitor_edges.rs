@@ -3,8 +3,8 @@
 
 use erebor::{Mode, Platform};
 use erebor_core::emc::{EmcError, EmcRequest, EmcResponse};
-use erebor_core::sandbox::ExitDecision;
-use erebor_hw::fault::Fault;
+use erebor_core::sandbox::{ExitCause, ExitDecision};
+use erebor_hw::fault::{AccessKind, Fault};
 use erebor_hw::inject::{handle, InjectionPoint, Injector};
 use erebor_hw::layout::{KERNEL_BASE, MONITOR_BASE};
 use erebor_hw::paging::lookup_raw;
@@ -285,10 +285,18 @@ fn faulted_reclaim_keeps_the_mapping_listed_for_the_seal() {
         },
     )
     .expect("attach");
-    let decision = p
-        .cvm
-        .monitor
-        .on_page_fault(&mut p.cvm.machine, 0, sid, va, true);
+    let interrupted = p.cvm.machine.cpus[0].ctx;
+    let decision = p.cvm.monitor.on_exit(
+        &mut p.cvm.machine,
+        &mut p.cvm.tdx,
+        0,
+        Some(sid),
+        ExitCause::PageFault {
+            va,
+            access: AccessKind::Write,
+        },
+        interrupted,
+    );
     assert!(
         matches!(decision, ExitDecision::Handled { .. }),
         "{decision:?}"

@@ -8,6 +8,7 @@ use erebor_core::config::ExecConfig;
 use erebor_core::emc::{EmcError, EmcRequest};
 use erebor_core::monitor::LoadError;
 use erebor_core::policy;
+use erebor_core::sandbox::{ExitCause, ExitDecision};
 use erebor_core::BootError;
 use erebor_hw::cpu::Domain;
 use erebor_hw::fault::{Fault, PfReason};
@@ -440,17 +441,16 @@ fn c8_registers_scrubbed_at_sandbox_interrupts() {
     // Simulate the sandbox running with secrets in registers.
     p.cvm.machine.cpus[0].ctx.gpr = [0x5ec2e7; 16];
     let saved = p.cvm.machine.cpus[0].ctx;
-    let decision = p.cvm.monitor.on_interrupt(
+    let cause = ExitCause::Interrupt(erebor_hw::idt::vector::TIMER);
+    let decision = p.cvm.monitor.on_exit(
         &mut p.cvm.machine,
+        &mut p.cvm.tdx,
         0,
         Some(svc.sandbox),
-        erebor_hw::idt::vector::TIMER,
+        cause,
         saved,
     );
-    assert!(matches!(
-        decision,
-        erebor_core::sandbox::ExitDecision::ForwardToKernel { .. }
-    ));
+    assert_eq!(decision, ExitDecision::ForwardToKernel);
     // What the kernel sees: zeros.
     assert!(
         p.cvm.machine.cpus[0].ctx.is_scrubbed(),
@@ -459,7 +459,7 @@ fn c8_registers_scrubbed_at_sandbox_interrupts() {
     // Resume restores the true context.
     p.cvm
         .monitor
-        .resume_sandbox(&mut p.cvm.machine, 0, svc.sandbox)
+        .on_exit_return(&mut p.cvm.machine, 0, Some(svc.sandbox), cause)
         .expect("resume");
     assert_eq!(p.cvm.machine.cpus[0].ctx.gpr[0], 0x5ec2e7);
 }
