@@ -74,8 +74,8 @@ const FIG8: [(&str, f64, f64); 8] = [
     ("write", 744.0, 2790.0),
     ("sig-install", 610.0, 1434.0),
     ("sig-catch", 610.0, 1434.0),
-    ("mmap", 3098.1782945736436, 8075.604651162791),
-    ("pagefault", 1761.638671875, 5237.2265625),
+    ("mmap", 3098.1782945736436, 8107.604651162791),
+    ("pagefault", 1761.638671875, 5269.2265625),
     ("fork", 6684.0, 65601.21875),
 ];
 
@@ -102,22 +102,22 @@ fn fig8_rows_are_pinned() {
 /// average, −18 % and −17.6 % at the smallest files.
 #[rustfmt::skip]
 const FIG10: [(&str, u64, f64, f64); 16] = [
-    ("openssh", 1024, 0.020077417967337585, 0.016449777519745988),
-    ("openssh", 4096, 0.05636668058395412, 0.0476764864926185),
-    ("openssh", 16384, 0.10262859165778111, 0.09108137570161941),
-    ("openssh", 65536, 0.12801896863090348, 0.1137411907812423),
-    ("openssh", 262144, 0.13647310713365, 0.12146171474613326),
-    ("openssh", 1048576, 0.13876247261782992, 0.12353205184181087),
-    ("openssh", 4194304, 0.1393492536760783, 0.12410107672885787),
-    ("openssh", 16777216, 0.13948820791708064, 0.12414210636333871),
-    ("nginx", 1024, 0.021858018269935987, 0.017617364136032147),
-    ("nginx", 4096, 0.07289289795872969, 0.06012573941128294),
-    ("nginx", 16384, 0.17462631262089517, 0.15056325565816017),
-    ("nginx", 65536, 0.26759884353872354, 0.23985841373152225),
-    ("nginx", 262144, 0.3074506818950989, 0.2771355364215325),
-    ("nginx", 1048576, 0.3193113089780374, 0.28821996502356517),
-    ("nginx", 4194304, 0.32245092916257323, 0.29089237277690594),
-    ("nginx", 16777216, 0.32322749392342737, 0.29157440164040077),
+    ("openssh", 1024, 0.020077417967337585, 0.01644951327088504),
+    ("openssh", 4096, 0.05636668058395412, 0.047675723457924896),
+    ("openssh", 16384, 0.10262859165778111, 0.09107998329756738),
+    ("openssh", 65536, 0.12801896863090348, 0.1137394388490902),
+    ("openssh", 262144, 0.13647310713365, 0.1214598575995076),
+    ("openssh", 1048576, 0.13876247261782992, 0.12353015995086924),
+    ("openssh", 4194304, 0.1393492536760783, 0.12409918205586062),
+    ("openssh", 16777216, 0.13948820791708064, 0.12414019574045598),
+    ("nginx", 1024, 0.021858018269935987, 0.01761709892998624),
+    ("nginx", 4096, 0.07289289795872969, 0.0601248568303567),
+    ("nginx", 16384, 0.17462631262089517, 0.1505610073029001),
+    ("nginx", 65536, 0.26759884353872354, 0.23985479257431017),
+    ("nginx", 262144, 0.3074506818950989, 0.2771313614565653),
+    ("nginx", 1048576, 0.3193113089780374, 0.28821560785528855),
+    ("nginx", 4194304, 0.32245092916257323, 0.29088793443435346),
+    ("nginx", 16777216, 0.32322749392342737, 0.29156994246125395),
 ];
 
 #[test]

@@ -1490,8 +1490,10 @@ impl Monitor {
         })
     }
 
-    /// The return half of an exit, once the kernel's handler is done:
-    /// the `#INT` gate's return half and the sandbox's protected context.
+    /// The return half of an exit, once the kernel's handler is done.
+    /// Every exit that took the `#INT` gate's entry half (an interrupt,
+    /// or a plain process's page fault, under exit protection) takes its
+    /// return half here, and a sandbox gets its protected context back.
     ///
     /// # Errors
     /// MSR faults from the gate restore.
@@ -1502,19 +1504,19 @@ impl Monitor {
         sandbox: Option<SandboxId>,
         cause: ExitCause,
     ) -> Result<(), Fault> {
-        let Some(id) = sandbox else {
-            return Ok(());
+        // The exits `on_exit` sends through `interrupt_exit`.
+        let gated = match cause {
+            ExitCause::Interrupt(_) => true,
+            ExitCause::PageFault { .. } => sandbox.is_none(),
+            ExitCause::Syscall | ExitCause::Ve { .. } => false,
         };
-        if !matches!(cause, ExitCause::Interrupt(_)) || !self.interposes(sandbox, cause) {
+        if !gated || !self.interposes(sandbox, cause) {
             return Ok(());
         }
         machine.charged_to(Bucket::Monitor, |machine| {
             self.gate.interrupt_return(machine, cpu)?;
-            if let Some(ctx) = self
-                .sandboxes
-                .get_mut(&id.0)
-                .and_then(|s| s.saved_ctx.take())
-            {
+            let saved = sandbox.and_then(|id| self.sandboxes.get_mut(&id.0)?.saved_ctx.take());
+            if let Some(ctx) = saved {
                 machine.cycles.charge(machine.costs.ctx_protect);
                 machine.cpus[cpu].ctx = ctx;
             }

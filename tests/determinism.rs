@@ -321,8 +321,8 @@ fn every_exit_path_is_pinned_per_mode() {
         (Mode::Native, 0x34f6_59b9_c635_1072),
         (Mode::LibOsOnly, 0x34f6_59b9_c635_1072),
         (Mode::LibOsMmu, 0x2a32_d645_98d2_ebc8),
-        (Mode::LibOsExit, 0xe923_a1b8_63e4_7f1f),
-        (Mode::Full, 0xf04c_8f72_e413_4f5e),
+        (Mode::LibOsExit, 0x45d8_1984_c450_adc6),
+        (Mode::Full, 0x7210_e7af_abb6_79ea),
     ];
     let got: Vec<(Mode, u64)> = pinned
         .iter()

@@ -570,9 +570,9 @@ fn section_bytes_are_pinned_for_this_format_version() {
         (
             BackendKind::Pks,
             [
-                (1, 23591, 12134057846831652736),
+                (1, 23591, 7899688398526703296),
                 (3, 307850, 5416116987153895050),
-                (5, 298657, 8725284108965726668),
+                (5, 298657, 12461894288582735975),
                 (6, 1310, 13456845851439787651),
                 (7, 8, 12161962213042174405),
                 (8, 32, 13151605024471147127),
@@ -582,9 +582,9 @@ fn section_bytes_are_pinned_for_this_format_version() {
         (
             BackendKind::TmeMk,
             [
-                (1, 25031, 13923369410957646973),
+                (1, 25031, 16606866781555260541),
                 (3, 307850, 5416116987153895050),
-                (5, 298656, 12259255290233523018),
+                (5, 298656, 9937516761332963437),
                 (6, 1310, 13456845851439787651),
                 (7, 8, 12161962213042174405),
                 (8, 32, 13151605024471147127),

@@ -1,6 +1,8 @@
 //! EMC dispatcher edge cases: malformed and boundary requests the
 //! (untrusted) kernel can submit.
 
+use erebor::ekernel::nr;
+use erebor::elibos::api::Sys;
 use erebor::{Mode, Platform};
 use erebor_core::emc::{EmcError, EmcRequest, EmcResponse};
 use erebor_core::sandbox::{ExitCause, ExitDecision};
@@ -337,4 +339,46 @@ fn emc_denied_entirely_without_monitor() {
     let mut p = Platform::boot(Mode::Native).expect("boot");
     let err = emc(&mut p, EmcRequest::Nop).expect_err("no monitor");
     assert!(matches!(err, EmcError::Denied(_)));
+}
+
+/// The `#INT` gate's two halves pair: once a trap has returned, the
+/// gate's interrupt depth equals the hardware's. Checked after a plain
+/// process's first-touch faults and timer ticks, and after sandbox
+/// requests, in both modes that interpose interrupts.
+#[test]
+fn int_gate_depth_pairs_with_the_hardware_depth() {
+    let depths = |p: &Platform| {
+        let cpu = p.active_cpu();
+        (
+            p.cvm.monitor.gate.int_depth(cpu),
+            p.cvm.machine.interrupt_depth(cpu),
+        )
+    };
+    for mode in [Mode::LibOsExit, Mode::Full] {
+        let mut p = Platform::boot(mode).expect("boot");
+        let quantum = p.cvm.monitor.cfg.timer_quantum_cycles;
+        let pid = p.spawn_native().expect("spawn");
+        let mut proc = p.proc(pid);
+        let base = proc
+            .syscall(nr::MMAP, [0, 4 * 4096, 3, 0, 0, 0])
+            .expect("mmap");
+        for page in 0..4 {
+            proc.touch(base + page * 4096, true).expect("first touch");
+        }
+        proc.compute(3 * quantum).expect("compute");
+        let (gate, hw) = depths(&p);
+        assert_eq!(gate, hw, "{mode:?}: plain process, gate vs hardware");
+
+        let mut p = Platform::boot(mode).expect("boot");
+        let mut svc = p
+            .deploy(Box::new(HelloWorld::default()), 4096)
+            .expect("deploy");
+        let mut client = p.connect_client(&svc, [4; 32]).expect("attest");
+        for _ in 0..3 {
+            p.serve_request(&mut svc, &mut client, b"x").expect("serve");
+            p.proc(svc.pid).compute(quantum).expect("compute");
+        }
+        let (gate, hw) = depths(&p);
+        assert_eq!(gate, hw, "{mode:?}: sandbox requests, gate vs hardware");
+    }
 }
