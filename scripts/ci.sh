@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh          build + workspace clippy + warning-free
 #                          rustdoc + every workspace crate's tests +
-#                          the source lint (the tier-1 gate)
+#                          the source lint + the privilege-separation
+#                          auditor (the tier-1 gate)
 #   scripts/ci.sh --smoke  additionally run the benchmark package's own
 #                          tests (it is a separate workspace that reads
 #                          Snapshot and the counter structs, so nothing
@@ -24,13 +25,8 @@
 #                          require byte-identical JSON (its schema and
 #                          attribution sums are asserted by
 #                          tests/determinism.rs in the default gate).
-#   scripts/ci.sh --analyze  additionally run the static-analysis
-#                          passes: the privilege-separation auditor over
-#                          the whole workspace source (zero findings
-#                          against the DESIGN.md §14 manifest, zero
-#                          waivers — a priv:allow comment that
-#                          suppresses anything fails the stage), the
-#                          analyze bench (state auditor over the boot
+#   scripts/ci.sh --analyze  additionally run the analysis passes:
+#                          the analyze bench (state auditor over the boot
 #                          snapshot with zero findings and bounded
 #                          work), the red-team auditor/race-detector
 #                          suite, and a 100-case chaos campaign audited
@@ -148,6 +144,19 @@ check_json() {
     fi
 }
 
+# The privilege-separation auditor is part of the default gate too: zero
+# findings against the DESIGN.md §14 manifest and zero waivers (a
+# priv:allow comment that suppresses anything fails the stage), so code
+# that moves across the trust boundary is checked on every run.
+echo "==> privilege: cargo run --release -p erebor-analyze --bin privilege (zero findings, zero waivers)"
+if ! priv_raw="$(cargo run --release -q -p erebor-analyze --bin privilege)"; then
+    # Re-print the findings the capture swallowed before failing.
+    printf '%s\n' "$priv_raw" >&2
+    echo "error: privilege boundary violated (see findings above)" >&2
+    exit 1
+fi
+check_json "$(extract_json "$priv_raw" "privilege")" "privilege"
+
 if [[ "$CHAOS" == 1 ]]; then
     # Fixed-seed fault-injection campaign (see DESIGN.md §"Chaos" and
     # EXPERIMENTS.md). The budget is deliberately explicit so CI always
@@ -203,28 +212,17 @@ if [[ "$SMOKE" == 1 ]]; then
 fi
 
 if [[ "$ANALYZE" == 1 ]]; then
-    # Static-analysis stage (see DESIGN.md §9 and §14). Four passes:
-    #   1. the privilege-separation auditor over the whole workspace
-    #      source — zero findings against the declared manifest and zero
-    #      effective waivers (the bin exits non-zero on either);
-    #   2. the analyze bench — state auditor over a freshly booted Full
+    # Analysis stage (see DESIGN.md §9; the privilege auditor of §14
+    # runs in the default gate above). Three passes:
+    #   1. the analyze bench — state auditor over a freshly booted Full
     #      snapshot with zero findings and its walked state under a
     #      fixed simulated-work budget (so the per-chaos-case audit
     #      stays cheap), and the privilege scan under its line budget;
-    #   3. the red-team suite (tests/analyze.rs): one corrupted snapshot
+    #   2. the red-team suite (tests/analyze.rs): one corrupted snapshot
     #      per auditor check asserting exactly that finding, plus the
     #      synthetic and end-to-end stale-TLB races;
-    #   4. a fixed-seed chaos campaign audited after every step, with
+    #   3. a fixed-seed chaos campaign audited after every step, with
     #      the happens-before race detector run over each case's trace.
-    echo "==> analyze: privilege-separation auditor (zero findings, zero waivers)"
-    if ! priv_raw="$(cargo run --release -q -p erebor-analyze --bin privilege)"; then
-        # Re-print the findings the capture swallowed before failing.
-        printf '%s\n' "$priv_raw" >&2
-        echo "error: privilege boundary violated (see findings above)" >&2
-        exit 1
-    fi
-    check_json "$(extract_json "$priv_raw" "privilege")" "privilege"
-
     echo "==> analyze: cargo bench analyze (auditor budget)"
     EREBOR_BENCH_SMOKE=1 cargo bench -p erebor-bench --bench analyze >/dev/null
 
