@@ -208,8 +208,9 @@ impl EmcGate {
     /// core is inside an EMC, save the elevated PKRS onto the secure stack
     /// and revoke it before the OS handler runs.
     ///
-    /// Must be invoked by the platform's interrupt interposer *before*
-    /// transferring to any kernel handler. Idempotent outside EMCs.
+    /// The monitor's exit entry invokes it *before* transferring to any
+    /// kernel handler, and pairs every successful entry with
+    /// [`EmcGate::interrupt_return`]. Idempotent outside EMCs.
     ///
     /// # Errors
     /// Propagates MSR faults.
