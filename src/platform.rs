@@ -594,20 +594,17 @@ impl Platform {
     }
 
     /// Bring `pid` back to user mode on the driving core: deliver the
-    /// timer ticks that are due, schedule it, and enter ring 3.
+    /// timer ticks that are due, schedule it, and enter ring 3 under the
+    /// sandbox bucket.
     fn resume_user(&mut self, pid: Pid) -> Result<(), SysError> {
         self.tick(pid)?;
         self.ensure_current(pid)?;
-        self.enter_user();
-        Ok(())
-    }
-
-    fn enter_user(&mut self) {
         let c = &mut self.cvm.machine.cpus[self.driver.cpu];
         c.mode = CpuMode::User;
         c.domain = Domain::User;
         c.ctx.rip = USER_RIP;
         self.cvm.machine.cycles.set_bucket(Bucket::Sandbox);
+        Ok(())
     }
 
     /// Deliver the APIC timer for every quantum that has elapsed, running
@@ -744,13 +741,13 @@ impl Platform {
                 }) => {
                     let write = kind == AccessKind::Write;
                     let cause = ExitCause::PageFault { va, access: kind };
+                    // The exit's `iret` resumes the access in user mode.
                     self.take_exit(pid, cause, |kernel, hw| {
                         kernel
                             .handle_page_fault(hw, pid, va, write)
                             .map(|()| 0)
                             .map_err(|_| SysError::Fault)
                     })?;
-                    self.enter_user();
                 }
                 Err(_) => return Err(SysError::Fault),
             }
@@ -766,7 +763,7 @@ impl Platform {
     }
 
     /// A user-mode copy of `len` bytes at `va`: every page is touched
-    /// (and faulted in) first, then `copy` runs.
+    /// (and faulted in) first, then `copy` runs, still in user mode.
     fn copy_user(
         &mut self,
         pid: Pid,
@@ -784,7 +781,6 @@ impl Platform {
             self.user_access(pid, page, kind)?;
             page += erebor_hw::PAGE_SIZE as u64;
         }
-        self.enter_user();
         self.faulting_in(pid, kind, 4, copy)
     }
 }
