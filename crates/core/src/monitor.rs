@@ -1181,6 +1181,95 @@ impl Monitor {
         Ok(())
     }
 
+    /// A sandbox's page fault: demand-map attached common pages; any
+    /// other fault after data install is a policy violation (confined
+    /// memory is pinned, so a fault there cannot be benign).
+    fn common_fault(
+        &mut self,
+        machine: &mut Machine,
+        cpu: usize,
+        id: SandboxId,
+        va: VirtAddr,
+        write: bool,
+    ) -> ExitDecision {
+        self.stats.sandbox_pf_exits = self.stats.sandbox_pf_exits.saturating_add(1);
+        let Some(sandbox) = self.sandboxes.get(&id.0) else {
+            return ExitDecision::Killed {
+                reason: "no such sandbox",
+            };
+        };
+        let root = sandbox.root;
+        let state = sandbox.state;
+        // Locate the attached common region containing the fault address.
+        let hit = sandbox
+            .attached_common
+            .iter()
+            .copied()
+            .find_map(|(rid, base)| {
+                let region = self.common_regions.get(&rid)?;
+                let size = (region.frames.len() * PAGE_SIZE) as u64;
+                (va.0 >= base.0 && va.0 < base.0 + size).then_some((rid, base))
+            });
+        let Some((rid, base)) = hit else {
+            if state == SandboxState::DataLoaded {
+                return self.killed(machine, id, "stray page fault after data install");
+            }
+            // During setup, confined declarations handle memory; a stray
+            // fault forwards to the kernel like any process fault.
+            return forward(
+                self.vec_handlers[idt::vector::PF as usize],
+                "no #PF handler",
+            );
+        };
+        let Some(region) = self.common_regions.get(&rid) else {
+            return ExitDecision::Killed {
+                reason: "attached common region vanished",
+            };
+        };
+        let sealed = region.sealed;
+        if sealed && write {
+            return self.killed(machine, id, "write to sealed common memory");
+        }
+        let page = va.page_base();
+        let idx = ((page.0 - base.0) / PAGE_SIZE as u64) as usize;
+        let frame = region.frames[idx];
+        let flags = if sealed {
+            PteFlags::user_ro()
+        } else {
+            PteFlags::user_rw()
+        };
+        // Materialize the mapping with monitor privileges (the interposer
+        // raises PKRS exactly like the EMC gate).
+        let mapped = privileged(machine, cpu, |machine| {
+            mmu_guard::checked_map(
+                machine,
+                cpu,
+                &mut self.frames,
+                self.kernel_root,
+                root,
+                page,
+                Pte::encode(frame, flags),
+            )
+        });
+        let Ok(res) = mapped else {
+            return ExitDecision::Killed {
+                reason: "interposer privilege fault",
+            };
+        };
+        match res {
+            Ok(()) => {
+                self.frames.inc_map(frame);
+                self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
+                machine.cycles.charge(machine.costs.pf_fixed);
+                if let Some(s) = self.sandboxes.get_mut(&id.0) {
+                    s.common_mapped.push((rid, page));
+                }
+                ExitDecision::Handled { rax: 0 }
+            }
+            Err(_) => self.killed(machine, id, "common mapping failed"),
+        }
+    }
+
     /// Seal a common region: every mapping in every sandbox becomes
     /// read-only, forever (done automatically when the first attached
     /// sandbox receives client data, §6.1).
@@ -1600,95 +1689,6 @@ impl Monitor {
             }
         }
         forward(self.vec_handlers[vec as usize], "unregistered vector")
-    }
-
-    /// A sandbox's page fault: demand-map attached common pages; any
-    /// other fault after data install is a policy violation (confined
-    /// memory is pinned, so a fault there cannot be benign).
-    fn common_fault(
-        &mut self,
-        machine: &mut Machine,
-        cpu: usize,
-        id: SandboxId,
-        va: VirtAddr,
-        write: bool,
-    ) -> ExitDecision {
-        self.stats.sandbox_pf_exits = self.stats.sandbox_pf_exits.saturating_add(1);
-        let Some(sandbox) = self.sandboxes.get(&id.0) else {
-            return ExitDecision::Killed {
-                reason: "no such sandbox",
-            };
-        };
-        let root = sandbox.root;
-        let state = sandbox.state;
-        // Locate the attached common region containing the fault address.
-        let hit = sandbox
-            .attached_common
-            .iter()
-            .copied()
-            .find_map(|(rid, base)| {
-                let region = self.common_regions.get(&rid)?;
-                let size = (region.frames.len() * PAGE_SIZE) as u64;
-                (va.0 >= base.0 && va.0 < base.0 + size).then_some((rid, base))
-            });
-        let Some((rid, base)) = hit else {
-            if state == SandboxState::DataLoaded {
-                return self.killed(machine, id, "stray page fault after data install");
-            }
-            // During setup, confined declarations handle memory; a stray
-            // fault forwards to the kernel like any process fault.
-            return forward(
-                self.vec_handlers[idt::vector::PF as usize],
-                "no #PF handler",
-            );
-        };
-        let Some(region) = self.common_regions.get(&rid) else {
-            return ExitDecision::Killed {
-                reason: "attached common region vanished",
-            };
-        };
-        let sealed = region.sealed;
-        if sealed && write {
-            return self.killed(machine, id, "write to sealed common memory");
-        }
-        let page = va.page_base();
-        let idx = ((page.0 - base.0) / PAGE_SIZE as u64) as usize;
-        let frame = region.frames[idx];
-        let flags = if sealed {
-            PteFlags::user_ro()
-        } else {
-            PteFlags::user_rw()
-        };
-        // Materialize the mapping with monitor privileges (the interposer
-        // raises PKRS exactly like the EMC gate).
-        let mapped = privileged(machine, cpu, |machine| {
-            mmu_guard::checked_map(
-                machine,
-                cpu,
-                &mut self.frames,
-                self.kernel_root,
-                root,
-                page,
-                Pte::encode(frame, flags),
-            )
-        });
-        let Ok(res) = mapped else {
-            return ExitDecision::Killed {
-                reason: "interposer privilege fault",
-            };
-        };
-        match res {
-            Ok(()) => {
-                self.frames.inc_map(frame);
-                self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-                machine.cycles.charge(machine.costs.pf_fixed);
-                if let Some(s) = self.sandboxes.get_mut(&id.0) {
-                    s.common_mapped.push((rid, page));
-                }
-                ExitDecision::Handled { rax: 0 }
-            }
-            Err(_) => self.killed(machine, id, "common mapping failed"),
-        }
     }
 
     /// A `#VE`: `cpuid` from a sandbox holding client data is emulated
