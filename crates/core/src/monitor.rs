@@ -1538,6 +1538,23 @@ impl Monitor {
         }
     }
 
+    /// The IDT vector through which an interposed `cause` takes the
+    /// `#INT` gate, if it does: every interrupt, and a plain process's
+    /// page fault, an exception like any other (a sandbox's fault
+    /// demand-maps its common regions instead). [`Monitor::on_exit`]
+    /// runs the gate's entry half exactly when this holds, and
+    /// [`Monitor::on_exit_return`] its return half.
+    fn gate_vector(&self, sandbox: Option<SandboxId>, cause: ExitCause) -> Option<u8> {
+        if !self.interposes(sandbox, cause) {
+            return None;
+        }
+        match (cause, sandbox) {
+            (ExitCause::Interrupt(vec), _) => Some(vec),
+            (ExitCause::PageFault { .. }, None) => Some(idt::vector::PF),
+            _ => None,
+        }
+    }
+
     /// The monitor's one exit entry: every trap out of user mode lands
     /// here, with the context it interrupted. An exit this mode does not
     /// interpose goes straight to the kernel and costs the monitor
@@ -1560,29 +1577,25 @@ impl Monitor {
         }
         machine.charged_to(Bucket::Monitor, |machine| {
             self.charge_interpose(machine);
+            if let Some(vec) = self.gate_vector(sandbox, cause) {
+                return self.interrupt_exit(machine, cpu, sandbox, vec, interrupted);
+            }
             match (cause, sandbox) {
-                (ExitCause::Syscall, _) => self.syscall_exit(machine, cpu, sandbox),
-                (ExitCause::Interrupt(vec), _) => {
-                    self.interrupt_exit(machine, cpu, sandbox, vec, interrupted)
-                }
                 (ExitCause::PageFault { va, access }, Some(id)) => {
                     self.common_fault(machine, cpu, id, va, access == AccessKind::Write)
-                }
-                // A plain process's fault is an exception like any other.
-                (ExitCause::PageFault { .. }, None) => {
-                    self.interrupt_exit(machine, cpu, None, idt::vector::PF, interrupted)
                 }
                 (ExitCause::Ve { reason, leaf }, _) => {
                     self.ve_exit(machine, tdx, cpu, sandbox, reason, leaf)
                 }
+                // The gate took every interrupt and plain-process fault.
+                _ => self.syscall_exit(machine, cpu, sandbox),
             }
         })
     }
 
-    /// The return half of an exit, once the kernel's handler is done.
-    /// Every exit that took the `#INT` gate's entry half (an interrupt,
-    /// or a plain process's page fault, under exit protection) takes its
-    /// return half here, and a sandbox gets its protected context back.
+    /// The return half of an exit, once the kernel's handler is done:
+    /// an exit that took the `#INT` gate's entry half takes its return
+    /// half here, and a sandbox gets its protected context back.
     ///
     /// # Errors
     /// MSR faults from the gate restore.
@@ -1593,13 +1606,7 @@ impl Monitor {
         sandbox: Option<SandboxId>,
         cause: ExitCause,
     ) -> Result<(), Fault> {
-        // The exits `on_exit` sends through `interrupt_exit`.
-        let gated = match cause {
-            ExitCause::Interrupt(_) => true,
-            ExitCause::PageFault { .. } => sandbox.is_none(),
-            ExitCause::Syscall | ExitCause::Ve { .. } => false,
-        };
-        if !gated || !self.interposes(sandbox, cause) {
+        if self.gate_vector(sandbox, cause).is_none() {
             return Ok(());
         }
         machine.charged_to(Bucket::Monitor, |machine| {
@@ -1761,55 +1768,9 @@ impl Monitor {
         if data.len() > len {
             return Err("input buffer too small");
         }
-        self.confined_copy(machine, cpu, id, buf, CopyDir::ToUser, &mut data)?;
+        let root = self.confined_root(id, buf, data.len(), CopyDir::ToUser)?;
+        confined_copy(machine, cpu, root, buf, CopyDir::ToUser, &mut data)?;
         Ok(data.len())
-    }
-
-    /// The I/O channel's one copy between monitor memory and sandbox
-    /// `id`'s confined memory at `buf`: `data` goes in (`ToUser`) or is
-    /// filled from it (`FromUser`). The whole range must be the sandbox's
-    /// own confined memory: the monitor must never be tricked into
-    /// writing client data elsewhere or sealing other memory into the
-    /// client channel. The copy runs with monitor privileges under the
-    /// sandbox's CR3, `stac`-guarded.
-    fn confined_copy(
-        &mut self,
-        machine: &mut Machine,
-        cpu: usize,
-        id: SandboxId,
-        buf: VirtAddr,
-        dir: CopyDir,
-        data: &mut [u8],
-    ) -> Result<(), &'static str> {
-        let (unconfined, failed) = match dir {
-            CopyDir::ToUser => ("input buffer not confined", "confined write failed"),
-            CopyDir::FromUser => ("output buffer not confined", "output read failed"),
-        };
-        let s = self.sandboxes.get(&id.0).ok_or("no such sandbox")?;
-        let end = buf.add(data.len().max(1) as u64 - 1);
-        let mut page = buf.page_base();
-        while page.0 <= end.0 {
-            if !s.owns_va(page) {
-                return Err(unconfined);
-            }
-            page = page.add(PAGE_SIZE as u64);
-        }
-        let root = s.root;
-        privileged(machine, cpu, |machine| {
-            let saved_root = machine.cpus[cpu].cr3;
-            let res = machine
-                .write_cr3(cpu, root)
-                .and_then(|()| machine.stac(cpu))
-                .and_then(|()| match dir {
-                    CopyDir::ToUser => machine.write(cpu, buf, data),
-                    CopyDir::FromUser => machine.read(cpu, buf, data),
-                });
-            machine.clac(cpu).ok();
-            machine.write_cr3(cpu, saved_root).ok();
-            res
-        })
-        .map_err(|_| "privilege raise failed")?
-        .map_err(|_| failed)
     }
 
     /// Read sandbox output, pad to the configured quantum, seal it on the
@@ -1822,8 +1783,11 @@ impl Monitor {
         buf: VirtAddr,
         len: usize,
     ) -> Result<(), &'static str> {
+        // `len` is the sandbox's to choose: check the range before
+        // allocating for it.
+        let root = self.confined_root(id, buf, len, CopyDir::FromUser)?;
         let mut data = vec![0u8; len];
-        self.confined_copy(machine, cpu, id, buf, CopyDir::FromUser, &mut data)?;
+        confined_copy(machine, cpu, root, buf, CopyDir::FromUser, &mut data)?;
         // Fixed-length padding: a 4-byte true length prefix, then data,
         // padded to the quantum.
         let quantum = self.cfg.output_pad_quantum.max(1);
@@ -1837,6 +1801,34 @@ impl Monitor {
         let record = session.send(&framed).map_err(|_| "channel exhausted")?;
         s.outbox.push_back(record);
         Ok(())
+    }
+
+    /// Sandbox `id`'s root, once the `len` bytes at `buf` are checked to
+    /// lie wholly in its own confined memory: the I/O channel must never
+    /// be tricked into writing client data elsewhere or sealing other
+    /// memory into the client channel. A range that wraps around the
+    /// address space is not confined.
+    fn confined_root(
+        &self,
+        id: SandboxId,
+        buf: VirtAddr,
+        len: usize,
+        dir: CopyDir,
+    ) -> Result<Frame, &'static str> {
+        let unconfined = match dir {
+            CopyDir::ToUser => "input buffer not confined",
+            CopyDir::FromUser => "output buffer not confined",
+        };
+        let s = self.sandboxes.get(&id.0).ok_or("no such sandbox")?;
+        let end = buf.0.checked_add(len.max(1) as u64 - 1).ok_or(unconfined)?;
+        let mut page = buf.page_base();
+        while page.0 <= end {
+            if !s.owns_va(page) {
+                return Err(unconfined);
+            }
+            page = page.add(PAGE_SIZE as u64);
+        }
+        Ok(s.root)
     }
 }
 
@@ -1857,6 +1849,40 @@ fn forward(handler: Option<VirtAddr>, missing: &'static str) -> ExitDecision {
         Some(_) => ExitDecision::ForwardToKernel,
         None => ExitDecision::Killed { reason: missing },
     }
+}
+
+/// The I/O channel's one copy between monitor memory and the sandbox
+/// memory at `buf` in the address space `root`: `data` goes in
+/// (`ToUser`) or is filled from it (`FromUser`), with monitor privileges
+/// under that CR3, `stac`-guarded. [`Monitor::confined_root`] checks
+/// the range first.
+fn confined_copy(
+    machine: &mut Machine,
+    cpu: usize,
+    root: Frame,
+    buf: VirtAddr,
+    dir: CopyDir,
+    data: &mut [u8],
+) -> Result<(), &'static str> {
+    let failed = match dir {
+        CopyDir::ToUser => "confined write failed",
+        CopyDir::FromUser => "output read failed",
+    };
+    privileged(machine, cpu, |machine| {
+        let saved_root = machine.cpus[cpu].cr3;
+        let res = machine
+            .write_cr3(cpu, root)
+            .and_then(|()| machine.stac(cpu))
+            .and_then(|()| match dir {
+                CopyDir::ToUser => machine.write(cpu, buf, data),
+                CopyDir::FromUser => machine.read(cpu, buf, data),
+            });
+        machine.clac(cpu).ok();
+        machine.write_cr3(cpu, saved_root).ok();
+        res
+    })
+    .map_err(|_| "privilege raise failed")?
+    .map_err(|_| failed)
 }
 
 fn map_err(e: MapError) -> EmcError {

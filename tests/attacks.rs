@@ -10,11 +10,12 @@
 use erebor::{Mode, Platform, ServiceInstance};
 use erebor_core::channel::Client;
 use erebor_core::emc::{EmcError, EmcRequest};
-use erebor_core::monitor::SYS_IOCTL;
+use erebor_core::monitor::{EREBOR_IO_FD, IOCTL_INPUT, IOCTL_OUTPUT, SYS_IOCTL};
 use erebor_core::sandbox::{ExitCause, ExitDecision, SandboxState};
 use erebor_hw::fault::{Fault, PfReason, VeReason};
 use erebor_hw::layout::direct_map;
 use erebor_hw::regs::Msr;
+use erebor_hw::VirtAddr;
 use erebor_libos::api::{Sys, SysError};
 use erebor_libos::manifest::Manifest;
 use erebor_libos::os::{LibOs, ServiceProgram};
@@ -330,6 +331,38 @@ fn av3_ioctl_parameter_encoding_cannot_reach_the_kernel() {
         p.kernel.stats.syscalls, before,
         "the kernel must never have dispatched the covert syscall"
     );
+}
+
+/// The I/O channel's buffer length is the sandbox's to choose. A range
+/// that runs past its confined memory, or wraps around the address
+/// space, kills the sandbox before the monitor allocates or copies
+/// anything for it.
+#[test]
+fn av3_io_buffer_past_confined_memory_kills_before_any_copy() {
+    // Two bytes below the top: the 4-byte input and any output wrap.
+    let top = VirtAddr(u64::MAX - 1);
+    for (op, at_top, len, reason) in [
+        (IOCTL_OUTPUT, false, 1 << 46, "output buffer not confined"),
+        (IOCTL_OUTPUT, false, u64::MAX, "output buffer not confined"),
+        (IOCTL_OUTPUT, true, 0x1000, "output buffer not confined"),
+        (IOCTL_INPUT, true, 0x1000, "input buffer not confined"),
+    ] {
+        let (mut p, svc, mut client) = deployed();
+        p.client_send(&svc, &mut client, b"next").expect("send");
+        let buf = if at_top {
+            top
+        } else {
+            p.cvm.monitor.sandboxes[&svc.sandbox.0].confined[0].0
+        };
+        let err = p
+            .proc(svc.pid)
+            .syscall(SYS_IOCTL, [EREBOR_IO_FD, op, buf.0, len, 0, 0])
+            .expect_err("an unconfined buffer must kill");
+        assert!(
+            matches!(err, SysError::Killed(r) if r == reason),
+            "op {op:#x} at {buf:?}, len {len:#x}: {err:?}"
+        );
+    }
 }
 
 #[test]
