@@ -1,6 +1,7 @@
 //! Execution configurations for the paper's ablation study (§9,
 //! "Evaluation settings").
 
+use crate::emc::EmcRequest;
 use erebor_hw::isolation::BackendKind;
 
 /// Which protection layers are active.
@@ -125,11 +126,23 @@ impl ExecConfig {
         matches!(self.mode, Mode::LibOsExit | Mode::Full)
     }
 
-    /// Whether privileged instructions are delegated through EMC (true
-    /// whenever a monitor is present; this is system-wide, §9.3).
+    /// Whether the kernel performs `req` through EMC (§5.3, Table 2)
+    /// rather than natively. Address spaces, PTE updates, CR3 switches and
+    /// user copies are delegated where the monitor isolates sandbox memory
+    /// (§6.1), the batched `MapUserRange` only when batching is on too, and
+    /// every other class whenever a monitor is present (system-wide, §9.3).
     #[must_use]
-    pub fn emc_delegation(self) -> bool {
-        self.monitor_present()
+    pub fn delegates(self, req: &EmcRequest) -> bool {
+        match req {
+            EmcRequest::MapUserRange { .. } => self.mmu_protection() && self.batched_mmu,
+            EmcRequest::CreateAddressSpace { .. }
+            | EmcRequest::SwitchAddressSpace { .. }
+            | EmcRequest::MapUserPage { .. }
+            | EmcRequest::UnmapUserPage { .. }
+            | EmcRequest::ProtectUserPage { .. }
+            | EmcRequest::UserCopy { .. } => self.mmu_protection(),
+            _ => self.monitor_present(),
+        }
     }
 }
 
@@ -148,6 +161,34 @@ mod tests {
         assert!(ExecConfig::new(Mode::LibOsExit).exit_protection());
         assert!(ExecConfig::new(Mode::Full).mmu_protection());
         assert!(ExecConfig::new(Mode::Full).exit_protection());
+        let cr3 = EmcRequest::SwitchAddressSpace {
+            root: erebor_hw::Frame(1),
+        };
+        let range = EmcRequest::MapUserRange {
+            root: erebor_hw::Frame(1),
+            va: erebor_hw::VirtAddr(0x1000),
+            pages: 2,
+            writable: true,
+        };
+        let msr = EmcRequest::WrMsr {
+            msr: erebor_hw::regs::Msr::Fmask,
+            value: 0,
+        };
+        let batched = |mode| ExecConfig {
+            batched_mmu: true,
+            ..ExecConfig::new(mode)
+        };
+        for mode in Mode::ALL {
+            let cfg = ExecConfig::new(mode);
+            assert_eq!(cfg.delegates(&cr3), cfg.mmu_protection(), "{mode:?}");
+            assert_eq!(cfg.delegates(&msr), cfg.monitor_present(), "{mode:?}");
+            assert!(!cfg.delegates(&range), "{mode:?}");
+            assert_eq!(
+                batched(mode).delegates(&range),
+                cfg.mmu_protection(),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! Table 2).
 
 use erebor_hw::fault::Fault;
+use erebor_hw::native::NativeMmuError;
 use erebor_hw::regs::Msr;
 use erebor_hw::{Frame, VirtAddr};
 
@@ -225,6 +226,18 @@ pub enum EmcError {
 impl From<Fault> for EmcError {
     fn from(f: Fault) -> EmcError {
         EmcError::Fault(f)
+    }
+}
+
+/// The native kernel's MMU failures, typed as the monitor types the same
+/// failures of a delegated request.
+impl From<NativeMmuError> for EmcError {
+    fn from(e: NativeMmuError) -> EmcError {
+        match e {
+            NativeMmuError::NoMemory => EmcError::NoMemory,
+            NativeMmuError::NotMapped => EmcError::BadRequest("user page not mapped"),
+            NativeMmuError::Denied => EmcError::Denied("native access refused"),
+        }
     }
 }
 

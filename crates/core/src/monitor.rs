@@ -283,7 +283,7 @@ impl Monitor {
         cpu: usize,
         req: EmcRequest,
     ) -> Result<EmcResponse, EmcError> {
-        if !self.cfg.emc_delegation() {
+        if !self.cfg.monitor_present() {
             return Err(EmcError::Denied("no monitor in this configuration"));
         }
         machine.charged_to(Bucket::Monitor, |machine| {

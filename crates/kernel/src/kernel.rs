@@ -11,13 +11,15 @@ use crate::syscall::{nr, Errno};
 use crate::task::{Pid, Task, TaskKind, TaskState, Vma};
 use crate::vfs::{FileDesc, Vfs};
 use crate::{entry, vm};
-use erebor_core::emc::{EmcRequest, EmcResponse};
+use erebor_core::emc::{CopyDir, EmcError, EmcRequest, EmcResponse};
 use erebor_core::monitor::Monitor;
+use erebor_core::policy::FrameKind;
 use erebor_core::sandbox::SandboxId;
-use erebor_hw::cpu::Machine;
-use erebor_hw::idt::vector;
+use erebor_hw::cpu::{Domain, Machine};
+use erebor_hw::idt::{self, vector};
+use erebor_hw::paging::PteFlags;
 use erebor_hw::regs::Msr;
-use erebor_hw::{VirtAddr, PAGE_SIZE};
+use erebor_hw::{native, Frame, VirtAddr, PAGE_SIZE};
 use erebor_tdx::tdcall::{tdcall, TdcallLeaf, TdcallResult, VmcallOp};
 use erebor_tdx::TdxModule;
 use erebor_wire::{index_by, Wire, WireError, WireReader, WireWriter};
@@ -38,6 +40,146 @@ pub struct Hw<'a> {
 impl core::fmt::Debug for Hw<'_> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Hw").field("cpu", &self.cpu).finish_non_exhaustive()
+    }
+}
+
+impl Hw<'_> {
+    /// Perform one privileged operation (a Table 2 class) — the kernel's
+    /// only way to reach privileged state. Through the monitor's EMC gate
+    /// when the mode delegates the request's class
+    /// ([`erebor_core::config::ExecConfig::delegates`]); otherwise the
+    /// still-privileged kernel performs it itself at native cost.
+    ///
+    /// # Errors
+    /// The monitor's refusal, or the native operation's failure typed the
+    /// same way.
+    pub fn privileged(&mut self, req: EmcRequest) -> Result<EmcResponse, EmcError> {
+        if self.monitor.cfg.delegates(&req) {
+            return self.monitor.emc(self.machine, self.tdx, self.cpu, req);
+        }
+        let cpu = self.cpu;
+        match req {
+            EmcRequest::CreateAddressSpace { .. } => {
+                let root = native::create_address_space(self.machine, self.monitor.kernel_root)?;
+                Ok(EmcResponse::Root(root))
+            }
+            EmcRequest::MapUserPage {
+                root,
+                va,
+                frame: None,
+                writable,
+                executable,
+            } => {
+                let flags = if executable {
+                    PteFlags::user_rx()
+                } else if writable {
+                    PteFlags::user_rw()
+                } else {
+                    PteFlags::user_ro()
+                };
+                let f = native::map_user_page(self.machine, root, va, flags)?;
+                self.monitor
+                    .frames
+                    .set_kind(f, FrameKind::UserAnon { asid: 0 })
+                    .ok();
+                self.monitor.frames.inc_map(f);
+                Ok(EmcResponse::Mapped(f))
+            }
+            EmcRequest::MapUserRange {
+                root,
+                va,
+                pages,
+                writable,
+            } => {
+                // Unbatched: one request per page.
+                let mut first = None;
+                for p in 0..pages {
+                    let mapped = self.privileged(EmcRequest::MapUserPage {
+                        root,
+                        va: va.add(p * PAGE_SIZE as u64),
+                        frame: None,
+                        writable,
+                        executable: false,
+                    })?;
+                    first.get_or_insert(mapped);
+                }
+                Ok(first.unwrap_or(EmcResponse::Mapped(Frame(0))))
+            }
+            EmcRequest::UnmapUserPage { root, va } => {
+                // Local invalidation only: native callers unmapping a whole
+                // range (munmap, reclaim) owe the cross-core IPI round
+                // themselves and batch it via `vm::flush_unmapped`, as
+                // `flush_tlb_mm_range` amortizes it.
+                let frame = native::unmap_user_page(self.machine, cpu, root, va)?;
+                self.monitor.frames.dec_map(frame);
+                if self.monitor.frames.mapcount(frame) == 0 {
+                    native::free_user_frame(self.machine, frame);
+                    self.monitor.frames.release(frame).ok();
+                }
+                Ok(EmcResponse::Ok)
+            }
+            EmcRequest::SwitchAddressSpace { root } => {
+                if self.machine.sensitive_allowed(Domain::Kernel) {
+                    self.machine.write_cr3(cpu, root)?;
+                } else {
+                    // Ablation configuration with the monitor present but
+                    // MMU delegation disabled: model the register write at
+                    // native cost, including its architectural TLB flush.
+                    native::switch_address_space_ablated(self.machine, cpu, root);
+                }
+                Ok(EmcResponse::Ok)
+            }
+            // Native `copy_to_user`/`copy_from_user` at native cost (the raw
+            // walk-and-copy lives on the hardware side of the privilege
+            // boundary).
+            EmcRequest::UserCopy {
+                dir: CopyDir::ToUser,
+                root,
+                user_va,
+                bytes,
+            } => {
+                native::user_copy(self.machine, root, user_va, bytes.len(), Some(&bytes))?;
+                Ok(EmcResponse::Ok)
+            }
+            EmcRequest::UserCopy {
+                dir: CopyDir::FromUser,
+                root,
+                user_va,
+                bytes,
+            } => {
+                let data = native::user_copy(self.machine, root, user_va, bytes.len(), None)?;
+                Ok(EmcResponse::Data(data))
+            }
+            EmcRequest::WrMsr {
+                msr: Msr::Lstar,
+                value,
+            } => {
+                // The syscall entry is per core: program every one.
+                for cpu in 0..self.machine.cpus.len() {
+                    self.machine.wrmsr(cpu, Msr::Lstar, value)?;
+                }
+                Ok(EmcResponse::Ok)
+            }
+            EmcRequest::WrMsr { msr, value } => {
+                self.machine.wrmsr(cpu, msr, value)?;
+                Ok(EmcResponse::Ok)
+            }
+            EmcRequest::SetVectorHandler { vec, handler } => {
+                let va = erebor_core::boot::IDT_VA.add(u64::from(vec) * idt::ENTRY_SIZE);
+                self.machine.write_u64(cpu, va, handler.0)?;
+                Ok(EmcResponse::Ok)
+            }
+            EmcRequest::CpuidEmulate { leaf } => match tdcall(
+                self.tdx,
+                self.machine,
+                cpu,
+                TdcallLeaf::VmCall(VmcallOp::Cpuid { leaf }),
+            ) {
+                Ok(TdcallResult::Cpuid(v)) => Ok(EmcResponse::Cpuid(v)),
+                _ => Err(EmcError::BadRequest("cpuid round trip failed")),
+            },
+            _ => Err(EmcError::Denied("no native path for this request")),
+        }
     }
 }
 
@@ -118,8 +260,7 @@ impl Kernel {
         }
     }
 
-    /// Kernel boot: register the syscall entry and every vector handler —
-    /// through EMC under Erebor, directly when native.
+    /// Kernel boot: register the syscall entry and every vector handler.
     ///
     /// # Errors
     /// [`Errno::Eperm`] if registration is refused.
@@ -134,40 +275,14 @@ impl Kernel {
             (vector::IPI, entry::IPI),
             (vector::DEVICE, entry::DEVICE),
         ];
-        if hw.monitor.cfg.emc_delegation() {
-            hw.monitor
-                .emc(
-                    hw.machine,
-                    hw.tdx,
-                    hw.cpu,
-                    EmcRequest::WrMsr {
-                        msr: Msr::Lstar,
-                        value: entry::SYSCALL.0,
-                    },
-                )
+        hw.privileged(EmcRequest::WrMsr {
+            msr: Msr::Lstar,
+            value: entry::SYSCALL.0,
+        })
+        .map_err(|_| Errno::Eperm)?;
+        for (vec, handler) in vectors {
+            hw.privileged(EmcRequest::SetVectorHandler { vec, handler })
                 .map_err(|_| Errno::Eperm)?;
-            for (vec, handler) in vectors {
-                hw.monitor
-                    .emc(
-                        hw.machine,
-                        hw.tdx,
-                        hw.cpu,
-                        EmcRequest::SetVectorHandler { vec, handler },
-                    )
-                    .map_err(|_| Errno::Eperm)?;
-            }
-        } else {
-            for cpu in 0..hw.machine.cpus.len() {
-                hw.machine
-                    .wrmsr(cpu, Msr::Lstar, entry::SYSCALL.0)
-                    .map_err(|_| Errno::Eperm)?;
-            }
-            for (vec, handler) in vectors {
-                let va = erebor_core::boot::IDT_VA.add(u64::from(vec) * erebor_hw::idt::ENTRY_SIZE);
-                hw.machine
-                    .write_u64(hw.cpu, va, handler.0)
-                    .map_err(|_| Errno::Eperm)?;
-            }
         }
         self.initialized = true;
         Ok(())
@@ -274,35 +389,16 @@ impl Kernel {
             }
         }
         // APIC timer reprogram + perf MSR update.
-        if hw.monitor.cfg.emc_delegation() {
-            hw.monitor
-                .emc(
-                    hw.machine,
-                    hw.tdx,
-                    hw.cpu,
-                    EmcRequest::WrMsr {
-                        msr: Msr::ApicTimer,
-                        value: self.stats.timer_ticks,
-                    },
-                )
-                .ok();
-            hw.monitor
-                .emc(
-                    hw.machine,
-                    hw.tdx,
-                    hw.cpu,
-                    EmcRequest::WrMsr {
-                        msr: Msr::Fmask,
-                        value: 0x4700,
-                    },
-                )
-                .ok();
-        } else {
-            hw.machine
-                .wrmsr(hw.cpu, Msr::ApicTimer, self.stats.timer_ticks)
-                .ok();
-            hw.machine.wrmsr(hw.cpu, Msr::Fmask, 0x4700).ok();
-        }
+        hw.privileged(EmcRequest::WrMsr {
+            msr: Msr::ApicTimer,
+            value: self.stats.timer_ticks,
+        })
+        .ok();
+        hw.privileged(EmcRequest::WrMsr {
+            msr: Msr::Fmask,
+            value: 0x4700,
+        })
+        .ok();
     }
 
     /// The scheduler tick (timer interrupt body): round-robin.
@@ -396,12 +492,7 @@ impl Kernel {
                 hw.machine.cycles.charge(hw.machine.costs.dma_page); // swap write-out
                 vm::unmap_user_page(hw, root, page).ok();
             }
-            if !hw.monitor.cfg.mmu_protection() {
-                // One mm-targeted IPI round per reclaim sweep (native
-                // path; delegated unmaps were shot down page-by-page by
-                // the monitor).
-                erebor_hw::native::flush_mm_range(hw.machine, hw.cpu, root, &victims);
-            }
+            vm::flush_unmapped(hw, root, &victims);
         }
         reclaimed
     }
@@ -452,26 +543,9 @@ impl Kernel {
     /// when the round trip fails.
     pub fn handle_ve(&mut self, hw: &mut Hw<'_>, leaf: u32) -> u32 {
         self.stats.ve_handled = self.stats.ve_handled.saturating_add(1);
-        if hw.monitor.cfg.emc_delegation() {
-            match hw.monitor.emc(
-                hw.machine,
-                hw.tdx,
-                hw.cpu,
-                EmcRequest::CpuidEmulate { leaf },
-            ) {
-                Ok(EmcResponse::Cpuid(v)) => v[0],
-                _ => 0,
-            }
-        } else {
-            match tdcall(
-                hw.tdx,
-                hw.machine,
-                hw.cpu,
-                TdcallLeaf::VmCall(VmcallOp::Cpuid { leaf }),
-            ) {
-                Ok(TdcallResult::Cpuid(v)) => v[0],
-                _ => 0,
-            }
+        match hw.privileged(EmcRequest::CpuidEmulate { leaf }) {
+            Ok(EmcResponse::Cpuid(v)) => v[0],
+            _ => 0,
         }
     }
 
@@ -582,44 +656,9 @@ impl Kernel {
                 for page in &mapped {
                     vm::unmap_user_page(hw, root, *page).ok();
                 }
-                if !hw.monitor.cfg.mmu_protection() {
-                    // Native path: one mm-targeted IPI round for the
-                    // whole range (under delegation the monitor's
-                    // per-page EMC unmap already shot each page down).
-                    erebor_hw::native::flush_mm_range(hw.machine, hw.cpu, root, &mapped);
-                }
+                vm::flush_unmapped(hw, root, &mapped);
                 let t = self.tasks.get_mut(&pid.0).ok_or(Errno::Esrch)?;
                 t.vmas.remove(idx);
-                Ok(0)
-            }
-            nr::MPROTECT => {
-                let start = VirtAddr(args[0]);
-                let writable = args[2] & 2 != 0;
-                let (root, mapped) = {
-                    let t = self.tasks.get_mut(&pid.0).ok_or(Errno::Esrch)?;
-                    let vma = t.vma_for_mut(start).ok_or(Errno::Einval)?;
-                    vma.writable = writable;
-                    (
-                        t.root,
-                        t.vma_for(start).ok_or(Errno::Einval)?.mapped.clone(),
-                    )
-                };
-                for page in mapped {
-                    if hw.monitor.cfg.emc_delegation() {
-                        hw.monitor
-                            .emc(
-                                hw.machine,
-                                hw.tdx,
-                                hw.cpu,
-                                EmcRequest::ProtectUserPage {
-                                    root,
-                                    va: page,
-                                    writable,
-                                },
-                            )
-                            .map_err(|_| Errno::Eperm)?;
-                    }
-                }
                 Ok(0)
             }
             nr::OPEN => {
@@ -757,48 +796,31 @@ impl Kernel {
                         }
                     }
                     erebor_ioctl::DECLARE_CONFINED => {
-                        hw.monitor
-                            .emc(
-                                hw.machine,
-                                hw.tdx,
-                                hw.cpu,
-                                EmcRequest::DeclareConfined {
-                                    sandbox: sandbox.0,
-                                    va: VirtAddr(args[2]),
-                                    pages: args[3],
-                                    executable: args[4] != 0,
-                                },
-                            )
-                            .map_err(|_| Errno::Eperm)?;
+                        hw.privileged(EmcRequest::DeclareConfined {
+                            sandbox: sandbox.0,
+                            va: VirtAddr(args[2]),
+                            pages: args[3],
+                            executable: args[4] != 0,
+                        })
+                        .map_err(|_| Errno::Eperm)?;
                         Ok(0)
                     }
                     erebor_ioctl::CREATE_COMMON => {
-                        match hw.monitor.emc(
-                            hw.machine,
-                            hw.tdx,
-                            hw.cpu,
-                            EmcRequest::CreateCommon {
-                                pages: args[2],
-                                logical_bytes: args[3],
-                            },
-                        ) {
+                        match hw.privileged(EmcRequest::CreateCommon {
+                            pages: args[2],
+                            logical_bytes: args[3],
+                        }) {
                             Ok(EmcResponse::Region(id)) => Ok(u64::from(id)),
                             _ => Err(Errno::Eperm),
                         }
                     }
                     erebor_ioctl::ATTACH_COMMON => {
-                        hw.monitor
-                            .emc(
-                                hw.machine,
-                                hw.tdx,
-                                hw.cpu,
-                                EmcRequest::AttachCommon {
-                                    sandbox: sandbox.0,
-                                    region: args[2] as u32,
-                                    va: VirtAddr(args[3]),
-                                },
-                            )
-                            .map_err(|_| Errno::Eperm)?;
+                        hw.privileged(EmcRequest::AttachCommon {
+                            sandbox: sandbox.0,
+                            region: args[2] as u32,
+                            va: VirtAddr(args[3]),
+                        })
+                        .map_err(|_| Errno::Eperm)?;
                         Ok(0)
                     }
                     _ => Err(Errno::Einval),

@@ -7,9 +7,11 @@
 //! EMC interface. Its executable image is synthesized bytes that the
 //! monitor byte-scans at stage-two boot.
 //!
-//! In the `Native` configuration the same kernel runs *with* its hardware
-//! privileges (the paper's baseline): the [`vm`] layer then performs page
-//! table updates directly, charging native costs.
+//! Every privileged operation goes through one routine,
+//! [`Hw::privileged`]: an EMC where the mode delegates the operation's
+//! class, otherwise done directly at native cost — in the `Native`
+//! configuration the same kernel runs *with* its hardware privileges (the
+//! paper's baseline).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

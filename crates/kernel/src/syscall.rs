@@ -14,8 +14,6 @@ pub mod nr {
     pub const LSEEK: u64 = 8;
     /// `mmap(addr, len, prot, flags, fd, off)`.
     pub const MMAP: u64 = 9;
-    /// `mprotect(addr, len, prot)`.
-    pub const MPROTECT: u64 = 10;
     /// `munmap(addr, len)`.
     pub const MUNMAP: u64 = 11;
     /// `brk(addr)`.

@@ -1,40 +1,20 @@
-//! Kernel virtual-memory operations.
-//!
-//! Under Erebor every page-table mutation is delegated through EMC; in the
-//! `Native` baseline the (still privileged) kernel performs the same
-//! operations directly, charging native costs — this is exactly the
-//! MMU row of Table 4.
+//! Kernel virtual-memory operations: typed wrappers over
+//! [`Hw::privileged`], which delegates each one through EMC or performs
+//! it natively as the mode prescribes — the MMU row of Table 4.
 
 use crate::kernel::Hw;
 use crate::syscall::Errno;
-use erebor_core::emc::{EmcRequest, EmcResponse};
-use erebor_core::policy::FrameKind;
-use erebor_hw::paging::PteFlags;
+use erebor_core::emc::{CopyDir, EmcError, EmcRequest, EmcResponse};
 use erebor_hw::{native, Frame, VirtAddr};
 
-/// Create a user address space: monitor-validated under Erebor, direct
-/// construction in native mode.
+/// Create a user address space.
 ///
 /// # Errors
 /// [`Errno::Enomem`] on allocation failure.
 pub fn create_address_space(hw: &mut Hw<'_>, asid: u32) -> Result<Frame, Errno> {
-    if hw.monitor.cfg.mmu_protection() {
-        match hw.monitor.emc(
-            hw.machine,
-            hw.tdx,
-            hw.cpu,
-            EmcRequest::CreateAddressSpace { asid },
-        ) {
-            Ok(EmcResponse::Root(root)) => Ok(root),
-            _ => Err(Errno::Enomem),
-        }
-    } else {
-        let kroot = hw.monitor.kernel_root;
-        let root =
-            native::create_address_space(hw.machine, kroot).map_err(|_| Errno::Enomem)?;
-        // Bookkeep in the shared frame table so teardown works uniformly.
-        hw.monitor.frames.set_kind(root, FrameKind::Ptp).ok();
-        Ok(root)
+    match hw.privileged(EmcRequest::CreateAddressSpace { asid }) {
+        Ok(EmcResponse::Root(root)) => Ok(root),
+        _ => Err(Errno::Enomem),
     }
 }
 
@@ -49,46 +29,24 @@ pub fn map_user_page(
     writable: bool,
     executable: bool,
 ) -> Result<Frame, Errno> {
-    if hw.monitor.cfg.mmu_protection() {
-        match hw.monitor.emc(
-            hw.machine,
-            hw.tdx,
-            hw.cpu,
-            EmcRequest::MapUserPage {
-                root,
-                va,
-                frame: None,
-                writable,
-                executable,
-            },
-        ) {
-            Ok(EmcResponse::Mapped(f)) => Ok(f),
-            Err(erebor_core::emc::EmcError::NoMemory) => Err(Errno::Enomem),
-            _ => Err(Errno::Eperm),
-        }
-    } else {
-        let flags = if executable {
-            PteFlags::user_rx()
-        } else if writable {
-            PteFlags::user_rw()
-        } else {
-            PteFlags::user_ro()
-        };
-        let f = native::map_user_page(hw.machine, root, va, flags).map_err(|_| Errno::Enomem)?;
-        hw.monitor
-            .frames
-            .set_kind(f, FrameKind::UserAnon { asid: 0 })
-            .ok();
-        hw.monitor.frames.inc_map(f);
-        Ok(f)
+    match hw.privileged(EmcRequest::MapUserPage {
+        root,
+        va,
+        frame: None,
+        writable,
+        executable,
+    }) {
+        Ok(EmcResponse::Mapped(f)) => Ok(f),
+        Err(EmcError::NoMemory) => Err(Errno::Enomem),
+        _ => Err(Errno::Eperm),
     }
 }
 
 /// Map `pages` fresh anonymous user pages in one batched EMC (§9.1's
-/// optimization) — falls back to per-page mapping when batching is off.
+/// optimization) — page by page when batching is off.
 ///
 /// # Errors
-/// As [`map_user_page`].
+/// [`Errno::Enomem`] on failure.
 pub fn map_user_range(
     hw: &mut Hw<'_>,
     root: Frame,
@@ -96,33 +54,14 @@ pub fn map_user_range(
     pages: u64,
     writable: bool,
 ) -> Result<(), Errno> {
-    if hw.monitor.cfg.mmu_protection() && hw.monitor.cfg.batched_mmu {
-        hw.monitor
-            .emc(
-                hw.machine,
-                hw.tdx,
-                hw.cpu,
-                EmcRequest::MapUserRange {
-                    root,
-                    va,
-                    pages,
-                    writable,
-                },
-            )
-            .map(|_| ())
-            .map_err(|_| Errno::Enomem)
-    } else {
-        for p in 0..pages {
-            map_user_page(
-                hw,
-                root,
-                va.add(p * erebor_hw::PAGE_SIZE as u64),
-                writable,
-                false,
-            )?;
-        }
-        Ok(())
-    }
+    hw.privileged(EmcRequest::MapUserRange {
+        root,
+        va,
+        pages,
+        writable,
+    })
+    .map(|_| ())
+    .map_err(|_| Errno::Enomem)
 }
 
 /// Unmap one user page.
@@ -130,29 +69,20 @@ pub fn map_user_range(
 /// # Errors
 /// [`Errno::Efault`] if not mapped or refused.
 pub fn unmap_user_page(hw: &mut Hw<'_>, root: Frame, va: VirtAddr) -> Result<(), Errno> {
-    if hw.monitor.cfg.mmu_protection() {
-        hw.monitor
-            .emc(
-                hw.machine,
-                hw.tdx,
-                hw.cpu,
-                EmcRequest::UnmapUserPage { root, va },
-            )
-            .map(|_| ())
-            .map_err(|_| Errno::Efault)
-    } else {
-        // Local invalidation only: native callers unmapping a whole range
-        // (munmap, reclaim) owe the cross-core IPI round themselves and
-        // batch it via `native::flush_mm_range`, as `flush_tlb_mm_range`
-        // amortizes it.
-        let frame =
-            native::unmap_user_page(hw.machine, hw.cpu, root, va).map_err(|_| Errno::Efault)?;
-        hw.monitor.frames.dec_map(frame);
-        if hw.monitor.frames.mapcount(frame) == 0 {
-            native::free_user_frame(hw.machine, frame);
-            hw.monitor.frames.release(frame).ok();
-        }
-        Ok(())
+    hw.privileged(EmcRequest::UnmapUserPage { root, va })
+        .map(|_| ())
+        .map_err(|_| Errno::Efault)
+}
+
+/// Finish unmapping `pages` of one address space (munmap, reclaim). A
+/// delegated unmap was shot down page by page inside its EMC; a native
+/// one invalidated only the local core and owes one mm-targeted IPI round
+/// for the whole range, as `flush_tlb_mm_range` amortizes it.
+pub fn flush_unmapped(hw: &mut Hw<'_>, root: Frame, pages: &[VirtAddr]) {
+    let Some(&va) = pages.first() else { return };
+    let unmap = EmcRequest::UnmapUserPage { root, va };
+    if !hw.monitor.cfg.delegates(&unmap) {
+        native::flush_mm_range(hw.machine, hw.cpu, root, pages);
     }
 }
 
@@ -164,55 +94,25 @@ pub fn switch_address_space(hw: &mut Hw<'_>, root: Frame) -> Result<(), Errno> {
     if hw.machine.cr3(hw.cpu) == root {
         return Ok(());
     }
-    if hw.monitor.cfg.mmu_protection() {
-        hw.monitor
-            .emc(
-                hw.machine,
-                hw.tdx,
-                hw.cpu,
-                EmcRequest::SwitchAddressSpace { root },
-            )
-            .map(|_| ())
-            .map_err(|_| Errno::Eperm)
-    } else if hw.machine.sensitive_allowed(erebor_hw::cpu::Domain::Kernel) {
-        hw.machine.write_cr3(hw.cpu, root).map_err(|_| Errno::Eperm)
-    } else {
-        // Ablation configuration with the monitor present but MMU
-        // delegation disabled: model the register write at native cost,
-        // including its architectural TLB flush.
-        native::switch_address_space_ablated(hw.machine, hw.cpu, root);
-        Ok(())
-    }
+    hw.privileged(EmcRequest::SwitchAddressSpace { root })
+        .map(|_| ())
+        .map_err(|_| Errno::Eperm)
 }
 
-/// Copy bytes into user memory (`copy_to_user`): monitor-emulated under
-/// Erebor (the kernel has no `stac`), direct under native.
+/// Copy bytes into user memory (`copy_to_user`; under Erebor the kernel
+/// has no `stac`, so the monitor emulates it).
 ///
 /// # Errors
 /// [`Errno::Efault`] on permission failures.
 pub fn copy_to_user(hw: &mut Hw<'_>, root: Frame, va: VirtAddr, bytes: &[u8]) -> Result<(), Errno> {
-    if hw.monitor.cfg.mmu_protection() {
-        hw.monitor
-            .emc(
-                hw.machine,
-                hw.tdx,
-                hw.cpu,
-                EmcRequest::UserCopy {
-                    dir: erebor_core::emc::CopyDir::ToUser,
-                    root,
-                    user_va: va,
-                    bytes: bytes.to_vec(),
-                },
-            )
-            .map(|_| ())
-            .map_err(|_| Errno::Efault)
-    } else {
-        // Native `copy_to_user` at native cost (the raw walk-and-copy
-        // lives on the hardware side of the privilege boundary).
-        native::user_copy(hw.machine, root, va, bytes.len(), Some(bytes))
-            .map(|_| ())
-            .map_err(|_| Errno::Efault)
-    }
+    hw.privileged(EmcRequest::UserCopy {
+        dir: CopyDir::ToUser,
+        root,
+        user_va: va,
+        bytes: bytes.to_vec(),
+    })
+    .map(|_| ())
+    .map_err(|_| Errno::Efault)
 }
 
 /// Copy bytes out of user memory (`copy_from_user`).
@@ -225,22 +125,13 @@ pub fn copy_from_user(
     va: VirtAddr,
     len: usize,
 ) -> Result<Vec<u8>, Errno> {
-    if hw.monitor.cfg.mmu_protection() {
-        match hw.monitor.emc(
-            hw.machine,
-            hw.tdx,
-            hw.cpu,
-            EmcRequest::UserCopy {
-                dir: erebor_core::emc::CopyDir::FromUser,
-                root,
-                user_va: va,
-                bytes: vec![0u8; len],
-            },
-        ) {
-            Ok(EmcResponse::Data(d)) => Ok(d),
-            _ => Err(Errno::Efault),
-        }
-    } else {
-        native::user_copy(hw.machine, root, va, len, None).map_err(|_| Errno::Efault)
+    match hw.privileged(EmcRequest::UserCopy {
+        dir: CopyDir::FromUser,
+        root,
+        user_va: va,
+        bytes: vec![0u8; len],
+    }) {
+        Ok(EmcResponse::Data(d)) => Ok(d),
+        _ => Err(Errno::Efault),
     }
 }

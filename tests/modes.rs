@@ -1,8 +1,10 @@
 //! The Fig. 9 mode matrix: every workload runs in every configuration, and
 //! the protection levels order the overhead as the paper's ablation does.
 
+use erebor::ekernel::nr;
+use erebor::elibos::api::{Sys, SysError};
 use erebor::runner::run_workload;
-use erebor::Mode;
+use erebor::{Mode, Platform};
 use erebor_workloads::llm::LlmInference;
 use erebor_workloads::retrieval::Retrieval;
 use erebor_workloads::Workload;
@@ -97,4 +99,30 @@ fn llm_runs_under_full_protection_with_events() {
         (100.0..5000.0).contains(&timer_rate),
         "timer rate {timer_rate:.0}/s far from Table 6"
     );
+}
+
+/// A plain process that maps four pages and writes each leaves the
+/// platform auditable in every mode: the kernel's native page tables are
+/// its own, so the monitor's frame table does not claim them. And
+/// `mprotect`, which the kernel does not implement, answers `ENOSYS` in
+/// every mode.
+#[test]
+fn plain_process_audits_clean_and_mprotect_is_enosys_in_every_mode() {
+    const MPROTECT: u64 = 10; // Linux x86-64
+    const ENOSYS: i64 = -38;
+    for mode in Mode::ALL {
+        let mut p = Platform::boot(mode).expect("boot");
+        let pid = p.spawn_native().expect("spawn");
+        let mut proc = p.proc(pid);
+        let base = proc
+            .syscall(nr::MMAP, [0, 4 * 4096, 3, 0, 0, 0])
+            .expect("mmap");
+        for page in 0..4 {
+            proc.write_mem(base + page * 4096, b"data").expect("write");
+        }
+        let downgrade = proc.syscall(MPROTECT, [base, 4 * 4096, 1, 0, 0, 0]);
+        assert_eq!(downgrade, Err(SysError::Errno(ENOSYS)), "{mode:?}");
+        let report = p.audit();
+        assert!(report.is_clean(), "{mode:?}: {}", report.json());
+    }
 }
