@@ -510,14 +510,27 @@ fn check_msr_pinning(view: &MachineView, report: &mut AuditReport) {
     }
 }
 
-/// C6 `emc-consistency`: a core the gate marks `in_emc` tells one story
-/// across the gate and its registers. A live EMC runs in the monitor
-/// domain under monitor-mode PKRS; a preempted one has that PKRS stashed
-/// in the gate's save slot and a live PKRS that denies the monitor key.
+/// C6 `emc-consistency`: the gate tells one story with the hardware. On
+/// every core the `#INT` gate's depth equals the hardware's interrupt
+/// depth (its entry and return halves pair, DESIGN.md §6), and a core the
+/// gate marks `in_emc` agrees with its registers: a live EMC runs in the
+/// monitor domain under monitor-mode PKRS; a preempted one has that PKRS
+/// stashed in the gate's save slot and a live PKRS that denies the
+/// monitor key.
 fn check_emc_consistency(view: &MachineView, report: &mut AuditReport) {
     let Some(gate) = gate_of(view) else { return };
     let monitor_mode = policy::monitor_mode_pkrs();
     for (cpu, c) in view.machine.cpus.iter().enumerate() {
+        let (gate_depth, hw_depth) = (gate.int_depth(cpu), view.machine.interrupt_depth(cpu));
+        if gate_depth != hw_depth {
+            report.findings.push(Finding::new(
+                "emc-consistency",
+                "C6",
+                format!(
+                    "cpu {cpu}: gate interrupt depth {gate_depth} != hardware depth {hw_depth}"
+                ),
+            ));
+        }
         if !gate.in_emc(cpu) {
             continue;
         }

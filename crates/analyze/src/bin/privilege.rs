@@ -6,38 +6,36 @@
 //! the declared privilege manifest (DESIGN.md §14), prints each finding,
 //! emits the machine-readable report on the `EREBOR_JSON:` marker line,
 //! and exits non-zero when any rule fired **or any waiver comment exists
-//! in the tree** — the CI baseline is zero findings, zero waivers. Pass
-//! `--honor-waivers` for exploratory local runs only.
+//! in the tree** — the CI baseline is zero findings, zero waivers.
 
-use erebor_analyze::privilege::{self, WaiverPolicy};
+use erebor_analyze::privilege;
 use std::path::PathBuf;
 
 fn main() {
-    let mut policy = WaiverPolicy::Refuse;
-    let mut root: Option<PathBuf> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--honor-waivers" {
-            policy = WaiverPolicy::Honor;
-        } else {
-            root = Some(PathBuf::from(arg));
-        }
+    let root = std::env::args().nth(1).map_or_else(
+        || {
+            // The bin runs from anywhere inside the workspace; the crate
+            // manifest dir is crates/analyze, two levels below the root.
+            let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+            manifest
+                .parent()
+                .and_then(|p| p.parent())
+                .map_or(manifest.clone(), PathBuf::from)
+        },
+        PathBuf::from,
+    );
+    let report = privilege::scan_workspace(&root);
+    if report.files_scanned == 0 {
+        // A mistyped root (or an option this bin does not take) would
+        // otherwise scan nothing and pass.
+        eprintln!("privilege: no Rust sources under {}", root.display());
+        std::process::exit(2);
     }
-    let root = root.unwrap_or_else(|| {
-        // The bin runs from anywhere inside the workspace; the crate
-        // manifest dir is crates/analyze, two levels below the root.
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .map_or(manifest.clone(), PathBuf::from)
-    });
-    let report = privilege::scan_workspace(&root, policy);
     for f in &report.findings {
         println!("privilege: {f}");
     }
     println!("EREBOR_JSON:{}", report.json());
-    let waivers_block = policy == WaiverPolicy::Refuse && report.waivers_seen > 0;
-    if !report.findings.is_empty() || waivers_block {
+    if !report.is_clean() {
         std::process::exit(1);
     }
 }

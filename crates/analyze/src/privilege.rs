@@ -31,11 +31,10 @@
 //! they must reach raw state to corrupt it. Bin entry points are
 //! evaluation drivers. `stray-unsafe` binds everything.
 //!
-//! Waivers are **refused by default**: a `// priv:allow(<rule>)` comment
-//! is honored only under [`WaiverPolicy::Honor`] (exploratory local
-//! runs); under [`WaiverPolicy::Refuse`] — what CI runs — a waived line
-//! still produces a finding, typed `waiver-refused`, so the baseline can
-//! only be moved by editing the manifest in code review.
+//! Waivers are **refused**: a `// priv:allow(<rule>)` comment never
+//! suppresses a finding — the waived line still produces one, typed
+//! `waiver-refused`, so the baseline can only be moved by editing the
+//! manifest in code review.
 
 use crate::findings::escape_json;
 use crate::lint::{classify, FileClass};
@@ -185,16 +184,6 @@ pub fn manifest_entry(rel: &str) -> Option<&'static ManifestEntry> {
     })
 }
 
-/// How `priv:allow(...)` waiver comments are treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaiverPolicy {
-    /// Drop waived findings (exploratory local runs only).
-    Honor,
-    /// Report waived findings as `waiver-refused` — what CI runs, so the
-    /// zero baseline cannot be eroded line by line.
-    Refuse,
-}
-
 /// One privilege-boundary violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrivilegeFinding {
@@ -267,8 +256,8 @@ pub struct PrivRef {
 pub struct PrivilegeReport {
     /// Manifest violations (empty on a clean tree).
     pub findings: Vec<PrivilegeFinding>,
-    /// `priv:allow` waivers that suppressed (Honor) or refused (Refuse)
-    /// a finding. CI gates on zero.
+    /// `priv:allow` waivers that were refused (each one a
+    /// `waiver-refused` finding). CI gates on zero.
     pub waivers_seen: u64,
     /// Files scanned.
     pub files_scanned: u64,
@@ -405,14 +394,10 @@ fn has_waiver(raw: &str, rule: &str) -> bool {
 }
 
 /// Scan one file's content. Returns the reference-graph edges, the
-/// findings (per `policy`), and the number of waivers that suppressed or
-/// refused a finding (inert waiver text counts for nothing).
+/// findings, and the number of waivers that were refused (inert waiver
+/// text counts for nothing).
 #[must_use]
-pub fn scan_source(
-    rel: &str,
-    content: &str,
-    policy: WaiverPolicy,
-) -> (Vec<PrivRef>, Vec<PrivilegeFinding>, u64) {
+pub fn scan_source(rel: &str, content: &str) -> (Vec<PrivRef>, Vec<PrivilegeFinding>, u64) {
     let unixy = rel.replace('\\', "/");
     let class = classify(&unixy);
     let privileged = manifest_entry(&unixy).is_some();
@@ -431,18 +416,15 @@ pub fn scan_source(
         let excerpt = || raw.trim().chars().take(120).collect::<String>();
         let waivers = &mut waivers;
         let mut push = |rule: &'static str, symbol: &str, category: &'static str| {
-            // A waiver is counted only when it actually suppresses (or
-            // refuses) a finding — dead waiver text in comments, strings,
-            // or docs is inert, so the zero-waiver CI gate measures
-            // exactly "findings hidden by waivers".
-            let (rule, symbol) = if has_waiver(raw, rule) {
+            // A waiver is counted only when it would hide a finding —
+            // dead waiver text in comments, strings, or docs is inert, so
+            // the zero-waiver CI gate measures exactly "findings someone
+            // tried to waive".
+            let rule = if has_waiver(raw, rule) {
                 *waivers = waivers.saturating_add(1);
-                match policy {
-                    WaiverPolicy::Honor => return,
-                    WaiverPolicy::Refuse => ("waiver-refused", symbol),
-                }
+                "waiver-refused"
             } else {
-                (rule, symbol)
+                rule
             };
             findings.push(PrivilegeFinding {
                 file: unixy.clone(),
@@ -497,7 +479,7 @@ pub fn scan_source(
 /// Scan the whole workspace (same file set as the source lint) and build
 /// the report. Results are path-sorted and deterministic.
 #[must_use]
-pub fn scan_workspace(root: &Path, policy: WaiverPolicy) -> PrivilegeReport {
+pub fn scan_workspace(root: &Path) -> PrivilegeReport {
     let mut report = PrivilegeReport::default();
     let mut matched: BTreeMap<&'static str, bool> = BTreeMap::new();
     for f in crate::lint::workspace_rs_files(root) {
@@ -517,7 +499,7 @@ pub fn scan_workspace(root: &Path, policy: WaiverPolicy) -> PrivilegeReport {
             report.privileged_files = report.privileged_files.saturating_add(1);
             matched.insert(entry.path, true);
         }
-        let (refs, findings, waivers) = scan_source(&rel, &content, policy);
+        let (refs, findings, waivers) = scan_source(&rel, &content);
         report.references.extend(refs);
         report.findings.extend(findings);
         report.waivers_seen = report.waivers_seen.saturating_add(waivers);
@@ -531,7 +513,7 @@ mod tests {
     use super::*;
 
     fn reach(rel: &str, src: &str) -> Vec<PrivilegeFinding> {
-        scan_source(rel, src, WaiverPolicy::Refuse).1
+        scan_source(rel, src).1
     }
 
     // ----- red fixtures: each rule fires, exactly once, typed ----------
@@ -632,20 +614,14 @@ mod tests {
     // ----- waivers ------------------------------------------------------
 
     #[test]
-    fn waivers_are_refused_by_default_and_typed() {
+    fn waivers_are_refused_and_typed() {
         let src = "fn f(m: &mut M) { m.flush_tlb(0); } // priv:allow(priv-reach)\n";
-        let f = reach("crates/kernel/src/a.rs", src);
+        let (_, f, waivers) = scan_source("crates/kernel/src/a.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "waiver-refused");
-        let (_, honored, waivers) =
-            scan_source("crates/kernel/src/a.rs", src, WaiverPolicy::Honor);
-        assert!(honored.is_empty());
+        // The waiver itself is counted, so CI can fail on any waiver
+        // appearing in the tree.
         assert_eq!(waivers, 1);
-        // Honored or not, the waiver itself is counted, so CI can fail on
-        // any waiver appearing in the tree.
-        let (_, _, refused_count) =
-            scan_source("crates/kernel/src/a.rs", src, WaiverPolicy::Refuse);
-        assert_eq!(refused_count, 1);
     }
 
     // ----- graph & report ----------------------------------------------
@@ -653,7 +629,7 @@ mod tests {
     #[test]
     fn graph_attributes_references_to_modules() {
         let src = "fn f(m: &mut M) { m.mem.alloc_frame().ok(); }\n";
-        let (refs, _, _) = scan_source("crates/hw/src/native.rs", src, WaiverPolicy::Refuse);
+        let (refs, _, _) = scan_source("crates/hw/src/native.rs", src);
         assert_eq!(refs.len(), 2); // .mem. and alloc_frame
         assert!(refs.iter().all(|r| r.module == "erebor-hw::native"));
         assert!(refs.iter().all(|r| r.privileged));

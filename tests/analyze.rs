@@ -350,6 +350,22 @@ fn c6_torn_emc_state_is_flagged() {
     });
 }
 
+/// The `#INT` gate's entry half run with no interrupt delivered leaves
+/// the gate one level deeper than the hardware: its halves no longer
+/// pair with the traps they bracket.
+#[test]
+fn c6_gate_depth_apart_from_the_hardware_depth_is_flagged() {
+    let mut p = booted();
+    p.cvm
+        .monitor
+        .gate
+        .interrupt_entry(&mut p.cvm.machine, 0)
+        .expect("entry half");
+    assert_eq!(p.cvm.monitor.gate.int_depth(0), 1);
+    assert_eq!(p.cvm.machine.interrupt_depth(0), 0);
+    only_check(&p.audit().findings, "emc-consistency");
+}
+
 #[test]
 fn c7_shared_device_frame_still_private_is_flagged() {
     for_both_backends(|p| {
@@ -571,9 +587,9 @@ fn race_detector_quiet_when_shootdown_lands() {
 /// attributes privileged-core references where they belong.
 #[test]
 fn workspace_satisfies_the_privilege_manifest() {
-    use erebor::eanalyze::privilege::{scan_workspace, WaiverPolicy};
+    use erebor::eanalyze::privilege::scan_workspace;
     let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let report = scan_workspace(&root, WaiverPolicy::Refuse);
+    let report = scan_workspace(&root);
     assert!(
         report.findings.is_empty(),
         "privilege boundary violated:\n{}",
@@ -623,12 +639,11 @@ fn workspace_satisfies_the_privilege_manifest() {
 /// exactly one typed finding on a minimal out-of-manifest source.
 #[test]
 fn privilege_red_fixtures_fire_typed_findings() {
-    use erebor::eanalyze::privilege::{scan_source, WaiverPolicy};
+    use erebor::eanalyze::privilege::scan_source;
     // 1. Unprivileged module calling a raw hw mutator.
     let (_, f, _) = scan_source(
         "crates/libos/src/bad.rs",
         "fn f(m: &mut Machine) { m.mem.free_frame(f).ok(); }\n",
-        WaiverPolicy::Refuse,
     );
     assert_eq!(f.len(), 2, "{f:?}"); // .mem reach + free_frame reach
     assert!(f.iter().all(|x| x.rule == "priv-reach"));
@@ -638,21 +653,15 @@ fn privilege_red_fixtures_fire_typed_findings() {
     let (_, f, _) = scan_source(
         "crates/wire/src/bad.rs",
         "fn f() { unsafe { core::hint::unreachable_unchecked() } }\n",
-        WaiverPolicy::Refuse,
     );
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "stray-unsafe");
-    let (_, f, _) = scan_source(
-        "crates/hw/src/bad.rs",
-        "fn f() { unsafe { x() } }\n",
-        WaiverPolicy::Refuse,
-    );
+    let (_, f, _) = scan_source("crates/hw/src/bad.rs", "fn f() { unsafe { x() } }\n");
     assert_eq!(f.len(), 1, "unsafe is banned even in the manifest: {f:?}");
     // 3. A crate-root pub use re-exposing a privileged type.
     let (_, f, _) = scan_source(
         "crates/kernel/src/lib.rs",
         "pub use erebor_hw::phys::PhysMemory;\n",
-        WaiverPolicy::Refuse,
     );
     let leak: Vec<_> = f.iter().filter(|x| x.rule == "pub-leak").collect();
     assert_eq!(leak.len(), 1, "{f:?}");
@@ -663,20 +672,16 @@ fn privilege_red_fixtures_fire_typed_findings() {
     assert!(j.contains("\"symbol\":\"PhysMemory\""));
 }
 
-/// Waivers are refused by default: a `priv:allow` comment turns the
-/// finding into `waiver-refused` instead of hiding it, and is counted so
-/// CI can gate on zero.
+/// Waivers are refused: a `priv:allow` comment turns the finding into
+/// `waiver-refused` instead of hiding it, and is counted so CI can gate
+/// on zero.
 #[test]
 fn privilege_waivers_are_refused_by_default() {
-    use erebor::eanalyze::privilege::{scan_source, WaiverPolicy};
+    use erebor::eanalyze::privilege::scan_source;
     let src = "fn f(m: &mut M) { m.mem.zero_frame(f).ok(); } // priv:allow(priv-reach)\n";
-    let (_, refused, waivers) = scan_source("crates/libos/src/bad.rs", src, WaiverPolicy::Refuse);
+    let (_, refused, waivers) = scan_source("crates/libos/src/bad.rs", src);
     assert!(!refused.is_empty());
     assert!(refused.iter().all(|x| x.rule == "waiver-refused"), "{refused:?}");
-    assert!(waivers >= 1);
-    // Honor mode (exploratory only) drops them but still counts.
-    let (_, honored, waivers) = scan_source("crates/libos/src/bad.rs", src, WaiverPolicy::Honor);
-    assert!(honored.is_empty(), "{honored:?}");
     assert!(waivers >= 1);
 }
 

@@ -11,6 +11,7 @@ use erebor::eanalyze::detect_races;
 use erebor::ecore::policy;
 use erebor::ehw::cpu::Domain;
 use erebor::ehw::fault::{AccessKind, Fault};
+use erebor::ehw::idt::vector;
 use erebor::ehw::inject::{handle, InjectionPoint, Injector};
 use erebor::ehw::layout;
 use erebor::ehw::regs::Msr;
@@ -180,21 +181,27 @@ fn nested_interrupts_restore_at_matching_depth_only() {
     let mut w = ChaosWorld::new(2);
     w.gate.enter(&mut w.machine, 0).unwrap();
 
+    // Each gate half runs inside a hardware delivery and its `iret`, so
+    // the gate's depth pairs with the hardware's at every audit.
     // Outer preemption: save + revoke.
+    let (_, outer) = w.machine.deliver_interrupt(0, vector::TIMER).unwrap();
     w.gate.interrupt_entry(&mut w.machine, 0).unwrap();
     assert!(w.gate.saved_pkrs(0).is_some());
     assert_clean(&w);
 
     // Inner (nested) interrupt: return at the inner depth must NOT
     // restore the saved value.
+    let (_, inner) = w.machine.deliver_interrupt(0, vector::TIMER).unwrap();
     w.gate.interrupt_entry(&mut w.machine, 0).unwrap();
     w.gate.interrupt_return(&mut w.machine, 0).unwrap();
+    w.machine.iret(0, inner).unwrap();
     assert!(w.gate.saved_pkrs(0).is_some());
     assert_ne!(w.machine.cpus[0].pkrs(), policy::monitor_mode_pkrs());
     assert_clean(&w);
 
     // The matching outer return restores it.
     w.gate.interrupt_return(&mut w.machine, 0).unwrap();
+    w.machine.iret(0, outer).unwrap();
     assert!(w.gate.saved_pkrs(0).is_none());
     assert_eq!(w.machine.cpus[0].pkrs(), policy::monitor_mode_pkrs());
     assert_clean(&w);

@@ -4,7 +4,7 @@
 //! (finding details, file names, excerpts) carry `"` and `\` so each
 //! writer's escaping is exercised.
 
-use erebor::eanalyze::privilege::{scan_workspace, WaiverPolicy};
+use erebor::eanalyze::privilege::scan_workspace;
 use erebor::eanalyze::{lint, Finding};
 use erebor::{Mode, Platform};
 use erebor_testkit::bench::{Criterion, Throughput};
@@ -46,7 +46,7 @@ fn every_emitted_document_is_valid_json() {
         "fn f(m: &mut M) { m.mem.free_frame(f).unwrap(); let _ = \"a\\\\b\"; }\n",
     )
     .expect("fixture");
-    let privilege = scan_workspace(&root, WaiverPolicy::Refuse);
+    let privilege = scan_workspace(&root);
     let lints = lint::lint_workspace(&root);
     std::fs::remove_dir_all(&root).expect("remove temp tree");
     assert!(
