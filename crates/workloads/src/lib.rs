@@ -26,7 +26,6 @@
 
 pub mod env;
 pub mod fleet;
-pub mod gen;
 pub mod graph;
 pub mod hello;
 pub mod ids;

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example multi_tenant_pir`
 
 use erebor::{Mode, Platform};
-use erebor_workloads::gen::TraceGen;
+use erebor_workloads::fleet::splitmix64;
 use erebor_workloads::retrieval::Retrieval;
 use erebor_workloads::SandboxedWorkload;
 
@@ -43,9 +43,10 @@ fn main() {
             .expect("attest");
         clients.push(c);
     }
-    let mut traffic = TraceGen::new(0xc11e);
+    let mut traffic = 0xc11e;
     for (i, (svc, client)) in services.iter_mut().zip(clients.iter_mut()).enumerate() {
-        let query = traffic.retrieval_batch(500);
+        // A batch of 500 retrieval queries under a fresh sub-seed.
+        let query = format!("q=500;{}", splitmix64(&mut traffic) as u32).into_bytes();
         let reply = platform.serve_request(svc, client, &query).expect("query");
         println!("  tenant {i}: {}", String::from_utf8_lossy(&reply));
         // No tenant's query string is visible to the host/proxy/kernel.
